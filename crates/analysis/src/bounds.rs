@@ -12,7 +12,7 @@
 //! # Abstract domain
 //!
 //! The state is a per-section vector of interval quantities
-//! ([`SectionCost`]): task count, remaining work `[w_lo, w_hi]`, and the
+//! (`SectionCost`): task count, remaining work `[w_lo, w_hi]`, and the
 //! pre-folded energy corners of `w·g(s)` over the scheme's *admissible
 //! speed set* (the quantized levels — or continuous range — the on-line
 //! policy can actually select, floored at the scheme's speculative/static

@@ -20,9 +20,6 @@ pub enum Command {
     /// Simulate one realization and export its event stream (Chrome
     /// trace / JSONL / CSV metrics / text summary).
     Trace,
-    /// Golden-workload regression harness: capture wall time, event
-    /// counts and ledger slices; diff against committed baselines.
-    Bench,
     /// Static analysis: graph well-formedness, platform/plan validity,
     /// fault-plan sanity and Theorem-1 feasibility, reported as stable
     /// `PAS0xxx` diagnostics.
@@ -92,15 +89,6 @@ pub struct Args {
     /// summaries (energy/makespan quantiles, miss-rate CI, per-section
     /// ledger quantiles) instead of the sequential replication loop.
     pub batch: Option<usize>,
-    /// `bench`: diff against the committed baselines, nonzero exit on
-    /// drift.
-    pub check: bool,
-    /// `bench`: rewrite the committed baselines from this run.
-    pub update_baselines: bool,
-    /// `bench`: baseline directory (default `results/baselines`).
-    pub bench_dir: Option<String>,
-    /// `bench`: comma-separated golden-workload filter (`fig4,fig6`).
-    pub workloads: Option<String>,
     /// `check`/`plan`: positional sources (workload/platform/fault-plan/
     /// plan files or builtin names). Empty means use the defaults
     /// (`--app`/`--model`).
@@ -158,7 +146,6 @@ impl Args {
             Some("optimal") => Command::Optimal,
             Some("export") => Command::Export,
             Some("trace") => Command::Trace,
-            Some("bench") => Command::Bench,
             Some("check") => Command::Check,
             Some("serve") => Command::Serve,
             Some(other) => return Err(format!("unknown command '{other}'")),
@@ -185,10 +172,6 @@ impl Args {
             carry: false,
             metrics: false,
             batch: None,
-            check: false,
-            update_baselines: false,
-            bench_dir: None,
-            workloads: None,
             sources: Vec::new(),
             deny_warnings: false,
             against: Vec::new(),
@@ -267,10 +250,6 @@ impl Args {
                         return Err("--batch must be positive".into());
                     }
                 }
-                "--check" => parsed.check = true,
-                "--update-baselines" => parsed.update_baselines = true,
-                "--bench-dir" => parsed.bench_dir = Some(value("--bench-dir")?.clone()),
-                "--workloads" => parsed.workloads = Some(value("--workloads")?.clone()),
                 "--deny-warnings" => parsed.deny_warnings = true,
                 "--against" => {
                     if parsed.command != Command::Check {
@@ -497,28 +476,6 @@ mod tests {
         assert!(a.carry);
         assert!(parse(&["trace", "--frames", "0"]).is_err());
         assert!(parse(&["trace", "--carry"]).is_err());
-    }
-
-    #[test]
-    fn bench_flags() {
-        let a = parse(&[
-            "bench",
-            "--check",
-            "--bench-dir",
-            "results/baselines",
-            "--workloads",
-            "fig4,fig6",
-            "--reps",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(a.command, Command::Bench);
-        assert!(a.check);
-        assert!(!a.update_baselines);
-        assert_eq!(a.bench_dir.as_deref(), Some("results/baselines"));
-        assert_eq!(a.workloads.as_deref(), Some("fig4,fig6"));
-        let b = parse(&["bench", "--update-baselines"]).unwrap();
-        assert!(b.update_baselines);
     }
 
     #[test]

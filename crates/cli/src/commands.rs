@@ -26,7 +26,6 @@ pub fn execute(args: &Args) -> Result<String, String> {
         Command::Optimal => optimal(args),
         Command::Export => export(args),
         Command::Trace => trace_cmd(args),
-        Command::Bench => bench_cmd(args),
         Command::Check => with_profile(args, pas_obs::profile::names::CLI_CHECK, || {
             crate::check::check_cmd(args)
         }),
@@ -49,8 +48,8 @@ fn with_profile(
     if !args.profile {
         return body();
     }
-    // Other in-process profiler users (the bench harness, parallel
-    // tests) must not drain our spans mid-command.
+    // Other in-process profiler users (parallel tests) must not drain
+    // our spans mid-command.
     let _session = profile::exclusive();
     profile::enable();
     let result = {
@@ -80,10 +79,10 @@ fn with_profile(
     Ok(out)
 }
 
-/// Cheap static checks run automatically before `run`, `trace` and
-/// `bench`: graph well-formedness and platform validity. Errors abort
-/// with rendered diagnostics; warnings are ignored here (run `pas check`
-/// for the full report including feasibility).
+/// Cheap static checks run automatically before `run` and `trace`:
+/// graph well-formedness and platform validity. Errors abort with
+/// rendered diagnostics; warnings are ignored here (run `pas check` for
+/// the full report including feasibility).
 fn precheck(args: &Args) -> Result<(), String> {
     let graph = crate::source::load_app_unvalidated(args)?;
     let model = load_model(&args.model)?;
@@ -1042,8 +1041,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
                     let _ = writeln!(out, "  {:<16} {count}", kind.name());
                 }
             }
-            // Field names match `BENCH_<rev>.json` records so the two
-            // throughput views line up.
             let _ = writeln!(
                 out,
                 "throughput: events_per_sec = {:.1} ({:.3} ms wall, observed)",
@@ -1089,165 +1086,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
         }
         None => Ok(body),
     }
-}
-
-/// `pas bench`: runs the golden workloads (Figures 4–6 operating points,
-/// both platforms, all six schemes) through the [`pas_bench`] harness,
-/// prints a digest, writes `BENCH_<rev>.json`, and optionally refreshes
-/// (`--update-baselines`) or checks (`--check`, error on drift) the
-/// committed baselines under `--bench-dir`.
-fn bench_cmd(args: &Args) -> Result<String, String> {
-    let workloads: Option<Vec<String>> = args.workloads.as_ref().map(|spec| {
-        spec.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect()
-    });
-    // Cheap static checks over the golden workloads and both builtin
-    // platforms before any timing work runs.
-    {
-        let mut report = pas_analyze::Report::new();
-        for w in &pas_bench::GOLDEN_WORKLOADS {
-            if let Some(sel) = &workloads {
-                if !sel.iter().any(|s| s == w.name) {
-                    continue;
-                }
-            }
-            let g = w.graph().map_err(|e| format!("bench: {e}"))?;
-            report.merge(pas_analyze::check_graph(&g, w.name));
-        }
-        for model in [
-            dvfs_power::ProcessorModel::transmeta5400(),
-            dvfs_power::ProcessorModel::xscale(),
-        ] {
-            let name = model.name().to_string();
-            report.merge(pas_analyze::check_model(&model, &name));
-        }
-        if report.has_errors() {
-            return Err(format!(
-                "pre-bench check failed:\n{}",
-                report.render_human().trim_end()
-            ));
-        }
-    }
-    let opts = pas_bench::BenchOptions {
-        reps: args.reps,
-        seed: args.seed,
-        rev: pas_bench::detect_rev(),
-        workloads,
-        ..pas_bench::BenchOptions::default()
-    };
-    let out = pas_bench::run_bench(&opts).map_err(|e| format!("bench: {e}"))?;
-    let dir = std::path::PathBuf::from(
-        args.bench_dir
-            .as_deref()
-            .unwrap_or(pas_bench::harness::DEFAULT_BASELINE_DIR),
-    );
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "pas bench — rev {}, {} records, {} timing reps each",
-        out.report.rev,
-        out.report.records.len(),
-        args.reps
-    );
-    let _ = writeln!(
-        text,
-        "{:<6} {:<18} {:<6} {:>9} {:>11} {:>7} {:>12} {:>9}",
-        "wkld", "platform", "scheme", "wall ms", "kevents/s", "events", "energy mJ", "sections"
-    );
-    for rec in &out.report.records {
-        let _ = writeln!(
-            text,
-            "{:<6} {:<18} {:<6} {:>9.2} {:>11.1} {:>7} {:>12.4} {:>9}",
-            rec.workload,
-            rec.platform,
-            rec.scheme,
-            rec.wall_ms,
-            rec.events_per_sec / 1e3,
-            rec.events,
-            rec.energy_mj,
-            rec.sections.len()
-        );
-    }
-    if !out.report.batch.is_empty() {
-        let _ = writeln!(
-            text,
-            "batched Monte-Carlo engine vs sequential observed loop (informational):"
-        );
-        for b in &out.report.batch {
-            let _ = writeln!(
-                text,
-                "  {:<6} {:<18} {:<6} {:>6} runs {:>10.0} runs/s (seq {:>8.0}) {:>6.1}x {:>9.1} kevents/s",
-                b.workload,
-                b.platform,
-                b.scheme,
-                b.realizations,
-                b.realizations_per_sec,
-                b.sequential_realizations_per_sec,
-                b.speedup,
-                b.events_per_sec / 1e3
-            );
-        }
-    }
-    if !out.report.offline.is_empty() {
-        let _ = writeln!(text, "off-line phase wall time (span profiler):");
-        for b in &out.report.offline {
-            let total: f64 = b.spans.iter().map(|s| s.total_ms).sum();
-            let _ = writeln!(
-                text,
-                "  {} on {} ({:.3} ms across {} span names):",
-                b.workload,
-                b.platform,
-                total,
-                b.spans.len()
-            );
-            for s in &b.spans {
-                let _ = writeln!(
-                    text,
-                    "    {:<28} {:>4} call(s) {:>10.3} ms",
-                    s.name, s.calls, s.total_ms
-                );
-            }
-        }
-    }
-    if args.update_baselines {
-        let written = pas_bench::write_baselines(&out, &dir).map_err(|e| format!("bench: {e}"))?;
-        for path in written {
-            let _ = writeln!(text, "wrote {path}");
-        }
-    }
-    let report_path = match &args.out {
-        Some(path) => {
-            std::fs::write(path, pas_bench::harness::report_json(&out.report))
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            path.clone()
-        }
-        None => pas_bench::write_report(&out.report, std::path::Path::new("."))
-            .map_err(|e| format!("bench: {e}"))?
-            .display()
-            .to_string(),
-    };
-    let _ = writeln!(text, "wrote {report_path}");
-    if args.check {
-        let drifts =
-            pas_bench::check_against_baselines(&out, &dir).map_err(|e| format!("bench: {e}"))?;
-        if drifts.is_empty() {
-            let _ = writeln!(
-                text,
-                "baseline check passed ({} records within tolerance)",
-                out.report.records.len()
-            );
-        } else {
-            return Err(format!(
-                "baseline drift detected ({} deviations):\n  {}",
-                drifts.len(),
-                drifts.join("\n  ")
-            ));
-        }
-    }
-    Ok(text)
 }
 
 fn dot(args: &Args) -> Result<String, String> {

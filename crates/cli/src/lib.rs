@@ -19,7 +19,6 @@
 //!              --out stream.jsonl                    stream 100 frames incrementally
 //! pas plan     --app atr --procs 2 --load 0.5 \
 //!              --profile                             span-profiled off-line phase
-//! pas bench    --check                               diff golden workloads vs baselines
 //! pas check    atr xscale faults.json                static analysis & feasibility
 //! pas plan     w.json xscale --scheme ss2 \
 //!              --out plan.json                       serialize the off-line artifact
@@ -43,13 +42,12 @@ pub use args::{Args, Command};
 
 /// One-line usage summary printed on argument errors.
 pub const USAGE: &str =
-    "usage: pas <inspect|plan|run|compare|dot|optimal|export|trace|bench|check|serve> \
+    "usage: pas <inspect|plan|run|compare|dot|optimal|export|trace|check|serve> \
 [SOURCES...] [--app atr|synthetic|video|FILE.json] [--model transmeta|xscale|continuous:S] \
 [--procs N] [--load L | --deadline D] [--scheme npm|spm|gss|ss1|ss2|as|oracle] \
 [--seed S] [--reps N] [--alpha A] [--gantt] [--out FILE] \
 [--fault-plan FILE.json] [--format chrome|jsonl|csv|summary] [--proc P] \
 [--kinds k1,k2,...] [--frames N] [--carry] [--metrics] \
-[--check] [--update-baselines] [--bench-dir DIR] [--workloads w1,w2,...] \
 [--deny-warnings] [--against REF...] [--fix] \
 [--profile] [--profile-out FILE] \
 [--listen HOST:PORT] [--socket PATH] [--watch DIR] [--workers N] [--queue N] \
@@ -369,9 +367,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("events:"), "{out}");
         assert!(out.contains("dispatch"), "{out}");
-        // Throughput fields are spelled like the BENCH_<rev>.json record
-        // fields so the two views correlate.
         assert!(out.contains("events_per_sec = "), "{out}");
+        // Spelled like the bench baseline field (`results/baselines/`).
         assert!(out.contains("peak_ring_occupancy = "), "{out}");
         assert!(out.contains("energy ledger"), "{out}");
         assert!(out.contains("matches engine total_energy"), "{out}");
@@ -606,52 +603,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("per-section slices"), "{out}");
         assert!(out.contains("root"), "{out}");
-    }
-
-    #[test]
-    fn bench_writes_report_checks_baselines_and_flags_drift() {
-        let dir = std::env::temp_dir().join("pas_cli_test_bench");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::create_dir_all(&dir);
-        let baselines = dir.join("baselines");
-        let report = dir.join("bench.json");
-        let base = [
-            "bench",
-            "--reps",
-            "1",
-            "--workloads",
-            "fig4",
-            "--bench-dir",
-            baselines.to_str().unwrap(),
-            "--out",
-            report.to_str().unwrap(),
-        ];
-        // First run refreshes the baselines...
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.push("--update-baselines");
-        let out = call(&argv).unwrap();
-        assert!(out.contains("pas bench"), "{out}");
-        assert!(out.contains("bench_baseline.json"), "{out}");
-        let body = std::fs::read_to_string(&report).unwrap();
-        let doc: serde::Value = serde_json::from_str(&body).expect("valid JSON");
-        assert!(doc.get("records").is_some(), "{body}");
-        // ...then an identical run passes the check...
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.push("--check");
-        let out = call(&argv).unwrap();
-        assert!(out.contains("baseline check passed"), "{out}");
-        // ...and a different seed drifts.
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["--check", "--seed", "1234"]);
-        let err = call(&argv).unwrap_err();
-        assert!(err.contains("drift"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bench_rejects_unknown_workload() {
-        let err = call(&["bench", "--reps", "1", "--workloads", "fig9"]).unwrap_err();
-        assert!(err.contains("unknown workload"), "{err}");
     }
 
     #[test]

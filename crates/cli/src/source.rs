@@ -141,8 +141,6 @@ mod tests {
             carry: false,
             metrics: false,
             batch: None,
-            check: false,
-            update_baselines: false,
             listen: None,
             socket: None,
             watch: None,
@@ -150,8 +148,6 @@ mod tests {
             queue: 64,
             timeout_ms: 10_000,
             debug_faults: false,
-            bench_dir: None,
-            workloads: None,
             sources: Vec::new(),
             deny_warnings: false,
             against: Vec::new(),

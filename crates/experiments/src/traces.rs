@@ -16,8 +16,9 @@ use rand::SeedableRng;
 use std::path::Path;
 
 /// Lower-cases a display name into a file-name-safe slug (`SS(1)` →
-/// `ss1`, `Intel XScale` → `intel-xscale`). Shared with the `pas bench`
-/// harness so baseline file names match the reference-trace names.
+/// `ss1`, `Intel XScale` → `intel-xscale`). Shared with the bench
+/// baselines test and `pas_bench`, so baseline file names and benchmark
+/// rows match the reference-trace names.
 pub fn slug(name: &str) -> String {
     let mut out = String::new();
     for c in name.chars() {

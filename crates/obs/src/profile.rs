@@ -375,22 +375,6 @@ pub fn render_tree(records: &[SpanRecord]) -> String {
     out
 }
 
-/// Aggregates spans by name: `(name, calls, total_ms)`, sorted by name.
-/// This is the deterministic *shape* the bench report records (the
-/// times themselves are machine-dependent).
-pub fn aggregate(records: &[SpanRecord]) -> Vec<(String, u64, f64)> {
-    let mut by_name: std::collections::BTreeMap<&str, (u64, f64)> = Default::default();
-    for rec in records {
-        let slot = by_name.entry(rec.name).or_insert((0, 0.0));
-        slot.0 += 1;
-        slot.1 += rec.dur_ms;
-    }
-    by_name
-        .into_iter()
-        .map(|(name, (calls, total))| (name.to_string(), calls, total))
-        .collect()
-}
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
@@ -514,25 +498,6 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("(children"), "{rendered}");
-    }
-
-    #[test]
-    fn aggregate_counts_calls_per_name() {
-        let _lock = locked();
-        enable();
-        let _ = my_spans();
-        for _ in 0..3 {
-            let _g = span(names::ARTIFACT_DIGEST);
-        }
-        let spans = my_spans();
-        disable();
-        let agg = aggregate(&spans);
-        let digest = agg
-            .iter()
-            .find(|(n, _, _)| n == names::ARTIFACT_DIGEST)
-            .expect("aggregated");
-        assert_eq!(digest.1, 3);
-        assert!(digest.2 >= 0.0);
     }
 
     #[test]

@@ -313,8 +313,8 @@ impl RingLog {
     }
 
     /// The highest buffer occupancy reached — `min(seen, capacity)`, the
-    /// quantity `pas bench` records as the peak event memory of a
-    /// streaming consumer.
+    /// peak event memory of a streaming consumer, as recorded in the
+    /// bench baselines (`results/baselines/`).
     pub fn peak_occupancy(&self) -> usize {
         self.win.peak_occupancy()
     }

@@ -306,9 +306,12 @@ impl MetricDistribution {
         self.summary.add(x);
     }
 
-    /// Approximate quantile from the histogram (`None` while empty).
+    /// Approximate quantile from the histogram (`None` while empty),
+    /// clamped to the exact `[min, max]` observed: interpolation inside
+    /// the lowest or highest occupied bin could otherwise step past it.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.hist.quantile(q)
+        let s = &self.summary;
+        self.hist.quantile(q).map(|x| x.max(s.min()).min(s.max()))
     }
 
     /// Exact maximum observed (not histogram-quantized).
@@ -647,5 +650,25 @@ mod tests {
         );
         assert!(dist.energy().quantile(0.5).expect("nonempty") <= dist.energy().max() + 1e-9);
         assert!(dist.miss_ci95() >= 0.0);
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_range() {
+        // Three observations inside one 0.25-wide bin: interpolating
+        // across the bin would put p99 near 0.5 and p0 at 0.25.
+        let mut m = MetricDistribution::new(1.0, 4).expect("geometry");
+        for x in [0.30, 0.31, 0.32] {
+            m.add(x);
+        }
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            let x = m.quantile(q).expect("nonempty");
+            assert!(
+                (m.summary().min()..=m.max()).contains(&x),
+                "q{q} = {x} outside [{}, {}]",
+                m.summary().min(),
+                m.max()
+            );
+        }
+        assert_eq!(m.quantile(0.99), Some(0.32));
     }
 }

@@ -88,7 +88,7 @@ fn schemas_doc_covers_every_on_disk_contract() {
         "Platform model",
         "Fault plan",
         "Plan artifact",
-        "Bench report",
+        "Bench baselines",
         "Metrics CSV",
         "Event stream",
         "Crash report",
