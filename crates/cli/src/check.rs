@@ -341,19 +341,14 @@ fn fixed_path(path: &str) -> String {
 /// validation the simulation paths apply (the checks themselves are the
 /// validation here).
 fn classify(spec: &str, args: &Args) -> Result<Source, String> {
+    if let Some(model) = ProcessorModel::from_spec(spec) {
+        return Ok(Source::Platform(spec.to_string(), model?));
+    }
     match spec {
         "synthetic" | "video" | "atr" => {
             let g = crate::source::load_builtin_app(spec, args)?;
             Ok(Source::Workload(spec.to_string(), g))
         }
-        "transmeta" | "xscale" => Ok(Source::Platform(
-            spec.to_string(),
-            crate::source::load_model(spec)?,
-        )),
-        s if s.starts_with("continuous:") => Ok(Source::Platform(
-            s.to_string(),
-            crate::source::load_model(s)?,
-        )),
         path => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let value: serde::Value =

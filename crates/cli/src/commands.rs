@@ -4,6 +4,7 @@
 use crate::args::{Args, Command, SchemeArg};
 use crate::source::{load_app, load_fault_plan, load_model};
 use andor_graph::{app_profile, to_dot, SectionGraph};
+use dvfs_power::ProcessorModel;
 use mp_sim::trace::{lane_stats, power_profile, render_gantt, GanttOptions};
 use mp_sim::ExecTimeModel;
 use pas_core::{Scheme, Setup, SetupError};
@@ -179,13 +180,11 @@ fn inspect(args: &Args) -> Result<String, String> {
 /// workload: a builtin model spec, or a JSON file whose top level carries
 /// the `ProcessorModel` `"kind"` tag.
 fn is_platform_spec(spec: &str) -> bool {
-    if matches!(spec, "transmeta" | "xscale") || spec.starts_with("continuous:") {
-        return true;
-    }
-    std::fs::read_to_string(spec)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde::Value>(&text).ok())
-        .is_some_and(|v| v.get("kind").is_some() && v.get("nodes").is_none())
+    ProcessorModel::from_spec(spec).is_some()
+        || std::fs::read_to_string(spec)
+            .ok()
+            .and_then(|text| serde_json::from_str::<serde::Value>(&text).ok())
+            .is_some_and(|v| v.get("kind").is_some() && v.get("nodes").is_none())
 }
 
 fn serve_cmd(args: &Args) -> Result<String, String> {
@@ -330,6 +329,20 @@ fn plan(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// The policy `--scheme` names; the oracle is built for `real`.
+fn scheme_policy<'s>(
+    setup: &'s Setup,
+    scheme: SchemeArg,
+    real: &mp_sim::Realization,
+) -> Result<Box<dyn mp_sim::Policy + 's>, String> {
+    match scheme {
+        SchemeArg::Scheme(s) => Ok(setup.policy(s)),
+        SchemeArg::Oracle => Ok(Box::new(
+            setup.oracle(real).map_err(|e| format!("simulation: {e}"))?,
+        )),
+    }
+}
+
 fn run_one(args: &Args) -> Result<String, String> {
     precheck(args)?;
     let setup = build_setup(args)?;
@@ -344,23 +357,11 @@ fn run_one(args: &Args) -> Result<String, String> {
     let fault_set = fault_plan
         .as_ref()
         .map(|p| p.realize(&setup.graph, args.seed));
-    let res = match args.scheme {
-        SchemeArg::Scheme(scheme) => {
-            let mut policy = setup.policy(scheme);
-            setup
-                .simulator(true)
-                .run_full(policy.as_mut(), &real, None, fault_set.as_ref())
-        }
-        SchemeArg::Oracle => {
-            let mut oracle = setup
-                .oracle(&real)
-                .map_err(|e| format!("simulation: {e}"))?;
-            setup
-                .simulator(true)
-                .run_full(&mut oracle, &real, None, fault_set.as_ref())
-        }
-    }
-    .map_err(|e| format!("simulation: {e}"))?;
+    let mut policy = scheme_policy(&setup, args.scheme, &real)?;
+    let res = setup
+        .simulator(true)
+        .run_observed(policy.as_mut(), &real, None, fault_set.as_ref(), None)
+        .map_err(|e| format!("simulation: {e}"))?;
     let scheme_name = match args.scheme {
         SchemeArg::Scheme(s) => s.name().to_string(),
         SchemeArg::Oracle => "Oracle".into(),
@@ -869,9 +870,8 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
                 SchemeArg::Scheme(s) => setup.policy(s),
                 SchemeArg::Oracle => unreachable!("rejected above"),
             };
-            let res =
-                mp_sim::run_stream_observed(&sim, policy.as_mut(), fs, args.carry, Some(observer))
-                    .map_err(|e| format!("simulation: {e}"))?;
+            let res = mp_sim::run_stream(&sim, policy.as_mut(), fs, args.carry, Some(observer))
+                .map_err(|e| format!("simulation: {e}"))?;
             let last = res.frame_finish.last().copied().unwrap_or(0.0);
             Ok(RunDigest {
                 header: format!(
@@ -892,29 +892,17 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
             })
         } else {
             let real = single.as_ref().expect("single-run realization");
-            let res = match args.scheme {
-                SchemeArg::Scheme(scheme) => {
-                    let mut policy = setup.policy(scheme);
-                    setup.simulator(false).run_observed(
-                        policy.as_mut(),
-                        real,
-                        None,
-                        fault_set.as_ref(),
-                        Some(observer),
-                    )
-                }
-                SchemeArg::Oracle => {
-                    let mut oracle = setup.oracle(real).map_err(|e| format!("simulation: {e}"))?;
-                    setup.simulator(false).run_observed(
-                        &mut oracle,
-                        real,
-                        None,
-                        fault_set.as_ref(),
-                        Some(observer),
-                    )
-                }
-            }
-            .map_err(|e| format!("simulation: {e}"))?;
+            let mut policy = scheme_policy(&setup, args.scheme, real)?;
+            let res = setup
+                .simulator(false)
+                .run_observed(
+                    policy.as_mut(),
+                    real,
+                    None,
+                    fault_set.as_ref(),
+                    Some(observer),
+                )
+                .map_err(|e| format!("simulation: {e}"))?;
             let status = if res.status.met() {
                 "met".to_string()
             } else {

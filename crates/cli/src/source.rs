@@ -95,23 +95,12 @@ pub fn load_fault_plan(path: &str) -> Result<mp_sim::FaultPlan, String> {
 
 /// Resolves the `--model` specification.
 pub fn load_model(spec: &str) -> Result<ProcessorModel, String> {
-    match spec {
-        "transmeta" => Ok(ProcessorModel::transmeta5400()),
-        "xscale" => Ok(ProcessorModel::xscale()),
-        other => {
-            if let Some(smin) = other.strip_prefix("continuous:") {
-                let smin: f64 = smin
-                    .parse()
-                    .map_err(|_| format!("bad continuous smin: {smin}"))?;
-                ProcessorModel::continuous(smin)
-                    .ok_or_else(|| "continuous smin must be in (0, 1]".into())
-            } else {
-                Err(format!(
-                    "unknown model '{other}' (transmeta|xscale|continuous:<smin>)"
-                ))
-            }
-        }
-    }
+    ProcessorModel::from_spec(spec).unwrap_or_else(|| {
+        Err(format!(
+            "unknown platform '{spec}' ({})",
+            ProcessorModel::SPEC_GRAMMAR
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -4,9 +4,7 @@ use crate::offline::{OfflineError, OfflinePlan};
 use crate::policies::Scheme;
 use andor_graph::{AndOrGraph, GraphError, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel, DEFAULT_IDLE_FRACTION};
-use mp_sim::{
-    ExecTimeModel, FaultSet, Policy, Realization, RunResult, SimConfig, SimError, Simulator,
-};
+use mp_sim::{ExecTimeModel, Policy, Realization, RunResult, SimConfig, SimError, Simulator};
 use rand::Rng;
 
 /// Errors building a [`Setup`].
@@ -384,24 +382,6 @@ impl Setup {
         self.simulator(false).run(policy.as_mut(), real)
     }
 
-    /// Runs one scheme on one realization under an injected fault set
-    /// (no trace). With an empty fault set this is byte-identical to
-    /// [`Setup::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the engine.
-    pub fn run_with_faults(
-        &self,
-        scheme: Scheme,
-        real: &Realization,
-        faults: &FaultSet,
-    ) -> Result<RunResult, SimError> {
-        let mut policy = self.policy(scheme);
-        self.simulator(false)
-            .run_with_faults(policy.as_mut(), real, faults)
-    }
-
     /// Builds the clairvoyant single-speed bound for one realization
     /// (see [`crate::oracle`]).
     ///
@@ -437,6 +417,7 @@ impl Setup {
 mod tests {
     use super::*;
     use andor_graph::Segment;
+    use mp_sim::FaultSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -519,7 +500,8 @@ mod tests {
         for scheme in Scheme::ALL {
             let clean = s.run(scheme, &real).expect("run succeeds");
             let faulted = s
-                .run_with_faults(scheme, &real, &empty)
+                .simulator(false)
+                .run_observed(s.policy(scheme).as_mut(), &real, None, Some(&empty), None)
                 .expect("run succeeds");
             assert_eq!(clean.finish_time, faulted.finish_time, "{}", scheme.name());
             assert_eq!(

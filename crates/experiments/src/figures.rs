@@ -477,10 +477,10 @@ pub fn stream_carryover(platform: Platform, cfg: &ExperimentConfig) -> Table {
                 .collect();
             let sim = setup.simulator(false);
             let mut policy = setup.policy(scheme);
-            let cold =
-                mp_sim::run_stream(&sim, policy.as_mut(), &frames, false).expect("stream runs");
-            let warm =
-                mp_sim::run_stream(&sim, policy.as_mut(), &frames, true).expect("stream runs");
+            let cold = mp_sim::run_stream(&sim, policy.as_mut(), &frames, false, None)
+                .expect("stream runs");
+            let warm = mp_sim::run_stream(&sim, policy.as_mut(), &frames, true, None)
+                .expect("stream runs");
             assert_eq!(cold.misses + warm.misses, 0, "{} missed", scheme.name());
             cold_c += cold.speed_changes() as f64 / FRAMES as f64;
             warm_c += warm.speed_changes() as f64 / FRAMES as f64;

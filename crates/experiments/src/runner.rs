@@ -1,6 +1,6 @@
 //! The Monte-Carlo experiment harness.
 
-use mp_sim::{FaultPlan, FaultReport, SimError};
+use mp_sim::{FaultPlan, FaultReport, RunScratch, SimError};
 use pas_core::{Scheme, Setup};
 use pas_stats::Summary;
 use rand::rngs::StdRng;
@@ -181,12 +181,19 @@ pub fn evaluate_with_faults(
             let mut rng = StdRng::seed_from_u64(seed);
             let real = setup.sample(&cfg.etm, &mut rng);
             let fault_set = faults.map(|p| p.realize(&setup.graph, r as u64));
+            let sim = setup.simulator(false);
+            let mut scratch = RunScratch::new();
             let mut samples = Vec::with_capacity(cfg.schemes.len());
             for &scheme in &cfg.schemes {
-                let res = match &fault_set {
-                    Some(fs) => setup.run_with_faults(scheme, &real, fs)?,
-                    None => setup.run(scheme, &real)?,
-                };
+                let mut policy = setup.policy(scheme);
+                let res = sim.run_into(
+                    &mut scratch,
+                    policy.as_mut(),
+                    &real,
+                    None,
+                    fault_set.as_ref(),
+                    None,
+                )?;
                 samples.push(RepSample {
                     energy: res.total_energy(),
                     busy: res.energy.busy_energy(),

@@ -130,6 +130,30 @@ impl ProcessorModel {
         })
     }
 
+    /// The platform-spec grammar [`ProcessorModel::from_spec`] accepts.
+    pub const SPEC_GRAMMAR: &'static str = "transmeta|xscale|continuous:<smin>";
+
+    /// Resolves a platform spec: `transmeta` (Table 1), `xscale` (Table 2)
+    /// or `continuous:<smin>`.
+    ///
+    /// Returns `None` if `spec` is not in that grammar, and `Some(Err)` if
+    /// it is but `<smin>` is not a number in `(0, 1]`.
+    pub fn from_spec(spec: &str) -> Option<Result<Self, String>> {
+        match spec {
+            "transmeta" => Some(Ok(Self::transmeta5400())),
+            "xscale" => Some(Ok(Self::xscale())),
+            _ => {
+                let smin = spec.strip_prefix("continuous:")?;
+                Some(
+                    smin.parse()
+                        .ok()
+                        .and_then(Self::continuous)
+                        .ok_or_else(|| format!("bad continuous smin '{smin}': not in (0, 1]")),
+                )
+            }
+        }
+    }
+
     /// Builds a model from an explicit level table.
     ///
     /// Returns `None` if the table is empty, has non-positive frequencies or
@@ -419,6 +443,20 @@ mod tests {
     fn continuous_rejects_bad_min() {
         assert!(ProcessorModel::continuous(0.0).is_none());
         assert!(ProcessorModel::continuous(1.5).is_none());
+    }
+
+    #[test]
+    fn from_spec_parses_the_platform_grammar() {
+        let ok = |spec| ProcessorModel::from_spec(spec).unwrap().unwrap();
+        assert_eq!(ok("transmeta").num_levels(), Some(16));
+        assert_eq!(ok("xscale").num_levels(), Some(5));
+        assert_eq!(ok("continuous:0.25").min_speed(), 0.25);
+        for bad in ["continuous:0", "continuous:1.5", "continuous:x"] {
+            assert!(ProcessorModel::from_spec(bad).unwrap().is_err(), "{bad}");
+        }
+        for other in ["pentium", "Transmeta", "continuous", "graph.json"] {
+            assert!(ProcessorModel::from_spec(other).is_none(), "{other}");
+        }
     }
 
     #[test]

@@ -115,23 +115,14 @@ fn resolve_graph(
 }
 
 fn resolve_model(spec: &str) -> Result<ProcessorModel, Rejection> {
-    match spec {
-        "transmeta" => Ok(ProcessorModel::transmeta5400()),
-        "xscale" => Ok(ProcessorModel::xscale()),
-        other => {
-            if let Some(smin) = other.strip_prefix("continuous:") {
-                let smin: f64 = smin
-                    .parse()
-                    .map_err(|_| Rejection::bad_param(format!("bad continuous smin: {smin}")))?;
-                ProcessorModel::continuous(smin)
-                    .ok_or_else(|| Rejection::bad_param("continuous smin must be in (0, 1]"))
-            } else {
-                Err(Rejection::bad_param(format!(
-                    "unknown platform '{other}' (transmeta|xscale|continuous:<smin>)"
-                )))
-            }
-        }
-    }
+    ProcessorModel::from_spec(spec)
+        .unwrap_or_else(|| {
+            Err(format!(
+                "unknown platform '{spec}' ({})",
+                ProcessorModel::SPEC_GRAMMAR
+            ))
+        })
+        .map_err(Rejection::bad_param)
 }
 
 /// The request's deadline spec, defaulting to `load = 0.5`.

@@ -6,7 +6,7 @@
 //! The determinism contract (written down in `docs/simulator.md`) is the
 //! load-bearing property here: realization `i` of a batch is executed
 //! through exactly the same [`Simulator::run_into`] code path as a
-//! sequential `run_observed` call would use, seeded with
+//! sequential `run` call would use, seeded with
 //! [`realization_seed`]`(base_seed, i)` — so per-seed results are
 //! bit-identical whichever engine ran them, and the batch can skip
 //! `Observer` wiring (and therefore all event construction) unless a
@@ -72,7 +72,7 @@ pub struct BatchConfig {
     /// [`Realization`] buffer across its whole range.
     pub chunk: usize,
     /// Also materialize the full per-realization [`RunResult`]s
-    /// (meters, final operating points). Off on the hot path; the
+    /// (deadline status, fault report, energy meter). Off on the hot path; the
     /// bit-identity property test turns it on to compare against the
     /// sequential engine field by field.
     pub keep_results: bool,
@@ -217,9 +217,9 @@ where
                 let fs = faults.map(|plan| plan.realize(g, global));
                 let sampled =
                     cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
-                let outcome = if sampled {
+                let res = if sampled {
                     let mut counter = EventCounter::default();
-                    let o = sim.run_into(
+                    let res = sim.run_into(
                         &mut scratch,
                         policy.as_mut(),
                         r,
@@ -229,28 +229,18 @@ where
                     )?;
                     out.events_sampled += counter.count;
                     out.runs_sampled += 1;
-                    o
+                    res
                 } else {
                     sim.run_into(&mut scratch, policy.as_mut(), r, None, fs.as_ref(), None)?
                 };
-                out.finish_time.push(outcome.finish_time);
-                out.missed.push(outcome.missed_deadline);
-                out.energy.push(outcome.energy.total_energy());
-                out.speed_changes.push(outcome.energy.speed_changes());
+                out.finish_time.push(res.finish_time);
+                out.missed.push(res.missed_deadline);
+                out.energy.push(res.energy.total_energy());
+                out.speed_changes.push(res.energy.speed_changes());
                 out.section_energy
                     .extend_from_slice(scratch.section_energy());
                 if cfg.keep_results {
-                    out.results.push(RunResult {
-                        finish_time: outcome.finish_time,
-                        deadline: sim.config().deadline,
-                        missed_deadline: outcome.missed_deadline,
-                        status: outcome.status,
-                        faults: outcome.faults,
-                        energy: outcome.energy,
-                        per_proc: scratch.meters().to_vec(),
-                        trace: outcome.trace,
-                        final_points: scratch.final_points().to_vec(),
-                    });
+                    out.results.push(res);
                 }
             }
             Ok(out)
@@ -507,9 +497,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(realization_seed(0xB00, i as u64));
             let real = Realization::sample(&g, &sg, &etm, &mut rng);
             let mut policy = MaxSpeed;
-            let sequential = sim
-                .run_full(&mut policy, &real, None, None)
-                .expect("sequential runs");
+            let sequential = sim.run(&mut policy, &real).expect("sequential runs");
             assert_eq!(
                 batched.finish_time.to_bits(),
                 sequential.finish_time.to_bits(),

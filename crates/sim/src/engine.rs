@@ -141,7 +141,9 @@ pub struct TraceEntry {
     pub speed: f64,
 }
 
-/// The outcome of one simulated run.
+/// The outcome of one simulated run. Per-processor state (energy meters,
+/// final operating points, per-section energy) stays in the
+/// [`RunScratch`] the run executed into.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunResult {
     /// Time the application finished (ms).
@@ -158,14 +160,8 @@ pub struct RunResult {
     pub faults: FaultReport,
     /// Energy aggregated over all processors.
     pub energy: EnergyMeter,
-    /// Per-processor energy accounting.
-    pub per_proc: Vec<EnergyMeter>,
     /// Schedule trace, if [`SimConfig::record_trace`] was set.
     pub trace: Option<Vec<TraceEntry>>,
-    /// The operating point each processor ended the run at — feed into
-    /// [`Simulator::run_with_initial`] to chain back-to-back frame
-    /// instances without resetting DVS state (see [`crate::stream`]).
-    pub final_points: Vec<OperatingPoint>,
 }
 
 impl RunResult {
@@ -179,14 +175,13 @@ impl RunResult {
 /// Reusable per-run mutable state: everything [`Simulator::run_into`]
 /// writes during one realization, allocated once and reset on every run.
 ///
-/// `run_observed` allocates a fresh scratch per call (the historical
-/// behaviour); the batch engine ([`crate::batch`]) keeps one scratch per
-/// worker and reuses it across thousands of realizations, which removes
-/// every per-run allocation from the hot loop. The contents after a run
-/// are exactly the state `run_observed` moves into [`RunResult`]
-/// (per-processor meters and final operating points), plus the
-/// per-program-section energy accumulators the batch distribution
-/// summaries are built from.
+/// `run` and `run_observed` allocate a fresh scratch per call; the batch
+/// engine ([`crate::batch`]), the frame stream ([`crate::stream`]) and
+/// the experiments runner keep one scratch and reuse it across
+/// realizations, which removes every per-run allocation from the hot
+/// loop. After a run the scratch holds that run's per-processor meters
+/// and final operating points, plus the per-program-section energy
+/// accumulators the batch distribution summaries are built from.
 #[derive(Debug, Default)]
 pub struct RunScratch {
     /// Completion time per node (`None` until the node finishes).
@@ -262,30 +257,12 @@ impl RunScratch {
     }
 }
 
-/// The scalar outcome of one run executed through
-/// [`Simulator::run_into`]. Per-processor state (meters, final operating
-/// points) stays in the [`RunScratch`]; this struct carries everything
-/// else [`RunResult`] is assembled from.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Time the application finished (ms).
-    pub finish_time: f64,
-    /// True if the application finished after its deadline.
-    pub missed_deadline: bool,
-    /// Whether the deadline was met, and by how much.
-    pub status: DeadlineStatus,
-    /// Faults injected, detected and recovered during the run.
-    pub faults: FaultReport,
-    /// Energy aggregated over all processors.
-    pub energy: EnergyMeter,
-    /// Schedule trace, if [`SimConfig::record_trace`] was set.
-    pub trace: Option<Vec<TraceEntry>>,
-}
-
 /// The multi-processor execution engine.
 ///
 /// Holds everything invariant across Monte-Carlo iterations; call
-/// [`Simulator::run`] once per `(policy, realization)` pair.
+/// [`Simulator::run_into`] (or one of its two one-off forms,
+/// [`Simulator::run`] and [`Simulator::run_observed`]) once per
+/// `(policy, realization)` pair.
 pub struct Simulator<'a> {
     g: &'a AndOrGraph,
     sections: &'a SectionGraph,
@@ -303,7 +280,7 @@ impl<'a> Simulator<'a> {
     /// every section. These are construction-time programming errors, not
     /// data-dependent run failures, so they stay asserts; everything that
     /// depends on the realization or dispatch order contents surfaces as
-    /// [`SimError`] from the `run*` methods instead.
+    /// [`SimError`] from [`Simulator::run_into`] instead.
     pub fn new(
         g: &'a AndOrGraph,
         sections: &'a SectionGraph,
@@ -342,60 +319,13 @@ impl<'a> Simulator<'a> {
     }
 
     /// Executes one realization under `policy`, with every processor
-    /// starting at the maximum operating point.
+    /// starting at the maximum operating point, no faults and no observer.
     pub fn run(&self, policy: &mut dyn Policy, real: &Realization) -> Result<RunResult, SimError> {
-        self.run_full(policy, real, None, None)
+        self.run_observed(policy, real, None, None, None)
     }
 
-    /// Executes one realization under `policy`, optionally starting each
-    /// processor at a given operating point (DVS state carried over from a
-    /// previous frame instance).
-    pub fn run_with_initial(
-        &self,
-        policy: &mut dyn Policy,
-        real: &Realization,
-        initial: Option<&[OperatingPoint]>,
-    ) -> Result<RunResult, SimError> {
-        self.run_full(policy, real, initial, None)
-    }
-
-    /// Executes one realization under `policy` while injecting the given
-    /// fault set (see [`crate::fault`]).
-    ///
-    /// Detection and containment: when a task's measured execution time
-    /// exceeds the worst-case budget at the speed the policy reserved
-    /// (`wcet / speed`), the engine counts a detected overrun, escalates
-    /// the affected processor to the maximum operating point, and
-    /// suspends the policy's slack-claiming — every subsequent dispatch
-    /// runs at `f_max` — until the current program section's exit OR
-    /// fires. The energy premium of recovery (escalation transitions plus
-    /// running contained tasks above the requested point) is tallied in
-    /// [`RunResult::faults`].
-    pub fn run_with_faults(
-        &self,
-        policy: &mut dyn Policy,
-        real: &Realization,
-        faults: &FaultSet,
-    ) -> Result<RunResult, SimError> {
-        self.run_full(policy, real, None, Some(faults))
-    }
-
-    /// The full-control entry point behind [`Simulator::run`],
-    /// [`Simulator::run_with_initial`] and [`Simulator::run_with_faults`].
-    pub fn run_full(
-        &self,
-        policy: &mut dyn Policy,
-        real: &Realization,
-        initial: Option<&[OperatingPoint]>,
-        faults: Option<&FaultSet>,
-    ) -> Result<RunResult, SimError> {
-        self.run_observed(policy, real, initial, faults, None)
-    }
-
-    /// Like [`Simulator::run_full`], additionally streaming every
-    /// schedule action to `observer` as typed [`SimEvent`]s (see
-    /// `pas-obs`). Event emission is purely additive: the schedule and
-    /// energy numbers are bit-identical with and without an observer.
+    /// [`Simulator::run_into`] with a fresh [`RunScratch`]: the one-off
+    /// form that takes every option.
     pub fn run_observed(
         &self,
         policy: &mut dyn Policy,
@@ -404,31 +334,40 @@ impl<'a> Simulator<'a> {
         faults: Option<&FaultSet>,
         observer: Option<&mut dyn Observer>,
     ) -> Result<RunResult, SimError> {
-        let mut scratch = RunScratch::new();
-        let out = self.run_into(&mut scratch, policy, real, initial, faults, observer)?;
-        Ok(RunResult {
-            finish_time: out.finish_time,
-            deadline: self.cfg.deadline,
-            missed_deadline: out.missed_deadline,
-            status: out.status,
-            faults: out.faults,
-            energy: out.energy,
-            per_proc: std::mem::take(&mut scratch.meters),
-            trace: out.trace,
-            final_points: std::mem::take(&mut scratch.point),
-        })
+        self.run_into(
+            &mut RunScratch::new(),
+            policy,
+            real,
+            initial,
+            faults,
+            observer,
+        )
     }
 
-    /// Like [`Simulator::run_observed`], but executing into a
-    /// caller-provided [`RunScratch`] instead of allocating per-run state.
+    /// The engine: executes one realization under `policy` into a
+    /// caller-provided [`RunScratch`], which afterwards holds the run's
+    /// per-processor meters, final operating points and per-section
+    /// energy accumulators. Reusing one scratch across runs changes no
+    /// result bit (the determinism contract in `docs/simulator.md`).
     ///
-    /// This is the batched-engine entry point: the arithmetic, dispatch
-    /// order and event emission are *identical* to `run_observed` (which
-    /// delegates here with a fresh scratch), so per-seed results are
-    /// bit-identical whichever entry point ran them — the determinism
-    /// contract written down in `docs/simulator.md`. After the call the
-    /// scratch holds the per-processor meters, final operating points and
-    /// per-section energy accumulators of the run.
+    /// `initial` starts each processor at a given operating point (DVS
+    /// state carried over from a previous frame instance) instead of the
+    /// maximum one.
+    ///
+    /// `faults` injects a fault set (see [`crate::fault`]). Detection and
+    /// containment: when a task's measured execution time exceeds the
+    /// worst-case budget at the speed the policy reserved
+    /// (`wcet / speed`), the engine counts a detected overrun, escalates
+    /// the affected processor to the maximum operating point, and
+    /// suspends the policy's slack-claiming — every subsequent dispatch
+    /// runs at `f_max` — until the current program section's exit OR
+    /// fires. The energy premium of recovery (escalation transitions plus
+    /// running contained tasks above the requested point) is tallied in
+    /// [`RunResult::faults`].
+    ///
+    /// `observer` receives every schedule action as a typed [`SimEvent`]
+    /// (see `pas-obs`). Event emission is purely additive: the schedule
+    /// and energy numbers are bit-identical with and without an observer.
     pub fn run_into(
         &self,
         scratch: &mut RunScratch,
@@ -437,7 +376,7 @@ impl<'a> Simulator<'a> {
         initial: Option<&[OperatingPoint]>,
         faults: Option<&FaultSet>,
         observer: Option<&mut dyn Observer>,
-    ) -> Result<RunOutcome, SimError> {
+    ) -> Result<RunResult, SimError> {
         let m = self.cfg.num_procs;
         scratch.prepare(
             self.g.len(),
@@ -781,8 +720,9 @@ impl<'a> Simulator<'a> {
             }
         }
         let trace = em.log.map(|events| trace_from_events(&events));
-        Ok(RunOutcome {
+        Ok(RunResult {
             finish_time,
+            deadline: self.cfg.deadline,
             missed_deadline: finish_time > self.cfg.deadline * (1.0 + 1e-9) + 1e-9,
             status: DeadlineStatus::classify(finish_time, self.cfg.deadline),
             faults: report,
@@ -852,6 +792,20 @@ mod tests {
 
     fn wcet_real(g: &AndOrGraph) -> Realization {
         Realization::worst_case(g, Scenario { choices: vec![] })
+    }
+
+    /// Runs `real` under `faults`, returning the scratch it ran into.
+    fn faulted(
+        sim: &Simulator<'_>,
+        policy: &mut dyn Policy,
+        real: &Realization,
+        faults: &FaultSet,
+    ) -> (RunResult, RunScratch) {
+        let mut scratch = RunScratch::new();
+        let res = sim
+            .run_into(&mut scratch, policy, real, None, Some(faults), None)
+            .expect("run succeeds");
+        (res, scratch)
     }
 
     #[test]
@@ -1008,7 +962,13 @@ mod tests {
         let model = ProcessorModel::continuous(0.1).expect("continuous model");
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(2, 20.0));
         let err = sim
-            .run_with_initial(&mut MaxSpeed, &wcet_real(&g), Some(&[model.max_point()]))
+            .run_observed(
+                &mut MaxSpeed,
+                &wcet_real(&g),
+                Some(&[model.max_point()]),
+                None,
+                None,
+            )
             .expect_err("must fail");
         assert_eq!(
             err,
@@ -1153,9 +1113,7 @@ mod tests {
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(1, 20.0));
         let real = wcet_real(&g);
         let base = sim.run(&mut MaxSpeed, &real).expect("run succeeds");
-        let faulted = sim
-            .run_with_faults(&mut MaxSpeed, &real, &FaultSet::empty(g.len()))
-            .expect("run succeeds");
+        let (faulted, _) = faulted(&sim, &mut MaxSpeed, &real, &FaultSet::empty(g.len()));
         assert_eq!(base.finish_time, faulted.finish_time);
         assert_eq!(base.total_energy(), faulted.total_energy());
         assert!(faulted.faults.is_clean());
@@ -1169,9 +1127,7 @@ mod tests {
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(1, 20.0));
         let plan = FaultPlan::overruns(1.0, 1.5, 7);
         let faults = plan.realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut MaxSpeed, &wcet_real(&g), &faults)
-            .expect("run succeeds");
+        let (res, _) = faulted(&sim, &mut MaxSpeed, &wcet_real(&g), &faults);
         // WCET 10 * factor 1.5 at full speed = 15 ms.
         assert!(
             (res.finish_time - 15.0).abs() < 1e-12,
@@ -1204,9 +1160,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let faults = plan.realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut Fixed { speed: 0.5 }, &wcet_real(&g), &faults)
-            .expect("run succeeds");
+        let (res, _) = faulted(&sim, &mut Fixed { speed: 0.5 }, &wcet_real(&g), &faults);
         assert_eq!(res.faults.overruns_injected, 2);
         assert!(res.faults.overruns_detected >= 1);
         assert_eq!(res.faults.recoveries, 1, "escalated away from half speed");
@@ -1252,9 +1206,7 @@ mod tests {
         // so B is *dispatched* at the policy's requested half speed again
         // (B's own overrun is then detected after it completes).
         let faults = FaultPlan::overruns(1.0, 2.0, 1).realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut Fixed { speed: 0.5 }, &real, &faults)
-            .expect("run succeeds");
+        let (res, _) = faulted(&sim, &mut Fixed { speed: 0.5 }, &real, &faults);
         let tr = res.trace.as_ref().expect("trace recorded");
         let b_entry = tr.iter().find(|e| e.node != a).expect("B executed");
         assert!(
@@ -1277,15 +1229,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let faults = plan.realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut Fixed { speed: 0.5 }, &wcet_real(&g), &faults)
-            .expect("run succeeds");
+        let (res, scratch) = faulted(&sim, &mut Fixed { speed: 0.5 }, &wcet_real(&g), &faults);
         assert_eq!(res.faults.speed_failures_injected, 1);
         // The point clamped to full speed, so execution took 10 ms (not
         // 20), plus the 0.5 ms transition that was still paid.
         assert!((res.finish_time - 10.5).abs() < 1e-9, "{}", res.finish_time);
         assert!((res.energy.transition_time() - 0.5).abs() < 1e-12);
-        assert!((res.final_points[0].speed - 1.0).abs() < 1e-12);
+        assert!((scratch.final_points()[0].speed - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1300,9 +1250,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let faults = plan.realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut MaxSpeed, &wcet_real(&g), &faults)
-            .expect("run succeeds");
+        let (res, _) = faulted(&sim, &mut MaxSpeed, &wcet_real(&g), &faults);
         assert_eq!(res.faults.stalls_injected, 1);
         assert!(
             (res.finish_time - 13.0).abs() < 1e-12,
@@ -1321,9 +1269,7 @@ mod tests {
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(1, 12.0));
         let plan = FaultPlan::overruns(1.0, 2.0, 3);
         let faults = plan.realize(&g, 0);
-        let res = sim
-            .run_with_faults(&mut MaxSpeed, &wcet_real(&g), &faults)
-            .expect("faulted run completes without panicking");
+        let (res, _) = faulted(&sim, &mut MaxSpeed, &wcet_real(&g), &faults);
         assert!(res.missed_deadline);
         assert_eq!(res.status, DeadlineStatus::Missed { by: 8.0 });
         // Idle horizon extends to the late finish, never negative idle.

@@ -19,7 +19,7 @@ pub enum SimError {
         /// The predecessor that had not finished.
         pred: String,
     },
-    /// `run_with_initial` was given the wrong number of operating points.
+    /// A run was given the wrong number of `initial` operating points.
     InitialPointCount {
         /// One point per processor.
         expected: usize,

@@ -41,17 +41,15 @@ pub mod trace;
 pub use batch::{
     realization_seed, run_batch, BatchConfig, BatchDistribution, BatchOutput, MetricDistribution,
 };
-pub use engine::{
-    DispatchOrder, RunOutcome, RunResult, RunScratch, SimConfig, Simulator, TraceEntry,
-};
+pub use engine::{DispatchOrder, RunResult, RunScratch, SimConfig, Simulator, TraceEntry};
 pub use error::SimError;
 pub use fault::{DeadlineStatus, FaultPlan, FaultReport, FaultSet};
 pub use literal::{run_literal, LiteralResult};
 pub use policy::{DispatchCtx, MaxSpeed, Policy, SpeedDecision};
 pub use realization::{ExecTimeModel, Realization};
-pub use stream::{run_stream, run_stream_observed, StreamResult};
+pub use stream::{run_stream, StreamResult};
 pub use trace::trace_from_events;
-// The observability layer the engine streams into (see `run_observed`).
+// The observability layer the engine streams into (see `run_into`).
 pub use pas_obs::{
     ChromeSink, EnergyLedger, EventLog, Fanout, Filtered, JsonlSink, MetricsRegistry, Observer,
     RingLog, SectionKey, SectionSlice, SectionedLedger, SimEvent,

@@ -13,7 +13,7 @@
 //! stream never drifts (frame `k` always completes by its release point
 //! plus the period).
 
-use crate::engine::Simulator;
+use crate::engine::{RunScratch, Simulator};
 use crate::error::SimError;
 use crate::policy::Policy;
 use crate::realization::Realization;
@@ -46,12 +46,22 @@ impl StreamResult {
 }
 
 /// Runs one realization per frame, optionally carrying each processor's
-/// operating point into the next frame.
+/// operating point into the next frame, and optionally streaming every
+/// frame's schedule actions to `observer` as typed
+/// [`pas_obs::SimEvent`]s. All frames run through one reused
+/// [`RunScratch`].
 ///
 /// With `carry_state == false` every frame starts at the maximum operating
 /// point — the paper's independent-instances assumption. With `true`, the
-/// `final_points` of each run seed the next, modelling hardware whose DVS
-/// setting persists across frames.
+/// final operating points of each run seed the next, modelling hardware
+/// whose DVS setting persists across frames.
+///
+/// The observer sees each event the moment the engine emits it, across
+/// all frames, so a sink such as `pas_obs::JsonlSink` can export an
+/// arbitrarily long stream in O(1) event memory (no per-frame `EventLog`
+/// is ever built). Event times are frame-local — each frame restarts its
+/// clock at its release point, and the `OrBranchTaken` boundaries keep
+/// per-section accounting segmentable across frames.
 ///
 /// # Errors
 ///
@@ -62,45 +72,27 @@ pub fn run_stream(
     policy: &mut dyn Policy,
     frames: &[Realization],
     carry_state: bool,
-) -> Result<StreamResult, SimError> {
-    run_stream_observed(sim, policy, frames, carry_state, None)
-}
-
-/// Like [`run_stream`], additionally streaming every frame's schedule
-/// actions to `observer` as typed [`pas_obs::SimEvent`]s.
-///
-/// This is the incremental consumption path: the observer sees each event
-/// the moment the engine emits it, across all frames, so a sink such as
-/// `pas_obs::JsonlSink` can export an arbitrarily long stream in O(1)
-/// event memory (no per-frame `EventLog` is ever built). Event times are
-/// frame-local — each frame restarts its clock at its release point, and
-/// the `OrBranchTaken` boundaries keep per-section accounting segmentable
-/// across frames.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] any frame's run produces.
-pub fn run_stream_observed(
-    sim: &Simulator<'_>,
-    policy: &mut dyn Policy,
-    frames: &[Realization],
-    carry_state: bool,
     mut observer: Option<&mut dyn Observer>,
 ) -> Result<StreamResult, SimError> {
     let mut frame_finish = Vec::with_capacity(frames.len());
     let mut misses = 0u64;
     let mut energy = EnergyMeter::new();
-    let mut state: Option<Vec<OperatingPoint>> = None;
+    let mut scratch = RunScratch::new();
+    let mut carried: Vec<OperatingPoint> = Vec::new();
     for real in frames {
         // Reborrow rather than move so the observer survives the loop. The
         // explicit cast keeps the reborrow's lifetime local to this
         // iteration (a plain `as_deref_mut()` pins it to the outer `'_`).
         let obs = observer.as_mut().map(|o| &mut **o as &mut dyn Observer);
-        let res = sim.run_observed(policy, real, state.as_deref(), None, obs)?;
+        let initial = (!carried.is_empty()).then_some(carried.as_slice());
+        let res = sim.run_into(&mut scratch, policy, real, initial, None, obs)?;
         frame_finish.push(res.finish_time);
         misses += res.missed_deadline as u64;
         energy.merge(&res.energy);
-        state = carry_state.then(|| res.final_points.clone());
+        if carry_state {
+            carried.clear();
+            carried.extend_from_slice(scratch.final_points());
+        }
     }
     Ok(StreamResult {
         frame_finish,
@@ -180,8 +172,8 @@ mod tests {
         let mut policy = HalfSpeed {
             model: model.clone(),
         };
-        let cold = run_stream(&sim, &mut policy, &fs, false).expect("stream runs");
-        let warm = run_stream(&sim, &mut policy, &fs, true).expect("stream runs");
+        let cold = run_stream(&sim, &mut policy, &fs, false, None).expect("stream runs");
+        let warm = run_stream(&sim, &mut policy, &fs, true, None).expect("stream runs");
         // Cold: one down-transition per frame. Warm: only the first frame
         // transitions; later frames inherit the 0.6 level.
         assert_eq!(cold.speed_changes(), 8);
@@ -200,8 +192,8 @@ mod tests {
         let model = ProcessorModel::xscale();
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(40.0));
         let fs = frames(&g, &sg, 5);
-        let cold = run_stream(&sim, &mut MaxSpeed, &fs, false).expect("stream runs");
-        let warm = run_stream(&sim, &mut MaxSpeed, &fs, true).expect("stream runs");
+        let cold = run_stream(&sim, &mut MaxSpeed, &fs, false, None).expect("stream runs");
+        let warm = run_stream(&sim, &mut MaxSpeed, &fs, true, None).expect("stream runs");
         assert_eq!(cold.total_energy(), warm.total_energy());
         assert_eq!(cold.speed_changes(), 0);
     }
@@ -220,8 +212,7 @@ mod tests {
         let mut ledger = SectionedLedger::new();
         let res = {
             let mut fan = pas_obs::Fanout::new().with(&mut sink).with(&mut ledger);
-            run_stream_observed(&sim, &mut MaxSpeed, &fs, false, Some(&mut fan))
-                .expect("stream runs")
+            run_stream(&sim, &mut MaxSpeed, &fs, false, Some(&mut fan)).expect("stream runs")
         };
         // The stream total is exactly the event-attributed total, and the
         // per-section slices still partition it.
@@ -250,7 +241,7 @@ mod tests {
         let model = ProcessorModel::xscale();
         let sim = Simulator::new(&g, &sg, &order, &model, cfg(40.0));
         let fs = frames(&g, &sg, 4);
-        let total = run_stream(&sim, &mut MaxSpeed, &fs, false)
+        let total = run_stream(&sim, &mut MaxSpeed, &fs, false, None)
             .expect("stream runs")
             .total_energy();
         let manual: f64 = fs

@@ -5,8 +5,8 @@
 use andor_graph::{AndOrGraph, NodeId, SectionGraph, Segment};
 use dvfs_power::{OperatingPoint, Overheads, ProcessorModel};
 use mp_sim::{
-    DispatchCtx, DispatchOrder, ExecTimeModel, Policy, Realization, SimConfig, Simulator,
-    SpeedDecision,
+    DispatchCtx, DispatchOrder, ExecTimeModel, Policy, Realization, RunScratch, SimConfig,
+    Simulator, SpeedDecision,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,7 +102,10 @@ proptest! {
             rng: StdRng::seed_from_u64(policy_seed),
             seed: policy_seed,
         };
-        let res = sim.run(&mut policy, &real).expect("run succeeds");
+        let mut scratch = RunScratch::new();
+        let res = sim
+            .run_into(&mut scratch, &mut policy, &real, None, None, None)
+            .expect("run succeeds");
         let trace = res.trace.as_ref().expect("trace recorded");
 
         // 1. Every active computation node appears exactly once.
@@ -142,7 +145,7 @@ proptest! {
 
         // 4. Accounting closes: horizon covered on every processor.
         let horizon = res.finish_time.max(res.deadline);
-        for m in &res.per_proc {
+        for m in scratch.meters() {
             let covered = m.busy_time() + m.idle_time() + m.transition_time();
             prop_assert!((covered - horizon).abs() < 1e-6);
         }

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for scheme in [Scheme::Spm, Scheme::Gss, Scheme::Ss1, Scheme::As] {
         let sim = setup.simulator(false);
         let mut policy = setup.policy(scheme);
-        let cold = run_stream(&sim, policy.as_mut(), &stream, false)?;
-        let warm = run_stream(&sim, policy.as_mut(), &stream, true)?;
+        let cold = run_stream(&sim, policy.as_mut(), &stream, false, None)?;
+        let warm = run_stream(&sim, policy.as_mut(), &stream, true, None)?;
         assert_eq!(cold.misses + warm.misses, 0);
         println!(
             "{:<8} {:>14.2} {:>14.2} {:>13.2}%",

@@ -11,7 +11,7 @@ use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::{EnergyMeter, ProcessorModel};
 use pas_andor::sim::{
     realization_seed, run_batch, BatchConfig, BatchDistribution, DeadlineStatus, ExecTimeModel,
-    FaultPlan, Realization, RunResult,
+    FaultPlan, Realization, RunResult, RunScratch,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,15 +22,6 @@ use rand::SeedableRng;
 /// no `PartialEq` on purpose — float comparison policy belongs to the
 /// caller — so the tests spell the policy out: exact bits, all fields.
 fn fingerprint(r: &RunResult) -> Vec<u64> {
-    fn meter(m: &EnergyMeter, out: &mut Vec<u64>) {
-        out.push(m.busy_energy().to_bits());
-        out.push(m.idle_energy().to_bits());
-        out.push(m.transition_energy().to_bits());
-        out.push(m.busy_time().to_bits());
-        out.push(m.idle_time().to_bits());
-        out.push(m.transition_time().to_bits());
-        out.push(m.speed_changes());
-    }
     let mut v = vec![
         r.finish_time.to_bits(),
         r.deadline.to_bits(),
@@ -53,23 +44,40 @@ fn fingerprint(r: &RunResult) -> Vec<u64> {
     v.push(r.faults.recoveries);
     v.push(r.faults.recovery_energy.to_bits());
     meter(&r.energy, &mut v);
-    v.push(r.per_proc.len() as u64);
-    for m in &r.per_proc {
-        meter(m, &mut v);
-    }
-    v.push(r.final_points.len() as u64);
-    for p in &r.final_points {
-        v.push(p.speed.to_bits());
-        v.push(p.power.to_bits());
-    }
     // Neither engine records a trace here (`record_trace` unset).
     v.push(r.trace.as_ref().map_or(0, |t| t.len() as u64));
     v
 }
 
+fn meter(m: &EnergyMeter, out: &mut Vec<u64>) {
+    out.push(m.busy_energy().to_bits());
+    out.push(m.idle_energy().to_bits());
+    out.push(m.transition_energy().to_bits());
+    out.push(m.busy_time().to_bits());
+    out.push(m.idle_time().to_bits());
+    out.push(m.transition_time().to_bits());
+    out.push(m.speed_changes());
+}
+
+/// The per-processor state a run leaves in its [`RunScratch`] (meters,
+/// final operating points, per-section energy), as bit patterns.
+fn scratch_fingerprint(s: &RunScratch) -> Vec<u64> {
+    let mut v = vec![s.meters().len() as u64];
+    for m in s.meters() {
+        meter(m, &mut v);
+    }
+    v.push(s.final_points().len() as u64);
+    for p in s.final_points() {
+        v.push(p.speed.to_bits());
+        v.push(p.power.to_bits());
+    }
+    v.push(s.section_energy().len() as u64);
+    v.extend(s.section_energy().iter().map(|e| e.to_bits()));
+    v
+}
+
 /// Runs the sequential reference for realization `index`: fresh RNG from
-/// the published seeding contract, fresh policy, the historical
-/// `run_full` entry point.
+/// the published seeding contract, fresh policy, fresh scratch.
 fn sequential_run(
     setup: &Setup,
     scheme: Scheme,
@@ -83,7 +91,7 @@ fn sequential_run(
     let real = Realization::sample(&setup.graph, &setup.sections, etm, &mut rng);
     let fs = faults.map(|plan| plan.realize(&setup.graph, index));
     let mut policy = setup.policy(scheme);
-    sim.run_full(policy.as_mut(), &real, None, fs.as_ref())
+    sim.run_observed(policy.as_mut(), &real, None, fs.as_ref(), None)
         .expect("sequential run succeeds")
 }
 
@@ -122,6 +130,82 @@ fn batch_is_bit_identical_across_schemes_and_platforms() {
             }
         }
     }
+}
+
+/// Reusing one [`RunScratch`] across runs leaves no trace: a sequence of
+/// realizations run through one reused scratch matches fresh scratches
+/// bit for bit — the result, the meters, the final operating points and
+/// the per-section energy. The sequence covers every scheme, a fault plan,
+/// a run with carried-in `initial` points, and processor counts that
+/// shrink and grow the scratch.
+#[test]
+fn reused_scratch_matches_fresh_scratch_bit_for_bit() {
+    const SEED: u64 = 0x5C4A;
+    let etm = ExecTimeModel::paper_defaults();
+    let plan = FaultPlan {
+        overrun_prob: 0.3,
+        overrun_factor: 1.5,
+        speed_fail_prob: 0.2,
+        stall_prob: 0.2,
+        stall_ms: 0.5,
+        seed: 5,
+    };
+    let setups: Vec<Setup> = [4, 2]
+        .into_iter()
+        .map(|procs| {
+            let app = pas_andor::workloads::synthetic_app()
+                .lower()
+                .expect("lowers");
+            Setup::for_load(app, ProcessorModel::xscale(), procs, 0.5).expect("feasible")
+        })
+        .collect();
+    let mut reused = RunScratch::new();
+    let (mut index, mut faulted, mut carried) = (0u64, 0, 0);
+    for scheme in Scheme::ALL {
+        for setup in &setups {
+            let sim = setup.simulator(false);
+            let initial = vec![setup.model.quantize_up(0.5); setup.plan.num_procs];
+            for (faults, initial) in [
+                (None, None),
+                (Some(&plan), None),
+                (None, Some(initial.as_slice())),
+            ] {
+                let mut rng = StdRng::seed_from_u64(realization_seed(SEED, index));
+                let real = Realization::sample(&setup.graph, &setup.sections, &etm, &mut rng);
+                let fs = faults.map(|p: &FaultPlan| p.realize(&setup.graph, index));
+                let run = |scratch: &mut RunScratch| {
+                    sim.run_into(
+                        scratch,
+                        setup.policy(scheme).as_mut(),
+                        &real,
+                        initial,
+                        fs.as_ref(),
+                        None,
+                    )
+                    .expect("run succeeds")
+                };
+                let a = run(&mut reused);
+                let mut fresh = RunScratch::new();
+                let b = run(&mut fresh);
+                let what = format!(
+                    "{} on {} procs, run {index}",
+                    scheme.name(),
+                    sim.config().num_procs
+                );
+                assert_eq!(fingerprint(&a), fingerprint(&b), "{what}: result");
+                assert_eq!(
+                    scratch_fingerprint(&reused),
+                    scratch_fingerprint(&fresh),
+                    "{what}: scratch"
+                );
+                faulted += usize::from(!a.faults.is_clean());
+                carried += usize::from(initial.is_some());
+                index += 1;
+            }
+        }
+    }
+    assert!(faulted > 0, "the fault plan never fired");
+    assert_eq!(carried, Scheme::ALL.len() * setups.len());
 }
 
 /// Batch distribution summaries equal a fold over the sequential runs:

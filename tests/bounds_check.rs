@@ -75,7 +75,14 @@ fn simulated_runs_stay_inside_the_static_intervals() {
                 );
                 let fb = scheme_bounds(&faulty, scheme);
                 let fres = setup
-                    .run_with_faults(scheme, &real, &faults)
+                    .simulator(false)
+                    .run_observed(
+                        setup.policy(scheme).as_mut(),
+                        &real,
+                        None,
+                        Some(&faults),
+                        None,
+                    )
                     .expect("faulty run");
                 assert!(
                     fb.energy.contains(fres.total_energy(), TOL),

@@ -4,7 +4,7 @@
 use pas_andor::core::{OfflinePlan, Scheme, Setup};
 use pas_andor::graph::{AndOrGraph, SectionGraph};
 use pas_andor::power::{Overheads, ProcessorModel};
-use pas_andor::sim::{ExecTimeModel, Realization};
+use pas_andor::sim::{ExecTimeModel, Realization, RunScratch};
 use pas_andor::workloads::synthetic_app;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,18 +69,29 @@ fn energy_accounting_identities() {
     for _ in 0..50 {
         let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
         for scheme in Scheme::ALL {
-            let res = s.run(scheme, &real).expect("run succeeds");
+            let mut scratch = RunScratch::new();
+            let res = s
+                .simulator(false)
+                .run_into(
+                    &mut scratch,
+                    s.policy(scheme).as_mut(),
+                    &real,
+                    None,
+                    None,
+                    None,
+                )
+                .expect("run succeeds");
             // Total = busy + idle + transition.
             let sum = res.energy.busy_energy()
                 + res.energy.idle_energy()
                 + res.energy.transition_energy();
             assert!((res.total_energy() - sum).abs() < 1e-9);
             // Per-processor meters aggregate to the total.
-            let agg: f64 = res.per_proc.iter().map(|m| m.total_energy()).sum();
+            let agg: f64 = scratch.meters().iter().map(|m| m.total_energy()).sum();
             assert!((res.total_energy() - agg).abs() < 1e-9);
             // Each processor is accounted for the full horizon.
             let horizon = res.finish_time.max(res.deadline);
-            for m in &res.per_proc {
+            for m in scratch.meters() {
                 let covered = m.busy_time() + m.idle_time() + m.transition_time();
                 assert!(
                     (covered - horizon).abs() < 1e-6,

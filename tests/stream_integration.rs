@@ -27,7 +27,7 @@ fn every_scheme_streams_without_misses() {
         for carry in [false, true] {
             let sim = s.simulator(false);
             let mut policy = s.policy(scheme);
-            let out = run_stream(&sim, policy.as_mut(), &fs, carry).expect("stream runs");
+            let out = run_stream(&sim, policy.as_mut(), &fs, carry, None).expect("stream runs");
             assert_eq!(
                 out.misses,
                 0,
@@ -49,7 +49,7 @@ fn cold_stream_equals_independent_runs() {
     for scheme in [Scheme::Gss, Scheme::As, Scheme::Spm] {
         let sim = s.simulator(false);
         let mut policy = s.policy(scheme);
-        let stream_energy = run_stream(&sim, policy.as_mut(), &fs, false)
+        let stream_energy = run_stream(&sim, policy.as_mut(), &fs, false, None)
             .expect("stream runs")
             .total_energy();
         let sum: f64 = fs
@@ -75,10 +75,10 @@ fn warm_stream_energy_stays_close_to_cold() {
     for scheme in Scheme::MANAGED {
         let sim = s.simulator(false);
         let mut policy = s.policy(scheme);
-        let cold = run_stream(&sim, policy.as_mut(), &fs, false)
+        let cold = run_stream(&sim, policy.as_mut(), &fs, false, None)
             .expect("stream runs")
             .total_energy();
-        let warm = run_stream(&sim, policy.as_mut(), &fs, true)
+        let warm = run_stream(&sim, policy.as_mut(), &fs, true, None)
             .expect("stream runs")
             .total_energy();
         let rel = (warm - cold).abs() / cold;
@@ -97,9 +97,9 @@ fn stream_determinism() {
     let fs = frames(&s, 8, 5);
     let sim = s.simulator(false);
     let mut p1 = s.policy(Scheme::As);
-    let a = run_stream(&sim, p1.as_mut(), &fs, true).expect("stream runs");
+    let a = run_stream(&sim, p1.as_mut(), &fs, true, None).expect("stream runs");
     let mut p2 = s.policy(Scheme::As);
-    let b = run_stream(&sim, p2.as_mut(), &fs, true).expect("stream runs");
+    let b = run_stream(&sim, p2.as_mut(), &fs, true, None).expect("stream runs");
     assert_eq!(a.total_energy(), b.total_energy());
     assert_eq!(a.frame_finish, b.frame_finish);
     assert_eq!(a.speed_changes(), b.speed_changes());

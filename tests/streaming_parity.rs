@@ -12,7 +12,7 @@ use pas_andor::core::{Scheme, Setup};
 use pas_andor::obs::export::to_jsonl;
 use pas_andor::obs::{EventLog, Fanout, JsonlSink, Observer, RingLog, SectionedLedger};
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::{run_stream_observed, ExecTimeModel, FaultPlan, Realization};
+use pas_andor::sim::{run_stream, ExecTimeModel, FaultPlan, Realization};
 use pas_andor::workloads::RandomAppParams;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -103,8 +103,7 @@ fn ring_log_bounds_memory_while_counting_a_long_stream() {
     let mut ledger = SectionedLedger::new();
     let res = {
         let mut fan = Fanout::new().with(&mut ring).with(&mut ledger);
-        run_stream_observed(&sim, policy.as_mut(), &frames, false, Some(&mut fan))
-            .expect("stream runs")
+        run_stream(&sim, policy.as_mut(), &frames, false, Some(&mut fan)).expect("stream runs")
     };
     assert!(ring.seen() > 64, "stream long enough to wrap the ring");
     assert_eq!(ring.len(), 64, "ring stays at capacity");
@@ -194,7 +193,7 @@ proptest! {
         let mut ledger = SectionedLedger::new();
         let res = {
             let mut fan = Fanout::new().with(&mut sink).with(&mut ledger);
-            run_stream_observed(&sim, policy.as_mut(), &frames, false, Some(&mut fan))
+            run_stream(&sim, policy.as_mut(), &frames, false, Some(&mut fan))
                 .expect("stream runs")
         };
         let mut buffered = String::new();
