@@ -365,17 +365,13 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
 }
 
 fn parse_scheme(s: &str) -> Result<SchemeArg, String> {
-    use pas_core::Scheme::*;
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "npm" => SchemeArg::Scheme(Npm),
-        "spm" => SchemeArg::Scheme(Spm),
-        "gss" => SchemeArg::Scheme(Gss),
-        "ss1" | "ss(1)" => SchemeArg::Scheme(Ss1),
-        "ss2" | "ss(2)" => SchemeArg::Scheme(Ss2),
-        "as" => SchemeArg::Scheme(As),
-        "oracle" => SchemeArg::Oracle,
-        other => return Err(format!("unknown scheme '{other}'")),
-    })
+    if let Some(scheme) = pas_core::Scheme::parse(s) {
+        return Ok(SchemeArg::Scheme(scheme));
+    }
+    match s.to_ascii_lowercase().as_str() {
+        "oracle" => Ok(SchemeArg::Oracle),
+        other => Err(format!("unknown scheme '{other}'")),
+    }
 }
 
 #[cfg(test)]

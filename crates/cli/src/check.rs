@@ -344,38 +344,34 @@ fn classify(spec: &str, args: &Args) -> Result<Source, String> {
     if let Some(model) = ProcessorModel::from_spec(spec) {
         return Ok(Source::Platform(spec.to_string(), model?));
     }
-    match spec {
-        "synthetic" | "video" | "atr" => {
-            let g = crate::source::load_builtin_app(spec, args)?;
-            Ok(Source::Workload(spec.to_string(), g))
-        }
-        path => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let value: serde::Value =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-            if value.get("schema_version").is_some() {
-                let artifact =
-                    PlanArtifact::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                Ok(Source::Plan(path.to_string(), Box::new(artifact)))
-            } else if value.get("nodes").is_some() {
-                let g: AndOrGraph =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                Ok(Source::Workload(path.to_string(), g))
-            } else if value.get("overrun_prob").is_some() {
-                let p: FaultPlan =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                Ok(Source::Fault(path.to_string(), p))
-            } else if value.get("kind").is_some() {
-                let m: ProcessorModel =
-                    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-                Ok(Source::Platform(path.to_string(), m))
-            } else {
-                Err(format!(
-                    "{path}: cannot classify source (expected a plan artifact with \
-                     \"schema_version\", a workload with \"nodes\", a fault plan with \
-                     \"overrun_prob\", or a platform with \"kind\")"
-                ))
-            }
-        }
+    if let Some(g) = workloads::builtin(spec, args.alpha, args.seed) {
+        return Ok(Source::Workload(spec.to_string(), g?));
+    }
+    let path = spec;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let value: serde::Value =
+        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    if value.get("schema_version").is_some() {
+        let artifact =
+            PlanArtifact::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        Ok(Source::Plan(path.to_string(), Box::new(artifact)))
+    } else if value.get("nodes").is_some() {
+        let g: AndOrGraph =
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        Ok(Source::Workload(path.to_string(), g))
+    } else if value.get("overrun_prob").is_some() {
+        let p: FaultPlan =
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        Ok(Source::Fault(path.to_string(), p))
+    } else if value.get("kind").is_some() {
+        let m: ProcessorModel =
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+        Ok(Source::Platform(path.to_string(), m))
+    } else {
+        Err(format!(
+            "{path}: cannot classify source (expected a plan artifact with \
+             \"schema_version\", a workload with \"nodes\", a fault plan with \
+             \"overrun_prob\", or a platform with \"kind\")"
+        ))
     }
 }

@@ -209,7 +209,6 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
         debug_faults: args.debug_faults,
         crash_dir: args.crash_dir.clone(),
         trace_dir: args.trace_out.clone(),
-        ..pas_serve::ServeConfig::default()
     };
     let eps = pas_serve::Endpoints {
         tcp: args.listen.clone(),
@@ -252,7 +251,7 @@ fn plan(args: &Args) -> Result<String, String> {
         let json = artifact
             .to_json()
             .map_err(|e| format!("serializing: {e}"))?;
-        let digest = artifact.digest().map_err(|e| format!("digesting: {e}"))?;
+        let digest = pas_core::PlanArtifact::digest_of(&json);
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         return Ok(format!(
             "wrote {path} (schema v{}, scheme {}, {} nodes, {} sections)\ndigest sha256:{digest}\n",
@@ -478,8 +477,8 @@ fn compare(args: &Args) -> Result<String, String> {
     // horizon on every processor.
     let e_max = setup.plan.num_procs as f64 * setup.plan.deadline * 1.05;
     let mut hists: Vec<Histogram> = (0..n)
-        .map(|_| Histogram::new(0.0, e_max, 200).expect("valid range"))
-        .collect();
+        .map(|_| Histogram::new(0.0, e_max, 200).ok_or("degenerate histogram bounds"))
+        .collect::<Result<_, _>>()?;
     // `--metrics`: per-run MetricsRegistry aggregation plus an engine
     // counter cross-check at Monte-Carlo scale (every run must agree
     // between the event-derived and meter speed-change counts).

@@ -628,6 +628,19 @@ mod tests {
     }
 
     #[test]
+    fn compare_with_an_overflowing_deadline_is_an_error_not_a_panic() {
+        // procs · D · 1.05 overflows to inf: no histogram fits that range.
+        for extra in [&[][..], &["--metrics", "--batch", "64"][..]] {
+            let mut argv = vec!["compare", "--deadline", "1e308", "--reps", "2"];
+            argv.extend_from_slice(extra);
+            let err = std::panic::catch_unwind(|| call(&argv))
+                .expect("compare does not panic")
+                .unwrap_err();
+            assert!(err.contains("degenerate histogram bounds"), "{err}");
+        }
+    }
+
+    #[test]
     fn bad_scheme_is_an_error() {
         let err = call(&["run", "--app", "synthetic", "--scheme", "warp-speed"]).unwrap_err();
         assert!(err.contains("unknown scheme"), "{err}");

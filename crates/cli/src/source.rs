@@ -3,83 +3,36 @@
 use crate::args::Args;
 use andor_graph::AndOrGraph;
 use dvfs_power::ProcessorModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use workloads::{synthetic_app, with_alpha, AtrParams};
 
 /// Builds the application graph for `--app` (with the optional `--alpha`
 /// override applied before lowering for the built-ins, or left as-is for
 /// JSON files).
 pub fn load_app(args: &Args) -> Result<AndOrGraph, String> {
-    load_app_named(&args.app, args, true)
+    load_app_as(args, true)
 }
 
 /// Like [`load_app`], but JSON workloads skip the eager `validate()` —
 /// for callers that run the full `pas-analyze` check suite instead
 /// (collecting *every* problem rather than failing on the first).
 pub fn load_app_unvalidated(args: &Args) -> Result<AndOrGraph, String> {
-    load_app_named(&args.app, args, false)
+    load_app_as(args, false)
 }
 
-/// Builds one of the built-in workloads (`synthetic`, `video`, `atr`) by
-/// name, honouring the `--alpha`/`--seed` overrides in `args`.
-pub fn load_builtin_app(name: &str, args: &Args) -> Result<AndOrGraph, String> {
-    match name {
-        "synthetic" | "video" | "atr" => load_app_named(name, args, true),
-        other => Err(format!("'{other}' is not a built-in workload")),
+fn load_app_as(args: &Args, validate: bool) -> Result<AndOrGraph, String> {
+    if let Some(g) = workloads::builtin(&args.app, args.alpha, args.seed) {
+        return g;
     }
-}
-
-fn load_app_named(name: &str, args: &Args, validate: bool) -> Result<AndOrGraph, String> {
-    match name {
-        "synthetic" => {
-            let seg = match args.alpha {
-                Some(a) => {
-                    with_alpha(&synthetic_app(), a).map_err(|e| format!("synthetic app: {e}"))?
-                }
-                None => synthetic_app(),
-            };
-            seg.lower().map_err(|e| format!("synthetic app: {e}"))
-        }
-        "video" => {
-            let params = workloads::VideoParams {
-                alpha: args
-                    .alpha
-                    .unwrap_or(workloads::VideoParams::default().alpha),
-                ..workloads::VideoParams::default()
-            };
-            params
-                .build()
-                .map_err(|e| format!("video params: {e}"))?
-                .lower()
-                .map_err(|e| format!("video app: {e}"))
-        }
-        "atr" => {
-            let params = AtrParams {
-                alpha: args.alpha.unwrap_or(AtrParams::default().alpha),
-                ..AtrParams::default()
-            };
-            let mut rng = StdRng::seed_from_u64(args.seed);
-            params
-                .build_jittered(&mut rng)
-                .map_err(|e| format!("atr params: {e}"))?
-                .lower()
-                .map_err(|e| format!("atr app: {e}"))
-        }
-        path => {
-            if args.alpha.is_some() {
-                return Err("--alpha applies only to the built-in workloads".into());
-            }
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let g: AndOrGraph =
-                serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-            if validate {
-                g.validate()
-                    .map_err(|e| format!("validating {path}: {e}"))?;
-            }
-            Ok(g)
-        }
+    let path = &args.app;
+    if args.alpha.is_some() {
+        return Err("--alpha applies only to the built-in workloads".into());
     }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let g: AndOrGraph = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    if validate {
+        g.validate()
+            .map_err(|e| format!("validating {path}: {e}"))?;
+    }
+    Ok(g)
 }
 
 /// Loads and validates a fault plan from a JSON file (the serde form of

@@ -192,9 +192,15 @@ impl PlanArtifact {
     /// serve` use the digest as a content-addressed cache key and `pas
     /// plan` print it as a verifiable receipt.
     pub fn digest(&self) -> Result<String, String> {
-        let json = self.to_json()?;
+        Ok(Self::digest_of(&self.to_json()?))
+    }
+
+    /// The digest of an artifact already serialized by
+    /// [`PlanArtifact::to_json`]: callers that hold the JSON hash it
+    /// without serializing the artifact a second time.
+    pub fn digest_of(json: &str) -> String {
         let _span = pas_obs::profile::span(pas_obs::profile::names::ARTIFACT_DIGEST);
-        Ok(crate::digest::sha256_hex(json.as_bytes()))
+        crate::digest::sha256_hex(json.as_bytes())
     }
 
     /// Rebuilds a runnable [`Setup`] around the *deserialized* plan —
@@ -225,6 +231,21 @@ mod tests {
             0.5,
         )
         .expect("feasible setup")
+    }
+
+    #[test]
+    fn digest_of_the_json_is_the_digest() {
+        let s = setup();
+        for scheme in Scheme::ALL {
+            let a = PlanArtifact::from_setup(&s, scheme, "fixture", "xscale");
+            let json = a.to_json().expect("serializes");
+            assert_eq!(
+                PlanArtifact::digest_of(&json),
+                a.digest().expect("digests"),
+                "{}",
+                scheme.name()
+            );
+        }
     }
 
     #[test]

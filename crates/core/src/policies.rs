@@ -67,6 +67,21 @@ impl Scheme {
         }
     }
 
+    /// Parses a scheme name in any case: `npm`, `spm`, `gss`, `ss1` or
+    /// `ss(1)`, `ss2` or `ss(2)`, `as`. Every [`Scheme::name`] parses
+    /// back to its scheme. Returns `None` for anything else.
+    pub fn parse(s: &str) -> Option<Scheme> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "npm" => Scheme::Npm,
+            "spm" => Scheme::Spm,
+            "gss" => Scheme::Gss,
+            "ss1" | "ss(1)" => Scheme::Ss1,
+            "ss2" | "ss(2)" => Scheme::Ss2,
+            "as" => Scheme::As,
+            _ => return None,
+        })
+    }
+
     /// Instantiates the scheme's policy against a plan and platform.
     pub fn build<'a>(
         self,
@@ -494,6 +509,26 @@ mod tests {
     use super::*;
     use andor_graph::{SectionGraph, Segment};
     use mp_sim::{Realization, SimConfig, Simulator};
+
+    #[test]
+    fn scheme_names_parse_back() {
+        for s in Scheme::ALL {
+            assert_eq!(Scheme::parse(s.name()), Some(s));
+        }
+        for (alias, s) in [
+            ("ss1", Scheme::Ss1),
+            ("Ss(1)", Scheme::Ss1),
+            ("SS2", Scheme::Ss2),
+            ("ss(2)", Scheme::Ss2),
+            ("As", Scheme::As),
+            ("gSs", Scheme::Gss),
+        ] {
+            assert_eq!(Scheme::parse(alias), Some(s), "{alias}");
+        }
+        for bad in ["oracle", "Oracle", "ss3", "ss 1", ""] {
+            assert_eq!(Scheme::parse(bad), None, "{bad}");
+        }
+    }
 
     fn chain(n: usize, wcet: f64, acet: f64) -> Segment {
         Segment::seq((0..n).map(|i| Segment::task(format!("t{i}"), wcet, acet)))

@@ -4,15 +4,17 @@
 //! point looks wrong, the first question is always "what did one run
 //! actually do?". This module answers it by re-running each scheme once
 //! on the figure's representative configuration (ATR, 2 processors,
-//! load 0.5) under an event observer and writing one Perfetto-loadable
+//! load 0.5) straight into a [`ChromeSink`], one Perfetto-loadable
 //! Chrome trace-event file per scheme.
 
 use crate::figures::{atr_app, Platform};
-use mp_sim::{EventLog, ExecTimeModel};
+use mp_sim::ExecTimeModel;
 use pas_core::{Scheme, Setup};
-use pas_obs::export::chrome_trace;
+use pas_obs::ChromeSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::Path;
 
 /// Lower-cases a display name into a file-name-safe slug (`SS(1)` →
@@ -33,7 +35,8 @@ pub fn slug(name: &str) -> String {
 
 /// Runs every scheme once on ATR (2 processors, load 0.5, the Figure 4
 /// operating point) and writes `<dir>/<platform>_<scheme>.trace.json`
-/// Chrome traces. Returns the written paths.
+/// Chrome traces, with the lane metadata at the end of each file.
+/// Returns the written paths.
 pub fn write_reference_traces(
     dir: &Path,
     platform: Platform,
@@ -46,19 +49,20 @@ pub fn write_reference_traces(
     let real = setup.sample(&ExecTimeModel::paper_defaults(), &mut rng);
     let mut written = Vec::new();
     for scheme in Scheme::ALL {
-        let mut log = EventLog::new();
-        let mut policy = setup.policy(scheme);
-        setup
-            .simulator(false)
-            .run_observed(policy.as_mut(), &real, None, None, Some(&mut log))
-            .map_err(|e| format!("simulation ({}): {e}", scheme.name()))?;
-        let doc = chrome_trace(log.events(), |n| setup.graph.node(n).name.clone());
         let path = dir.join(format!(
             "{}_{}.trace.json",
             slug(platform.name()),
             slug(scheme.name())
         ));
-        std::fs::write(&path, doc).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        let write_err = |e| format!("writing {}: {e}", path.display());
+        let file = File::create(&path).map_err(write_err)?;
+        let mut sink = ChromeSink::new(BufWriter::new(file), |n| setup.graph.node(n).name.clone());
+        let mut policy = setup.policy(scheme);
+        setup
+            .simulator(false)
+            .run_observed(policy.as_mut(), &real, None, None, Some(&mut sink))
+            .map_err(|e| format!("simulation ({}): {e}", scheme.name()))?;
+        sink.finish().map_err(write_err)?;
         written.push(path.display().to_string());
     }
     Ok(written)

@@ -1,23 +1,15 @@
-//! Export layers over a recorded event stream: JSONL dumps, Chrome
-//! trace-event (Perfetto) JSON, CSV metrics.
+//! Shared pieces of the event exporters: the JSONL parser, the fallback
+//! task label, and the Chrome trace-event object builders behind
+//! [`crate::ChromeSink`] and [`crate::profile::chrome_trace`]. The
+//! writers themselves are the streaming sinks ([`crate::JsonlSink`],
+//! [`crate::ChromeSink`]) and [`crate::MetricsRegistry::to_csv`].
 
 use crate::event::{FaultKind, SimEvent};
-use crate::metrics::MetricsRegistry;
 use andor_graph::NodeId;
 use serde::Value;
 
-/// Serializes a stream as JSON Lines — one event object per line, in
-/// emission order. The inverse of [`from_jsonl`].
-pub fn to_jsonl(events: &[SimEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&serde_json::to_string(ev).expect("events serialize"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses a JSON Lines dump back into events (blank lines are skipped).
+/// Parses a JSON Lines dump (as written by [`crate::JsonlSink`]) back
+/// into events; blank lines are skipped.
 pub fn from_jsonl(s: &str) -> Result<Vec<SimEvent>, serde_json::Error> {
     s.lines()
         .filter(|line| !line.trim().is_empty())
@@ -25,17 +17,12 @@ pub fn from_jsonl(s: &str) -> Result<Vec<SimEvent>, serde_json::Error> {
         .collect()
 }
 
-/// Renders the registry derived from `events` as CSV.
-pub fn metrics_csv(events: &[SimEvent]) -> String {
-    MetricsRegistry::from_events(events).to_csv()
-}
-
 /// The fallback task label when no graph is at hand: `n<index>`.
 pub fn node_label(node: NodeId) -> String {
     format!("n{}", node.0)
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
+pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
             .into_iter()
@@ -48,12 +35,13 @@ fn ms_to_us(t: f64) -> Value {
     Value::Float(t * 1000.0)
 }
 
-fn duration_event(
+/// A duration (`X`) event on lane `tid`.
+pub(crate) fn duration_event(
     name: String,
     cat: &str,
     start_ms: f64,
     dur_ms: f64,
-    proc: usize,
+    tid: usize,
     args: Vec<(&str, Value)>,
 ) -> Value {
     obj(vec![
@@ -63,7 +51,7 @@ fn duration_event(
         ("ts", ms_to_us(start_ms)),
         ("dur", ms_to_us(dur_ms)),
         ("pid", Value::UInt(0)),
-        ("tid", Value::UInt(proc as u64)),
+        ("tid", Value::UInt(tid as u64)),
         ("args", obj(args)),
     ])
 }
@@ -93,23 +81,27 @@ fn counter_event(name: String, t_ms: f64, key: &str, value: f64) -> Value {
     ])
 }
 
-/// The `thread_name` metadata event naming processor `p`'s lane.
-pub fn thread_metadata(p: usize) -> Value {
+/// The `thread_name` metadata event naming lane `tid`.
+pub(crate) fn thread_metadata(tid: usize, label: String) -> Value {
     obj(vec![
         ("name", Value::Str("thread_name".to_string())),
         ("ph", Value::Str("M".to_string())),
         ("pid", Value::UInt(0)),
-        ("tid", Value::UInt(p as u64)),
-        ("args", obj(vec![("name", Value::Str(format!("cpu {p}")))])),
+        ("tid", Value::UInt(tid as u64)),
+        ("args", obj(vec![("name", Value::Str(label))])),
     ])
 }
 
 /// Converts one event into its Chrome trace-event object, or `None` for
 /// kinds the Chrome rendering elides (dispatches, slack reclamation, idle
 /// starts — their information is carried by the matching completion/idle
-/// window). Shared by the buffered [`chrome_trace`] renderer and the
-/// streaming [`crate::ChromeSink`], so the two emit identical objects.
-pub fn chrome_event<F: Fn(NodeId) -> String + ?Sized>(ev: &SimEvent, name_of: &F) -> Option<Value> {
+/// window). Task executions and idle windows become duration ("X")
+/// events on one lane per processor, speed changes become counter ("C")
+/// tracks, and branch/speculation/fault events become instants.
+pub(crate) fn chrome_event<F: Fn(NodeId) -> String + ?Sized>(
+    ev: &SimEvent,
+    name_of: &F,
+) -> Option<Value> {
     match ev {
         SimEvent::TaskComplete {
             t,
@@ -201,153 +193,33 @@ pub fn chrome_event<F: Fn(NodeId) -> String + ?Sized>(ev: &SimEvent, name_of: &F
     }
 }
 
-/// Renders a stream as Chrome trace-event JSON, loadable in Perfetto or
-/// `chrome://tracing`. Task executions and idle windows become duration
-/// ("X") events on one thread lane per processor, speed changes become
-/// counter ("C") tracks, and branch/speculation/fault events become
-/// instants. `name_of` labels tasks (pass the graph's node names, or
-/// [`node_label`]).
-pub fn chrome_trace<F: Fn(NodeId) -> String>(events: &[SimEvent], name_of: F) -> String {
-    let mut trace_events = Vec::new();
-    // Name the per-processor lanes first (metadata events).
-    let procs = events
-        .iter()
-        .filter_map(SimEvent::proc)
-        .max()
-        .map(|p| p + 1);
-    for p in 0..procs.unwrap_or(0) {
-        trace_events.push(thread_metadata(p));
-    }
-    trace_events.extend(events.iter().filter_map(|ev| chrome_event(ev, &name_of)));
-    let doc = obj(vec![
-        ("traceEvents", Value::Array(trace_events)),
-        ("displayTimeUnit", Value::Str("ms".to_string())),
-    ]);
-    serde_json::to_string(&doc).expect("trace document serializes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{JsonlSink, Observer};
 
-    fn sample_events() -> Vec<SimEvent> {
-        vec![
-            SimEvent::TaskDispatch {
-                t: 0.0,
-                node: NodeId(0),
-                proc: 0,
-                wcet: 10.0,
-                speed: 1.0,
-                pmp_ms: 0.0,
-                pmp_energy: 0.0,
-                pmp_leakage: 0.0,
-            },
-            SimEvent::SpeedChange {
-                t: 0.0,
-                proc: 0,
-                from_speed: 1.0,
-                to_speed: 0.5,
-                duration_ms: 0.1,
-                energy: 0.1,
-                leakage: 0.0,
-                failed: false,
-            },
+    #[test]
+    fn jsonl_skips_blank_lines_and_rejects_garbage() {
+        let events = vec![
             SimEvent::SlackReclaimed {
                 t: 0.0,
                 node: NodeId(0),
                 proc: 0,
-                reclaimed_ms: 10.0,
-            },
-            SimEvent::TaskComplete {
-                t: 20.1,
-                node: NodeId(0),
-                proc: 0,
-                start: 0.0,
-                exec_ms: 20.0,
-                speed: 0.5,
-                energy: 2.5,
-                leakage: 0.0,
-                recovery_premium: 0.0,
+                reclaimed_ms: 2.0,
             },
             SimEvent::OrBranchTaken {
-                t: 20.1,
+                t: 1.5,
                 or: NodeId(1),
                 branch: 0,
             },
-            SimEvent::FaultInjected {
-                t: 20.1,
-                node: NodeId(2),
-                proc: 1,
-                kind: FaultKind::Overrun { factor: 1.5 },
-            },
-            SimEvent::IdleEnd {
-                t: 26.0,
-                proc: 1,
-                duration_ms: 5.9,
-                energy: 0.295,
-            },
-        ]
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let events = sample_events();
-        let dump = to_jsonl(&events);
-        assert_eq!(dump.lines().count(), events.len());
-        let back = from_jsonl(&dump).expect("jsonl parses");
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines_and_rejects_garbage() {
-        let events = sample_events();
-        let dump = format!("\n{}\n\n", to_jsonl(&events));
-        assert_eq!(from_jsonl(&dump).expect("blank lines ok"), events);
-        assert!(from_jsonl("{not json}").is_err());
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_and_complete() {
-        let events = sample_events();
-        let doc = chrome_trace(&events, node_label);
-        let value: Value = serde_json::from_str(&doc).expect("chrome trace parses as JSON");
-        let list = value
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .expect("traceEvents array");
-        assert!(!list.is_empty());
-        for entry in list {
-            assert!(entry.get("ph").and_then(Value::as_str).is_some(), "{doc}");
-            // Metadata events carry no ts; all others must.
-            if entry.get("ph").and_then(Value::as_str) != Some("M") {
-                assert!(entry.get("ts").and_then(Value::as_f64).is_some(), "{doc}");
-            }
+        ];
+        let mut sink = JsonlSink::new(Vec::new());
+        for ev in &events {
+            sink.on_event(ev);
         }
-        // One X event per completed task/idle window, lanes named for
-        // both processors, instants for the branch and the fault.
-        let phases: Vec<&str> = list
-            .iter()
-            .filter_map(|e| e.get("ph").and_then(Value::as_str))
-            .collect();
-        assert_eq!(phases.iter().filter(|p| **p == "X").count(), 2);
-        assert_eq!(phases.iter().filter(|p| **p == "M").count(), 2);
-        assert_eq!(phases.iter().filter(|p| **p == "i").count(), 2);
-        assert_eq!(phases.iter().filter(|p| **p == "C").count(), 1);
-        assert!(doc.contains("\"n0\""), "{doc}");
-        // ts is microseconds: the 20.1 ms task becomes a ~20100 us span.
-        let task_dur = list
-            .iter()
-            .find(|e| e.get("cat").and_then(Value::as_str) == Some("task"))
-            .and_then(|e| e.get("dur"))
-            .and_then(Value::as_f64)
-            .expect("task duration event");
-        assert!((task_dur - 20_100.0).abs() < 1e-6, "{task_dur}");
-    }
-
-    #[test]
-    fn metrics_csv_from_events() {
-        let csv = metrics_csv(&sample_events());
-        assert!(csv.contains("tasks.dispatched,counter,1"), "{csv}");
-        assert!(csv.contains("slack_reclaimed_ms.total,gauge,10"), "{csv}");
+        let dump = String::from_utf8(sink.finish().expect("no I/O error on Vec")).unwrap();
+        let padded = format!("\n{dump}\n\n");
+        assert_eq!(from_jsonl(&padded).expect("blank lines ok"), events);
+        assert!(from_jsonl("{not json}").is_err());
     }
 }

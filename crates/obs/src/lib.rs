@@ -29,8 +29,9 @@
 //!   section / OR branch taken, segmented by the
 //!   [`SimEvent::OrBranchTaken`] boundaries in the stream; slices sum to
 //!   the global total within the same tolerance.
-//! * [`export`] — JSONL event dumps, Chrome trace-event / Perfetto JSON,
-//!   and CSV metrics.
+//! * [`export`] — the JSONL parser and the task-label fallback shared
+//!   by the exporters; the writers are the streaming sinks below and
+//!   [`MetricsRegistry::to_csv`].
 //! * [`profile`] — a span-based wall-clock profiler for the offline
 //!   phase (`pas plan --profile`), with its own Chrome-trace exporter.
 //! * [`log`] — a process-global structured JSONL logger (levels,
@@ -40,7 +41,9 @@
 //! * streaming sinks ([`JsonlSink`], [`ChromeSink`], [`RingLog`],
 //!   [`Fanout`], [`Filtered`]) — incremental consumers with O(1) event
 //!   memory, for runs too long to buffer — all sharing the bounded
-//!   [`Window`] ring.
+//!   [`Window`] ring. [`JsonlSink`] and [`ChromeSink`] are the only
+//!   JSONL and Chrome trace-event writers; a buffered log is exported
+//!   by replaying it into one.
 //!
 //! The crate is deliberately independent of the engine: events are plain
 //! data, so exporters and accounting can run in-process (streaming) or
@@ -77,16 +80,20 @@
 //! assert!(ledger.verify(5.0).is_ok());
 //! ```
 //!
-//! Round-tripping a stream through the JSONL export:
+//! Round-tripping a stream through the JSONL sink:
 //!
 //! ```
-//! use pas_obs::export;
+//! use pas_obs::{export, JsonlSink, Observer};
 //! # use andor_graph::NodeId;
 //! # use pas_obs::SimEvent;
 //! # let events = vec![SimEvent::SlackReclaimed {
 //! #     t: 0.0, node: NodeId(0), proc: 0, reclaimed_ms: 2.0,
 //! # }];
-//! let text = export::to_jsonl(&events);
+//! let mut sink = JsonlSink::new(Vec::new());
+//! for e in &events {
+//!     sink.on_event(e);
+//! }
+//! let text = String::from_utf8(sink.finish().unwrap()).unwrap();
 //! assert_eq!(export::from_jsonl(&text).unwrap(), events);
 //! ```
 

@@ -38,6 +38,7 @@
 //! assert!(rendered.contains("offline.build"));
 //! ```
 
+use crate::export::{duration_event, obj, thread_metadata};
 use serde::Value;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -375,53 +376,30 @@ pub fn render_tree(records: &[SpanRecord]) -> String {
     out
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn ms_to_us(t: f64) -> Value {
-    Value::Float(t * 1000.0)
-}
-
 /// Renders spans as Chrome trace-event JSON (duration events, one lane
 /// per profiled thread), loadable in Perfetto next to the simulator's
-/// own traces. Same conventions as [`crate::export::chrome_trace`]:
-/// `ts`/`dur` in microseconds, `pid` 0, `displayTimeUnit` ms.
+/// own traces. Built from the same trace-event objects as
+/// [`crate::ChromeSink`]: `ts`/`dur` in microseconds, `pid` 0,
+/// `displayTimeUnit` ms.
 pub fn chrome_trace(records: &[SpanRecord]) -> String {
     let mut events = Vec::new();
     let threads: std::collections::BTreeSet<usize> = records.iter().map(|r| r.thread).collect();
     for t in threads {
-        events.push(obj(vec![
-            ("name", Value::Str("thread_name".to_string())),
-            ("ph", Value::Str("M".to_string())),
-            ("pid", Value::UInt(0)),
-            ("tid", Value::UInt(t as u64)),
-            (
-                "args",
-                obj(vec![("name", Value::Str(format!("offline {t}")))]),
-            ),
-        ]));
+        events.push(thread_metadata(t, format!("offline {t}")));
     }
     for rec in records {
         let mut args = vec![("depth", Value::UInt(rec.depth as u64))];
         if let Some(d) = &rec.detail {
             args.push(("detail", Value::Str(d.clone())));
         }
-        events.push(obj(vec![
-            ("name", Value::Str(rec.name.to_string())),
-            ("cat", Value::Str("offline".to_string())),
-            ("ph", Value::Str("X".to_string())),
-            ("ts", ms_to_us(rec.start_ms)),
-            ("dur", ms_to_us(rec.dur_ms)),
-            ("pid", Value::UInt(0)),
-            ("tid", Value::UInt(rec.thread as u64)),
-            ("args", obj(args)),
-        ]));
+        events.push(duration_event(
+            rec.name.to_string(),
+            "offline",
+            rec.start_ms,
+            rec.dur_ms,
+            rec.thread,
+            args,
+        ));
     }
     let doc = obj(vec![
         ("traceEvents", Value::Array(events)),

@@ -2,11 +2,11 @@
 //!
 //! The [`crate::EventLog`] observer buffers the whole run; everything in
 //! this module instead consumes each [`SimEvent`] as it is emitted and
-//! keeps O(1) event memory:
+//! keeps O(1) event memory. The two file sinks are the crate's only
+//! event writers: to export a buffered log, replay it into one.
 //!
 //! * [`JsonlSink`] writes one JSON line per event straight into any
-//!   [`std::io::Write`] — its output is byte-for-byte the buffered
-//!   [`crate::export::to_jsonl`] dump.
+//!   [`std::io::Write`]; [`crate::export::from_jsonl`] reads it back.
 //! * [`ChromeSink`] streams a Chrome trace-event document, emitting each
 //!   renderable event the moment it arrives and the per-processor lane
 //!   metadata at [`ChromeSink::finish`].
@@ -65,10 +65,11 @@ impl ErrorLatch {
     }
 }
 
-/// Streams events as JSON Lines into a writer, one line per event.
+/// Streams events as JSON Lines into a writer, one line per event, in
+/// emission order. The inverse of [`crate::export::from_jsonl`].
 ///
-/// Feeding it the same stream as [`crate::export::to_jsonl`] produces
-/// byte-identical output (the parity is property-tested).
+/// Fed by the engine, it writes the same bytes as when it replays the
+/// run's buffered [`crate::EventLog`] (the parity is property-tested).
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
@@ -122,11 +123,14 @@ impl<W: Write> Observer for JsonlSink<W> {
 
 /// Streams a Chrome trace-event document into a writer.
 ///
-/// Each renderable event is converted (via [`chrome_event`]) and written
-/// as it arrives; [`ChromeSink::finish`] appends the per-processor
-/// `thread_name` metadata (legal anywhere in the trace-event format) and
-/// closes the document. `name_of` labels tasks, as in
-/// [`crate::export::chrome_trace`].
+/// The document loads in Perfetto or `chrome://tracing`. Each renderable
+/// event is converted (task executions and idle windows become duration
+/// events on one lane per processor, speed changes counter tracks,
+/// branch/speculation/fault events instants) and written as it arrives;
+/// [`ChromeSink::finish`] appends the per-processor `thread_name`
+/// metadata (legal anywhere in the trace-event format) and closes the
+/// document. `name_of` labels tasks (pass the graph's node names, or
+/// [`crate::export::node_label`]).
 pub struct ChromeSink<W: Write, F: Fn(NodeId) -> String> {
     w: W,
     name_of: F,
@@ -179,7 +183,7 @@ impl<W: Write, F: Fn(NodeId) -> String> ChromeSink<W, F> {
             return Err(e);
         }
         for p in 0..self.procs {
-            let meta = thread_metadata(p);
+            let meta = thread_metadata(p, format!("cpu {p}"));
             self.write_value(&meta)?;
         }
         if !self.started {
@@ -430,9 +434,14 @@ impl<O: Observer> Observer for Filtered<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{chrome_trace, node_label, to_jsonl};
+    use crate::event::FaultKind;
+    use crate::export::{from_jsonl, node_label};
+    use crate::metrics::MetricsRegistry;
     use crate::observer::EventLog;
 
+    /// Events on two processors that render as every Chrome phase
+    /// (duration, counter, instant), plus a dispatch and a slack
+    /// reclamation, which the Chrome rendering elides.
     fn sample_events() -> Vec<SimEvent> {
         vec![
             SimEvent::TaskDispatch {
@@ -445,8 +454,24 @@ mod tests {
                 pmp_energy: 0.0,
                 pmp_leakage: 0.0,
             },
+            SimEvent::SpeedChange {
+                t: 0.0,
+                proc: 0,
+                from_speed: 1.0,
+                to_speed: 0.5,
+                duration_ms: 0.1,
+                energy: 0.1,
+                leakage: 0.0,
+                failed: false,
+            },
+            SimEvent::SlackReclaimed {
+                t: 0.0,
+                node: NodeId(0),
+                proc: 0,
+                reclaimed_ms: 10.0,
+            },
             SimEvent::TaskComplete {
-                t: 20.0,
+                t: 20.1,
                 node: NodeId(0),
                 proc: 0,
                 start: 0.0,
@@ -457,56 +482,80 @@ mod tests {
                 recovery_premium: 0.0,
             },
             SimEvent::OrBranchTaken {
-                t: 20.0,
+                t: 20.1,
                 or: NodeId(1),
-                branch: 1,
+                branch: 0,
+            },
+            SimEvent::FaultInjected {
+                t: 20.1,
+                node: NodeId(2),
+                proc: 1,
+                kind: FaultKind::Overrun { factor: 1.5 },
             },
             SimEvent::IdleEnd {
                 t: 26.0,
                 proc: 1,
-                duration_ms: 6.0,
-                energy: 0.3,
+                duration_ms: 5.9,
+                energy: 0.295,
             },
         ]
     }
 
     #[test]
-    fn jsonl_sink_matches_buffered_export() {
+    fn jsonl_sink_round_trips_through_from_jsonl() {
         let events = sample_events();
         let mut sink = JsonlSink::new(Vec::new());
         for ev in &events {
             sink.on_event(ev);
         }
         assert_eq!(sink.events_written(), events.len() as u64);
-        let bytes = sink.finish().expect("no I/O error on Vec");
-        assert_eq!(String::from_utf8(bytes).unwrap(), to_jsonl(&events));
+        let dump = String::from_utf8(sink.finish().expect("no I/O error on Vec")).unwrap();
+        assert_eq!(dump.lines().count(), events.len());
+        assert_eq!(from_jsonl(&dump).expect("jsonl parses"), events);
     }
 
     #[test]
-    fn chrome_sink_emits_the_buffered_objects() {
+    fn chrome_sink_renders_every_kind() {
         let events = sample_events();
         let mut sink = ChromeSink::new(Vec::new(), node_label);
         for ev in &events {
             sink.on_event(ev);
         }
-        let streamed = String::from_utf8(sink.finish().expect("finishes")).unwrap();
-        let doc: Value = serde_json::from_str(&streamed).expect("valid JSON");
-        let list = doc
+        // Metadata is not counted: X, X, C, i, i rendered; the dispatch
+        // and slack events are elided.
+        assert_eq!(sink.events_written(), 5);
+        let doc = String::from_utf8(sink.finish().expect("finishes")).unwrap();
+        let value: Value = serde_json::from_str(&doc).expect("chrome trace parses as JSON");
+        let list = value
             .get("traceEvents")
             .and_then(Value::as_array)
-            .expect("traceEvents");
-        // Same objects as the buffered renderer, metadata at the end
-        // instead of the front (both legal placements).
-        let buffered: Value =
-            serde_json::from_str(&chrome_trace(&events, node_label)).expect("valid JSON");
-        let buffered = buffered
-            .get("traceEvents")
-            .and_then(Value::as_array)
-            .expect("traceEvents");
-        assert_eq!(list.len(), buffered.len());
-        for entry in buffered {
-            assert!(list.contains(entry), "missing {entry:?}");
+            .expect("traceEvents array");
+        let phases: Vec<&str> = list
+            .iter()
+            .map(|e| {
+                e.get("ph")
+                    .and_then(Value::as_str)
+                    .expect("every entry has ph")
+            })
+            .collect();
+        // Emission order, then one lane name per processor at the end.
+        assert_eq!(phases, ["C", "X", "i", "i", "X", "M", "M"], "{doc}");
+        for entry in list {
+            // Metadata events carry no ts; all others must.
+            if entry.get("ph").and_then(Value::as_str) != Some("M") {
+                assert!(entry.get("ts").and_then(Value::as_f64).is_some(), "{doc}");
+            }
         }
+        assert!(doc.contains("\"n0\""), "{doc}");
+        assert!(doc.contains("\"cpu 1\""), "{doc}");
+        // ts is microseconds: the 20.1 ms task becomes a ~20100 us span.
+        let task_dur = list
+            .iter()
+            .find(|e| e.get("cat").and_then(Value::as_str) == Some("task"))
+            .and_then(|e| e.get("dur"))
+            .and_then(Value::as_f64)
+            .expect("task duration event");
+        assert!((task_dur - 20_100.0).abs() < 1e-6, "{task_dur}");
     }
 
     #[test]
@@ -528,7 +577,7 @@ mod tests {
         for ev in sample_events() {
             ring.on_event(&ev);
         }
-        assert_eq!(ring.seen(), 4);
+        assert_eq!(ring.seen(), 7);
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.peak_occupancy(), 2);
         assert_eq!(ring.count(EventKind::TaskDispatch), 1);
@@ -536,7 +585,7 @@ mod tests {
         assert!((ring.end_time() - 26.0).abs() < 1e-12);
         // Only the two newest events remain in the window.
         let kinds: Vec<EventKind> = ring.window().map(SimEvent::kind).collect();
-        assert_eq!(kinds, vec![EventKind::OrBranchTaken, EventKind::IdleEnd]);
+        assert_eq!(kinds, vec![EventKind::FaultInjected, EventKind::IdleEnd]);
     }
 
     #[test]
@@ -562,21 +611,28 @@ mod tests {
     #[test]
     fn fanout_and_filter_compose() {
         let mut log = EventLog::new();
+        let mut registry = MetricsRegistry::new();
         let mut filtered = Filtered::new(
             EventLog::new(),
             Some(vec![EventKind::TaskComplete]),
             Some(0),
         );
         {
-            let mut fan = Fanout::new().with(&mut log).with(&mut filtered);
+            let mut fan = Fanout::new()
+                .with(&mut log)
+                .with(&mut registry)
+                .with(&mut filtered);
             for ev in sample_events() {
                 fan.on_event(&ev);
             }
         }
-        assert_eq!(log.len(), 4);
-        assert_eq!(filtered.seen(), 4);
+        assert_eq!(log.len(), 7);
+        assert_eq!(filtered.seen(), 7);
         assert_eq!(filtered.passed(), 1);
         assert_eq!(filtered.into_inner().len(), 1);
+        let csv = registry.to_csv();
+        assert!(csv.contains("tasks.dispatched,counter,1"), "{csv}");
+        assert!(csv.contains("slack_reclaimed_ms.total,gauge,10"), "{csv}");
     }
 
     /// A fallible-writer test double: every write call consults a script
@@ -643,7 +699,7 @@ mod tests {
             sink.on_event(&ev);
         }
         // Event 1 streamed (calls 1+2); event 2's line write (call 3)
-        // latched; events 3 and 4 were dropped without touching the
+        // latched; the later events were dropped without touching the
         // writer again.
         assert_eq!(sink.events_written(), 1);
         let err = sink.finish().expect_err("latched");
@@ -688,6 +744,7 @@ mod tests {
         // ...while the healthy sink streamed the entire run unharmed.
         assert_eq!(healthy.events_written(), events.len() as u64);
         let bytes = healthy.finish().expect("no I/O error on Vec");
-        assert_eq!(String::from_utf8(bytes).unwrap(), to_jsonl(&events));
+        let dump = String::from_utf8(bytes).unwrap();
+        assert_eq!(from_jsonl(&dump).expect("jsonl parses"), events);
     }
 }

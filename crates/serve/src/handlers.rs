@@ -73,29 +73,9 @@ fn resolve_graph(
 ) -> Result<(AndOrGraph, String), Rejection> {
     match &req.workload {
         WorkloadSpec::Builtin(name) => {
-            let g = match name.as_str() {
-                "synthetic" => workloads::synthetic_app()
-                    .lower()
-                    .map_err(|e| Rejection::bad_param(format!("synthetic app: {e}")))?,
-                "video" => workloads::VideoParams::default()
-                    .build()
-                    .map_err(|e| Rejection::bad_param(format!("video params: {e}")))?
-                    .lower()
-                    .map_err(|e| Rejection::bad_param(format!("video app: {e}")))?,
-                "atr" => {
-                    let mut rng = StdRng::seed_from_u64(req.seed);
-                    workloads::AtrParams::default()
-                        .build_jittered(&mut rng)
-                        .map_err(|e| Rejection::bad_param(format!("atr params: {e}")))?
-                        .lower()
-                        .map_err(|e| Rejection::bad_param(format!("atr app: {e}")))?
-                }
-                other => {
-                    return Err(Rejection::bad_param(format!(
-                        "'{other}' is not a built-in workload"
-                    )))
-                }
-            };
+            let g = workloads::builtin(name, None, req.seed)
+                .unwrap_or_else(|| Err(format!("'{name}' is not a built-in workload")))
+                .map_err(Rejection::bad_param)?;
             Ok((g, name.clone()))
         }
         WorkloadSpec::Inline(v) => {
@@ -271,9 +251,7 @@ fn handle_plan(
         };
         let digest = {
             let _d = ctx.span(names::ARTIFACT_DIGEST);
-            artifact
-                .digest()
-                .map_err(|e| Rejection::new(Code::Pas0508, format!("digesting plan: {e}")))?
+            PlanArtifact::digest_of(&artifact_json)
         };
         Ok(CachedPlan {
             digest,

@@ -100,7 +100,7 @@ impl ReqKind {
 /// Where the request's workload comes from.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
-    /// A built-in workload: `synthetic`, `video` or `atr`.
+    /// A built-in workload, one of [`workloads::BUILTIN_NAMES`].
     Builtin(String),
     /// An inline graph object (the serde form of
     /// [`andor_graph::AndOrGraph`]) embedded in the request.
@@ -244,10 +244,8 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
                 "`workload` and `graph` are mutually exclusive",
             ))
         }
-        (Some(w), _) => match w.as_str() {
-            "synthetic" | "video" | "atr" => WorkloadSpec::Builtin(w),
-            _ => WorkloadSpec::Path(w),
-        },
+        (Some(w), _) if workloads::BUILTIN_NAMES.contains(&w.as_str()) => WorkloadSpec::Builtin(w),
+        (Some(w), _) => WorkloadSpec::Path(w),
         (None, Some(g)) if *g != Value::Null => WorkloadSpec::Inline(g.clone()),
         (None, _) => WorkloadSpec::Builtin("synthetic".to_string()),
     };
@@ -272,9 +270,8 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
     }
     let scheme = match str_field(&v, "scheme")? {
         None => Scheme::Gss,
-        Some(s) => {
-            parse_scheme(&s).ok_or_else(|| Rejection::bad_param(format!("unknown scheme '{s}'")))?
-        }
+        Some(s) => Scheme::parse(&s)
+            .ok_or_else(|| Rejection::bad_param(format!("unknown scheme '{s}'")))?,
     };
     let seed = u64_field(&v, "seed")?.unwrap_or(42);
     let batch = match u64_field(&v, "batch")? {
@@ -309,18 +306,6 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         sleep_ms: u64_field(&v, "sleep_ms")?.unwrap_or(0),
         fail_build: bool_field(&v, "fail_build")?,
         trace: bool_field(&v, "trace")?,
-    })
-}
-
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "npm" => Scheme::Npm,
-        "spm" => Scheme::Spm,
-        "gss" => Scheme::Gss,
-        "ss1" | "ss(1)" => Scheme::Ss1,
-        "ss2" | "ss(2)" => Scheme::Ss2,
-        "as" => Scheme::As,
-        _ => return None,
     })
 }
 

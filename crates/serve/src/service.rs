@@ -32,23 +32,24 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Per-request deadline when the request names none (ms).
     pub default_timeout_ms: u64,
-    /// Plans kept in the content-addressed LRU.
-    pub cache_cap: usize,
     /// Enables the `debug-*` fault-injection kinds and `fail_build`.
     pub debug_faults: bool,
-    /// The hint sent with shed responses (ms).
-    pub retry_after_ms: u64,
-    /// How long shutdown waits for in-flight work (ms).
-    pub drain_ms: u64,
     /// Directory for flight-recorder crash reports (`--crash-dir`);
     /// `None` disables report files (the ring still records).
     pub crash_dir: Option<String>,
     /// Directory for per-request Chrome-trace files (`--trace-out`);
     /// `None` means timelines exist only for `"trace": true` requests.
     pub trace_dir: Option<String>,
-    /// Flight-recorder ring capacity (lifecycle events retained).
-    pub flight_cap: usize,
 }
+
+/// Plans kept in the content-addressed LRU.
+const CACHE_CAP: usize = 32;
+/// The hint sent with shed responses (ms).
+const RETRY_AFTER_MS: u64 = 50;
+/// How long shutdown waits for in-flight work (ms).
+const DRAIN_MS: u64 = 5_000;
+/// Flight-recorder ring capacity (lifecycle events retained).
+const FLIGHT_CAP: usize = 64;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -56,13 +57,9 @@ impl Default for ServeConfig {
             workers: 4,
             queue_cap: 64,
             default_timeout_ms: 10_000,
-            cache_cap: 32,
             debug_faults: false,
-            retry_after_ms: 50,
-            drain_ms: 5_000,
             crash_dir: None,
             trace_dir: None,
-            flight_cap: 64,
         }
     }
 }
@@ -95,8 +92,8 @@ impl Service {
             }
         }
         let latencies = Arc::new(LatencyStore::new());
-        let cache = Arc::new(PlanCache::new(cfg.cache_cap));
-        let flight = Arc::new(FlightRecorder::new(cfg.flight_cap, cfg.crash_dir.clone()));
+        let cache = Arc::new(PlanCache::new(CACHE_CAP));
+        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAP, cfg.crash_dir.clone()));
         let handler_cfg = cfg.clone();
         let handler_cache = Arc::clone(&cache);
         let handler_metrics = Arc::clone(&metrics);
@@ -251,7 +248,7 @@ impl Service {
                 let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
                 m.inc("serve.shed", 1);
                 m.inc("serve.responses.shed", 1);
-                shed_response(&id, self.cfg.retry_after_ms, depth)
+                shed_response(&id, RETRY_AFTER_MS, depth)
             }
             Err(SubmitError::ShuttingDown) => {
                 let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
@@ -414,7 +411,7 @@ impl Service {
                 "cache",
                 crate::proto::object(vec![
                     ("size", Value::UInt(self.cache.len() as u64)),
-                    ("capacity", Value::UInt(self.cfg.cache_cap as u64)),
+                    ("capacity", Value::UInt(CACHE_CAP as u64)),
                     ("hits", Value::UInt(hits)),
                     ("misses", Value::UInt(misses)),
                     ("hit_rate", Value::Float(hit_rate)),
@@ -462,15 +459,10 @@ impl Service {
         self.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    /// Marks the service as draining (the signal handler's entry point).
-    pub fn request_shutdown(&self) {
-        self.shutdown_requested.store(true, Ordering::SeqCst);
-    }
-
     /// Drains the pool under the configured deadline; returns the number
     /// of workers abandoned mid-job (0 on a clean drain).
     pub fn shutdown(&self) -> usize {
-        self.pool.shutdown(Duration::from_millis(self.cfg.drain_ms))
+        self.pool.shutdown(Duration::from_millis(DRAIN_MS))
     }
 
     /// A snapshot of counter `name` (test and summary helper).

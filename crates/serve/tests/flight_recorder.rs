@@ -7,6 +7,9 @@ use pas_serve::{ServeConfig, Service, CRASH_SCHEMA_VERSION};
 use serde::Value;
 use std::path::PathBuf;
 
+/// The flight recorder's fixed ring capacity (lifecycle events kept).
+const FLIGHT_CAP: usize = 64;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pas-flight-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -31,13 +34,12 @@ fn debug_panic_dumps_a_deterministic_crash_report() {
         queue_cap: 8,
         default_timeout_ms: 30_000,
         debug_faults: true,
-        flight_cap: 8,
         crash_dir: Some(crash_dir.to_string_lossy().to_string()),
         ..ServeConfig::default()
     });
 
-    // Three clean requests: each leaves ingest, dispatch, respond.
-    for i in 0..3 {
+    // 21 clean requests: each leaves ingest, dispatch, respond.
+    for i in 0..21 {
         let resp = svc.handle_line(&format!(
             r#"{{"id":"warm-{i}","kind":"run","workload":"synthetic"}}"#
         ));
@@ -65,27 +67,31 @@ fn debug_panic_dumps_a_deterministic_crash_report() {
     let raw = v.get("request").and_then(Value::as_str).expect("request");
     assert!(raw.contains("debug-panic"), "{raw}");
 
-    // 3 clean requests × (ingest, dispatch, respond) + the offender's
-    // (ingest, dispatch, panic) = 12 events through a capacity-8 ring:
-    // the report holds exactly the last 8, ending in the panic.
+    // 21 clean requests × (ingest, dispatch, respond) + the offender's
+    // (ingest, dispatch, panic) = 66 events through the capacity-64
+    // ring: the report holds exactly the last 64, from the first
+    // request's respond to the panic.
     let events = v.get("events").and_then(Value::as_array).expect("events");
-    assert_eq!(events.len(), 8, "{text}");
+    assert_eq!(events.len(), FLIGHT_CAP, "{text}");
     let kinds: Vec<&str> = events
         .iter()
         .filter_map(|e| e.get("kind").and_then(Value::as_str))
         .collect();
-    assert_eq!(
-        kinds,
-        vec!["dispatch", "respond", "ingest", "dispatch", "respond", "ingest", "dispatch", "panic"],
-        "{text}"
-    );
+    let mut want = vec!["respond"];
+    for _ in 0..20 {
+        want.extend(["ingest", "dispatch", "respond"]);
+    }
+    want.extend(["ingest", "dispatch", "panic"]);
+    assert_eq!(kinds, want, "{text}");
     let seqs: Vec<u64> = events
         .iter()
         .filter_map(|e| e.get("seq").and_then(Value::as_u64))
         .collect();
-    assert_eq!(seqs, (5..=12).collect::<Vec<u64>>(), "{text}");
+    assert_eq!(seqs, (3..=66).collect::<Vec<u64>>(), "{text}");
     assert_eq!(
-        events[7].get("corr_id").and_then(Value::as_str),
+        events[FLIGHT_CAP - 1]
+            .get("corr_id")
+            .and_then(Value::as_str),
         Some("boom-7")
     );
 

@@ -219,17 +219,17 @@ mod tests {
         ledger
             .verify(res.total_energy())
             .expect("ledger sums over all frames");
-        // The streamed dump equals the concatenation of per-frame buffered
-        // dumps (same engine, same realizations).
-        let mut buffered = String::new();
+        // The streamed dump equals a sink replaying the per-frame
+        // buffered logs in order (same engine, same realizations).
+        let mut replay = JsonlSink::new(Vec::new());
         for real in &fs {
             let mut log = pas_obs::EventLog::new();
             sim.run_observed(&mut MaxSpeed, real, None, None, Some(&mut log))
                 .expect("run succeeds");
-            buffered.push_str(&pas_obs::export::to_jsonl(log.events()));
+            log.events().iter().for_each(|ev| replay.on_event(ev));
         }
-        let streamed = String::from_utf8(sink.finish().expect("vec sink")).unwrap();
-        assert_eq!(streamed, buffered);
+        let streamed = sink.finish().expect("vec sink");
+        assert_eq!(streamed, replay.finish().expect("vec sink"));
         // One OrBranchTaken per frame -> root + 4 branch slices.
         assert_eq!(ledger.slices().len(), 1 + fs.len());
     }

@@ -2,15 +2,15 @@
 //!
 //! The streaming pipeline is only trustworthy if consuming the event
 //! stream incrementally yields *exactly* what buffering it would: the
-//! JSONL sink must be byte-for-byte identical to the buffered exporter,
-//! and the sectioned ledger's slices must partition the engine's meter
+//! JSONL sink fed by the engine must write byte-for-byte what the same
+//! sink writes replaying the buffered log, and the sectioned ledger's
+//! slices must partition the engine's meter
 //! total — globally and per program section — within the documented
 //! 1e-9 tolerance, under every scheme, both paper platforms, and
 //! arbitrary fault plans.
 
 use pas_andor::core::{Scheme, Setup};
-use pas_andor::obs::export::to_jsonl;
-use pas_andor::obs::{EventLog, Fanout, JsonlSink, Observer, RingLog, SectionedLedger};
+use pas_andor::obs::{EventLog, Fanout, JsonlSink, Observer, RingLog, SectionedLedger, SimEvent};
 use pas_andor::power::ProcessorModel;
 use pas_andor::sim::{run_stream, ExecTimeModel, FaultPlan, Realization};
 use pas_andor::workloads::RandomAppParams;
@@ -20,6 +20,13 @@ use rand::SeedableRng;
 
 fn both_platforms() -> [ProcessorModel; 2] {
     [ProcessorModel::transmeta5400(), ProcessorModel::xscale()]
+}
+
+/// The JSONL a fresh sink writes replaying a buffered log.
+fn replayed_jsonl(events: &[SimEvent]) -> String {
+    let mut sink = JsonlSink::new(Vec::new());
+    events.iter().for_each(|ev| sink.on_event(ev));
+    String::from_utf8(sink.finish().expect("in-memory sink")).expect("utf-8")
 }
 
 /// One observed run streaming into `observer`, mirroring `observed_run`
@@ -39,17 +46,17 @@ fn run_streaming(
 }
 
 #[test]
-fn streamed_jsonl_is_byte_identical_to_buffered_export() {
+fn streamed_jsonl_is_byte_identical_to_replayed_log() {
     for model in both_platforms() {
         let app = pas_andor::experiments::figures::atr_app();
         let setup = Setup::for_load(app, model, 2, 0.5).expect("feasible");
         let mut rng = StdRng::seed_from_u64(11);
         let real = setup.sample(&ExecTimeModel::paper_defaults(), &mut rng);
         for scheme in Scheme::ALL {
-            // Buffered: record everything, then export.
+            // Buffered: record everything, then replay into a sink.
             let mut log = EventLog::new();
             run_streaming(&setup, scheme, &real, None, &mut log);
-            let buffered = to_jsonl(log.events());
+            let buffered = replayed_jsonl(log.events());
             // Streamed: every event hits the sink as it is emitted.
             let mut sink = JsonlSink::new(Vec::new());
             run_streaming(&setup, scheme, &real, None, &mut sink);
@@ -157,7 +164,7 @@ proptest! {
         for scheme in Scheme::ALL {
             let mut log = EventLog::new();
             run_streaming(&setup, scheme, &real, Some(&faults), &mut log);
-            let buffered = to_jsonl(log.events());
+            let buffered = replayed_jsonl(log.events());
             let mut sink = JsonlSink::new(Vec::new());
             let mut ledger = SectionedLedger::new();
             let res = {
@@ -174,7 +181,7 @@ proptest! {
     }
 
     /// Multi-frame parity: streaming N frames through one sink equals
-    /// the concatenation of N buffered single-frame exports, and one
+    /// the concatenation of N replayed single-frame logs, and one
     /// ledger accounts for the whole stream.
     #[test]
     fn multi_frame_stream_equals_concatenated_frames(
@@ -200,7 +207,7 @@ proptest! {
         for real in &frames {
             let mut log = EventLog::new();
             run_streaming(&setup, Scheme::Ss2, real, None, &mut log);
-            buffered.push_str(&to_jsonl(log.events()));
+            buffered.push_str(&replayed_jsonl(log.events()));
         }
         let streamed =
             String::from_utf8(sink.finish().expect("in-memory sink")).expect("utf-8");
