@@ -490,8 +490,9 @@ fn compare(args: &Args) -> Result<String, String> {
     // at every run start, so reuse is bit-identical to rebuilding).
     let sim = setup.simulator(false);
     let mut policies: Vec<_> = Scheme::ALL.iter().map(|s| setup.policy(*s)).collect();
+    let draws = setup.draw_table(&etm);
     for _ in 0..args.reps {
-        let real = setup.sample(&etm, &mut rng);
+        let real = draws.sample(&mut rng);
         for (i, policy) in policies.iter_mut().enumerate() {
             let policy = policy.as_mut();
             let res = if args.metrics {

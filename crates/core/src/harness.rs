@@ -4,7 +4,9 @@ use crate::offline::{OfflineError, OfflinePlan};
 use crate::policies::Scheme;
 use andor_graph::{AndOrGraph, GraphError, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel, DEFAULT_IDLE_FRACTION};
-use mp_sim::{ExecTimeModel, Policy, Realization, RunResult, SimConfig, SimError, Simulator};
+use mp_sim::{
+    DrawTable, ExecTimeModel, Policy, Realization, RunResult, SimConfig, SimError, Simulator,
+};
 use rand::Rng;
 
 /// Errors building a [`Setup`].
@@ -369,6 +371,13 @@ impl Setup {
     /// Draws a realization (OR choices + actual execution times).
     pub fn sample<R: Rng + ?Sized>(&self, etm: &ExecTimeModel, rng: &mut R) -> Realization {
         Realization::sample(&self.graph, &self.sections, etm, rng)
+    }
+
+    /// The setup's [`DrawTable`] under `etm`: build it once before a
+    /// Monte-Carlo loop and draw every realization from it (same draws as
+    /// [`Setup::sample`], without re-resolving each task per run).
+    pub fn draw_table(&self, etm: &ExecTimeModel) -> DrawTable<'_> {
+        DrawTable::new(&self.graph, &self.sections, etm)
     }
 
     /// Runs one scheme on one realization (no trace).

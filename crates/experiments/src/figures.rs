@@ -250,8 +250,9 @@ pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
         let floor = setup.efficient_floor();
         let mut totals = vec![0.0_f64; labels.len()];
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.base_seed);
+        let draws = setup.draw_table(&cfg.etm);
         for _ in 0..cfg.replications {
-            let real = setup.sample(&cfg.etm, &mut rng);
+            let real = draws.sample(&mut rng);
             let sim = setup.simulator(false);
             let runs: Vec<mp_sim::RunResult> = {
                 let mut out = Vec::new();
@@ -417,6 +418,7 @@ pub fn section_breakdown(
         "section",
         (0..num_sections).map(|i| i as f64).collect(),
     );
+    let draws = setup.draw_table(&cfg.etm);
     for &scheme in &cfg.schemes {
         let mut sums = vec![0.0_f64; num_sections];
         for r in 0..cfg.replications {
@@ -424,7 +426,7 @@ pub fn section_breakdown(
                 .base_seed
                 .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut rng = StdRng::seed_from_u64(seed);
-            let real = setup.sample(&cfg.etm, &mut rng);
+            let real = draws.sample(&mut rng);
             let mut ledger = SectionedLedger::new();
             let mut policy = setup.policy(scheme);
             let res = setup
@@ -464,6 +466,7 @@ pub fn stream_carryover(platform: Platform, cfg: &ExperimentConfig) -> Table {
     let app = atr_app();
     let setup = Setup::for_load(app, platform.model(), 2, 0.6).expect("feasible");
     let schemes = Scheme::ALL;
+    let draws = setup.draw_table(&cfg.etm);
     let mut cold_changes = Vec::new();
     let mut warm_changes = Vec::new();
     let mut warm_over_cold_energy = Vec::new();
@@ -472,9 +475,8 @@ pub fn stream_carryover(platform: Platform, cfg: &ExperimentConfig) -> Table {
         let (mut cold_c, mut warm_c, mut cold_e, mut warm_e) = (0.0, 0.0, 0.0, 0.0);
         let reps = cfg.replications.max(1);
         for _ in 0..reps {
-            let frames: Vec<mp_sim::Realization> = (0..FRAMES)
-                .map(|_| setup.sample(&cfg.etm, &mut rng))
-                .collect();
+            let frames: Vec<mp_sim::Realization> =
+                (0..FRAMES).map(|_| draws.sample(&mut rng)).collect();
             let sim = setup.simulator(false);
             let mut policy = setup.policy(scheme);
             let cold = mp_sim::run_stream(&sim, policy.as_mut(), &frames, false, None)

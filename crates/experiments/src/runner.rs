@@ -171,6 +171,7 @@ pub fn evaluate_with_faults(
     if let Some(plan) = faults {
         plan.validate()?;
     }
+    let draws = setup.draw_table(&cfg.etm);
     let per_rep: Vec<(Vec<RepSample>, Option<f64>)> = (0..cfg.replications)
         .into_par_iter()
         .map(|r| -> Result<(Vec<RepSample>, Option<f64>), SimError> {
@@ -179,7 +180,7 @@ pub fn evaluate_with_faults(
                 .base_seed
                 .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut rng = StdRng::seed_from_u64(seed);
-            let real = setup.sample(&cfg.etm, &mut rng);
+            let real = draws.sample(&mut rng);
             let fault_set = faults.map(|p| p.realize(&setup.graph, r as u64));
             let sim = setup.simulator(false);
             let mut scratch = RunScratch::new();

@@ -8,13 +8,13 @@
 //! branch probabilities (what the runtime does, one OR at a time).
 
 use crate::graph::AndOrGraph;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeKind};
 use crate::sections::{SectionGraph, SectionId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One resolved run: the OR choices in execution order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Scenario {
     /// `(or_node, branch_index)` pairs in the order the OR nodes fire.
     pub choices: Vec<(NodeId, usize)>,
@@ -131,34 +131,60 @@ impl SectionGraph {
     /// Samples one scenario by walking the chain and drawing each OR branch
     /// from its probabilities — the same distribution the simulator sees.
     pub fn sample_scenario<R: Rng + ?Sized>(&self, g: &AndOrGraph, rng: &mut R) -> Scenario {
-        let mut choices = Vec::new();
+        let mut scenario = Scenario::default();
+        self.sample_scenario_into(g, &mut scenario, rng);
+        scenario
+    }
+
+    /// [`SectionGraph::sample_scenario`] into a reused scenario: clears and
+    /// refills `scenario.choices` with exactly the same draws, reading each
+    /// OR node's successor and probability slices in place, so a
+    /// Monte-Carlo loop allocates nothing once the buffer has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a section's exit node is not an OR node (impossible for a
+    /// decomposition built from `g`).
+    pub fn sample_scenario_into<R: Rng + ?Sized>(
+        &self,
+        g: &AndOrGraph,
+        scenario: &mut Scenario,
+        rng: &mut R,
+    ) {
+        scenario.choices.clear();
         let mut cur = self.root();
         while let Some(or) = self.section(cur).exit_or {
-            let branches = g.or_branches(or);
-            if branches.is_empty() {
+            let node = g.node(or);
+            let NodeKind::Or { probs } = &node.kind else {
+                panic!("{or} is not an OR node");
+            };
+            // `or_branches` zips the two lists, so the shorter one counts.
+            let n = node.succs.len().min(probs.len());
+            if n == 0 {
                 break;
             }
-            let k = sample_branch(&branches, rng);
-            choices.push((or, k));
+            let k = pick_branch(&probs[..n], rng);
+            scenario.choices.push((or, k));
             cur = self
                 .branch_section(or, k)
                 .expect("branch sections exist for every OR successor");
         }
-        Scenario { choices }
     }
 }
 
-/// Draws a branch index proportionally to the given probabilities.
-pub fn sample_branch<R: Rng + ?Sized>(branches: &[(NodeId, f64)], rng: &mut R) -> usize {
-    debug_assert!(!branches.is_empty());
+/// Draws a branch index proportionally to the given (non-empty)
+/// probabilities: one uniform, walked down the cumulative sum; rounding
+/// leftovers fall to the last branch.
+fn pick_branch<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
+    debug_assert!(!probs.is_empty());
     let mut u: f64 = rng.gen();
-    for (k, (_, p)) in branches.iter().enumerate() {
+    for (k, p) in probs.iter().enumerate() {
         if u < *p {
             return k;
         }
         u -= p;
     }
-    branches.len() - 1
+    probs.len() - 1
 }
 
 #[cfg(test)]
@@ -244,6 +270,45 @@ mod tests {
     }
 
     #[test]
+    fn sampling_into_a_reused_scenario_matches_sampling_fresh() {
+        let g = or_diamond();
+        let sg = SectionGraph::build(&g).unwrap();
+        // Start from a stale, longer buffer: it must be fully replaced.
+        let mut reused = Scenario {
+            choices: vec![(NodeId(9), 3); 5],
+        };
+        for seed in 0..200 {
+            // Reference: the allocating walk over `or_branches` pairs.
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let mut choices = Vec::new();
+            let mut cur = sg.root();
+            while let Some(or) = sg.section(cur).exit_or {
+                let branches = g.or_branches(or);
+                let mut u: f64 = ref_rng.gen();
+                let k = branches
+                    .iter()
+                    .position(|(_, p)| {
+                        let hit = u < *p;
+                        u -= p;
+                        hit
+                    })
+                    .unwrap_or(branches.len() - 1);
+                choices.push((or, k));
+                cur = sg.branch_section(or, k).unwrap();
+            }
+            let mut fresh_rng = StdRng::seed_from_u64(seed);
+            let mut into_rng = StdRng::seed_from_u64(seed);
+            let fresh = sg.sample_scenario(&g, &mut fresh_rng);
+            sg.sample_scenario_into(&g, &mut reused, &mut into_rng);
+            assert_eq!(fresh.choices, choices, "seed {seed}");
+            assert_eq!(reused, fresh, "seed {seed}");
+            let next = ref_rng.next_u64();
+            assert_eq!(fresh_rng.next_u64(), next, "seed {seed}");
+            assert_eq!(into_rng.next_u64(), next, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn nested_ors_multiply_scenarios() {
         // A -> O1 -> { B -> O2 -> {C | D} | E }: 3 scenarios.
         let mut b = GraphBuilder::new();
@@ -287,14 +352,10 @@ mod tests {
     fn sample_branch_is_exhaustive_under_rounding() {
         // Probabilities that sum to slightly under 1.0 still return a valid
         // index for u drawn near 1.
-        let branches = vec![
-            (NodeId(0), 0.3333333),
-            (NodeId(1), 0.3333333),
-            (NodeId(2), 0.3333333),
-        ];
+        let probs = [0.3333333; 3];
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10_000 {
-            let k = sample_branch(&branches, &mut rng);
+            let k = pick_branch(&probs, &mut rng);
             assert!(k < 3);
         }
     }

@@ -21,7 +21,7 @@ use crate::engine::{RunResult, RunScratch, Simulator};
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::policy::Policy;
-use crate::realization::{ExecTimeModel, Realization};
+use crate::realization::{DrawTable, ExecTimeModel, Realization};
 use pas_stats::{ci95_half_width, Histogram, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,6 +189,7 @@ where
     let n_sections = sections.len();
     let chunk = cfg.chunk.max(1);
     let n_chunks = cfg.realizations.div_ceil(chunk);
+    let draws = DrawTable::new(g, sections, etm);
 
     let chunks: Vec<Result<ChunkOut, SimError>> = (0..n_chunks)
         .into_par_iter()
@@ -197,7 +198,7 @@ where
             let hi = (lo + chunk).min(cfg.realizations);
             let mut policy = factory();
             let mut scratch = RunScratch::new();
-            let mut real: Option<Realization> = None;
+            let mut real = Realization::default();
             let mut out = ChunkOut {
                 finish_time: Vec::with_capacity(hi - lo),
                 missed: Vec::with_capacity(hi - lo),
@@ -209,11 +210,7 @@ where
             for i in lo..hi {
                 let global = cfg.start_index + i as u64;
                 let mut rng = StdRng::seed_from_u64(realization_seed(cfg.base_seed, global));
-                match real.as_mut() {
-                    Some(r) => r.sample_into(g, sections, etm, &mut rng),
-                    None => real = Some(Realization::sample(g, sections, etm, &mut rng)),
-                }
-                let r = real.as_ref().expect("realization sampled above");
+                draws.sample_into(&mut real, &mut rng);
                 let fs = faults.map(|plan| plan.realize(g, global));
                 let sampled =
                     cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
@@ -222,7 +219,7 @@ where
                     let res = sim.run_into(
                         &mut scratch,
                         policy.as_mut(),
-                        r,
+                        &real,
                         None,
                         fs.as_ref(),
                         Some(&mut counter),
@@ -231,7 +228,14 @@ where
                     out.runs_sampled += 1;
                     res
                 } else {
-                    sim.run_into(&mut scratch, policy.as_mut(), r, None, fs.as_ref(), None)?
+                    sim.run_into(
+                        &mut scratch,
+                        policy.as_mut(),
+                        &real,
+                        None,
+                        fs.as_ref(),
+                        None,
+                    )?
                 };
                 out.finish_time.push(res.finish_time);
                 out.missed.push(res.missed_deadline);

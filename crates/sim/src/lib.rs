@@ -46,7 +46,7 @@ pub use error::SimError;
 pub use fault::{DeadlineStatus, FaultPlan, FaultReport, FaultSet};
 pub use literal::{run_literal, LiteralResult};
 pub use policy::{DispatchCtx, MaxSpeed, Policy, SpeedDecision};
-pub use realization::{ExecTimeModel, Realization};
+pub use realization::{DrawTable, ExecDraw, ExecTimeModel, Realization};
 pub use stream::{run_stream, StreamResult};
 pub use trace::trace_from_events;
 // The observability layer the engine streams into (see `run_into`).

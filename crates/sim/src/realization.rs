@@ -7,8 +7,8 @@
 //! on identical draws, which is the paired design behind each averaged
 //! point in the paper's figures.
 
-use andor_graph::{AndOrGraph, Scenario, SectionGraph};
-use pas_stats::ClippedNormal;
+use andor_graph::sections::SectionEntry;
+use andor_graph::{AndOrGraph, NodeId, Scenario, SectionGraph};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +48,8 @@ impl ExecTimeModel {
         }
     }
 
-    /// Draws an actual execution time for a task.
+    /// Draws an actual execution time for a task: [`ExecTimeModel::resolve`]
+    /// followed by [`ExecDraw::draw`].
     ///
     /// Invariant: for any `wcet > 0` the result is in `(0, wcet]` — a
     /// fault-free realization can never overrun the worst case or take
@@ -56,12 +57,18 @@ impl ExecTimeModel {
     /// or `(wcet, acet)` pair this is called with. Overruns are injected
     /// explicitly through [`crate::fault::FaultPlan`], never sampled.
     pub fn sample<R: Rng + ?Sized>(&self, wcet: f64, acet: f64, rng: &mut R) -> f64 {
+        self.resolve(wcet, acet).draw(rng)
+    }
+
+    /// Works out everything about a task's draw that does not depend on
+    /// the rng: the clamped mean, the spread and the clip interval.
+    pub fn resolve(&self, wcet: f64, acet: f64) -> ExecDraw {
         if !wcet.is_finite() || wcet <= 0.0 {
             // No positive budget to sample within (dummy nodes pass 0.0).
-            return wcet.max(0.0);
+            return ExecDraw::Fixed(wcet.max(0.0));
         }
         if self.floor_fraction >= 1.0 {
-            return wcet;
+            return ExecDraw::Fixed(wcet);
         }
         // Clamp degenerate inputs instead of panicking: a NaN or
         // out-of-range acet collapses to the worst case.
@@ -77,12 +84,18 @@ impl ExecTimeModel {
             .min(acet)
             .max(wcet * 1e-12)
             .min(wcet);
-        match ClippedNormal::new(acet, sd, lo, wcet) {
-            Some(mut dist) => dist.sample(rng).clamp(lo, wcet),
-            // Unreachable after the clamps above (sd could only be
-            // non-finite via a non-finite sd_over_gap); degrade to the
-            // deterministic mean rather than panicking mid-experiment.
-            None => acet.clamp(lo, wcet),
+        if sd.is_finite() && sd > 0.0 {
+            ExecDraw::Normal {
+                mean: acet,
+                sd,
+                lo,
+                hi: wcet,
+            }
+        } else {
+            // A zero spread draws nothing; a negative or non-finite one
+            // (only reachable via a degenerate sd_over_gap) degrades to
+            // the deterministic mean rather than panicking mid-experiment.
+            ExecDraw::Fixed(acet.clamp(lo, wcet))
         }
     }
 }
@@ -93,49 +106,200 @@ impl Default for ExecTimeModel {
     }
 }
 
+/// A task's execution-time draw with the model's clamps applied
+/// ([`ExecTimeModel::resolve`]): all that is left per realization is the
+/// Box–Muller step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ExecDraw {
+    /// Consumes no randomness and always takes this value.
+    Fixed(f64),
+    /// `N(mean, sd²)` with `sd > 0`, clamped to `[lo, hi]`; `hi` is the
+    /// task's WCET.
+    Normal {
+        /// The clamped ACET.
+        mean: f64,
+        /// Standard deviation, finite and positive.
+        sd: f64,
+        /// Lower clip bound, at most `hi`.
+        lo: f64,
+        /// Upper clip bound: the WCET.
+        hi: f64,
+    },
+}
+
+impl ExecDraw {
+    /// Draws one execution time: two uniforms for a `Normal`, none for a
+    /// `Fixed` value.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match *self {
+            Self::Fixed(x) => x,
+            Self::Normal { mean, sd, lo, hi } => {
+                // Box–Muller: u1 ∈ (0, 1] avoids ln(0). Only the cos half
+                // of the pair is used.
+                let u1: f64 = 1.0 - rng.gen::<f64>();
+                let u2: f64 = rng.gen();
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                (mean + sd * (r * theta.cos())).clamp(lo, hi)
+            }
+        }
+    }
+
+    /// Consumes the same uniforms as [`ExecDraw::draw`] without
+    /// transforming them, and returns the WCET bound instead: the value
+    /// of a task the realization never runs.
+    fn skip<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match *self {
+            Self::Fixed(x) => x,
+            Self::Normal { hi, .. } => {
+                let _: (f64, f64) = (rng.gen(), rng.gen());
+                hi
+            }
+        }
+    }
+}
+
+/// One node's row of a realization: its resolved draw and the OR branch
+/// its section needs to run (`None` for the root section and for nodes
+/// outside every section).
+#[derive(Debug, Clone, Copy)]
+struct DrawRow {
+    draw: ExecDraw,
+    guard: Option<(NodeId, usize)>,
+}
+
+impl DrawRow {
+    fn new(g: &AndOrGraph, sections: &SectionGraph, model: &ExecTimeModel, id: NodeId) -> Self {
+        let kind = &g.node(id).kind;
+        if !kind.is_computation() {
+            return Self {
+                draw: ExecDraw::Fixed(0.0),
+                guard: None,
+            };
+        }
+        let guard = sections
+            .section_of(id)
+            .and_then(|s| match sections.section(s).entry {
+                SectionEntry::Root => None,
+                SectionEntry::Branch { or, branch } => Some((or, branch)),
+            });
+        Self {
+            draw: model.resolve(kind.wcet(), kind.acet()),
+            guard,
+        }
+    }
+
+    /// The node's entry in [`Realization::actual`]: a full draw if the
+    /// scenario runs the node's section, otherwise the skipped draw.
+    fn value<R: Rng + ?Sized>(&self, scenario: &Scenario, rng: &mut R) -> f64 {
+        match self.guard {
+            Some((or, branch)) if scenario.choice_for(or) != Some(branch) => self.draw.skip(rng),
+            _ => self.draw.draw(rng),
+        }
+    }
+}
+
+/// Refills `actual` in node-index order from `rows`.
+fn fill<R: Rng + ?Sized>(
+    actual: &mut Vec<f64>,
+    rows: impl Iterator<Item = DrawRow>,
+    scenario: &Scenario,
+    rng: &mut R,
+) {
+    actual.clear();
+    actual.extend(rows.map(|row| row.value(scenario, rng)));
+}
+
+/// The per-graph rows of [`Realization::sample_into`], resolved once.
+///
+/// Build one per `(graph, sections, model)` and draw every realization of
+/// a Monte-Carlo loop from it: the draws are bit-identical to
+/// [`Realization::sample`] and [`Realization::sample_into`], which resolve
+/// the same rows inline on every call.
+#[derive(Debug, Clone)]
+pub struct DrawTable<'g> {
+    graph: &'g AndOrGraph,
+    sections: &'g SectionGraph,
+    rows: Vec<DrawRow>,
+}
+
+impl<'g> DrawTable<'g> {
+    /// Resolves every node's draw and section guard.
+    pub fn new(g: &'g AndOrGraph, sections: &'g SectionGraph, model: &ExecTimeModel) -> Self {
+        Self {
+            graph: g,
+            sections,
+            rows: (0..g.len())
+                .map(|i| DrawRow::new(g, sections, model, NodeId(i as u32)))
+                .collect(),
+        }
+    }
+
+    /// Draws a realization (see [`Realization::sample`]).
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Realization {
+        let mut real = Realization::default();
+        self.sample_into(&mut real, rng);
+        real
+    }
+
+    /// Re-draws `real` in place (see [`Realization::sample_into`]).
+    pub fn sample_into<R: Rng + ?Sized>(&self, real: &mut Realization, rng: &mut R) {
+        self.sections
+            .sample_scenario_into(self.graph, &mut real.scenario, rng);
+        fill(
+            &mut real.actual,
+            self.rows.iter().copied(),
+            &real.scenario,
+            rng,
+        );
+    }
+}
+
 /// One fully resolved run: OR choices plus per-node actual execution times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The default value is an empty buffer for [`Realization::sample_into`]
+/// or [`DrawTable::sample_into`] to fill.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Realization {
     /// The OR decisions of this run.
     pub scenario: Scenario,
     /// Actual execution time (ms at maximum speed) per node, indexed by
     /// [`NodeId::index`](andor_graph::NodeId::index). Synchronization nodes
-    /// hold `0.0`; inactive nodes hold their sample anyway (unused).
+    /// hold `0.0`. A computation node in a section this scenario does not
+    /// run skips its random draw and holds its WCET instead (see
+    /// [`Realization::sample`]); the engines never read it.
     pub actual: Vec<f64>,
 }
 
 impl Realization {
     /// Draws a realization: samples the scenario from the OR branch
-    /// probabilities and an actual execution time for every computation
-    /// node.
+    /// probabilities, then an actual execution time for every computation
+    /// node in node-index order.
+    ///
+    /// Every computation node with a random draw consumes two uniforms,
+    /// whether or not the scenario runs its section, so the rng stream
+    /// does not depend on the sampled OR-path. Only nodes the scenario
+    /// runs pay for the Box–Muller transform; the others hold their WCET,
+    /// which the engine never reads.
     pub fn sample<R: Rng + ?Sized>(
         g: &AndOrGraph,
         sections: &SectionGraph,
         model: &ExecTimeModel,
         rng: &mut R,
     ) -> Self {
-        let scenario = sections.sample_scenario(g, rng);
-        let actual = g
-            .nodes()
-            .iter()
-            .map(|n| {
-                if n.kind.is_computation() {
-                    model.sample(n.kind.wcet(), n.kind.acet(), rng)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Self { scenario, actual }
+        let mut real = Self::default();
+        real.sample_into(g, sections, model, rng);
+        real
     }
 
-    /// Re-draws this realization in place, reusing the `actual` buffer.
+    /// Re-draws this realization in place, reusing the scenario and
+    /// `actual` buffers.
     ///
     /// Makes exactly the same RNG calls in exactly the same order as
-    /// [`Realization::sample`], so for a given rng state the two produce
-    /// bit-identical draws — the batch engine (see [`crate::batch`]) leans
-    /// on this to keep per-worker sampling allocation-free without
-    /// breaking the determinism contract.
+    /// [`Realization::sample`] and [`DrawTable::sample_into`], so for a
+    /// given rng state all three produce bit-identical draws. It resolves
+    /// each node's draw inline; loops that sample one graph many times
+    /// should build a [`DrawTable`] once instead.
     pub fn sample_into<R: Rng + ?Sized>(
         &mut self,
         g: &AndOrGraph,
@@ -143,15 +307,9 @@ impl Realization {
         model: &ExecTimeModel,
         rng: &mut R,
     ) {
-        self.scenario = sections.sample_scenario(g, rng);
-        self.actual.clear();
-        self.actual.extend(g.nodes().iter().map(|n| {
-            if n.kind.is_computation() {
-                model.sample(n.kind.wcet(), n.kind.acet(), rng)
-            } else {
-                0.0
-            }
-        }));
+        sections.sample_scenario_into(g, &mut self.scenario, rng);
+        let rows = (0..g.len()).map(|i| DrawRow::new(g, sections, model, NodeId(i as u32)));
+        fill(&mut self.actual, rows, &self.scenario, rng);
     }
 
     /// A worst-case realization: a caller-chosen scenario with every task
