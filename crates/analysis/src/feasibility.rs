@@ -5,9 +5,9 @@
 //! maximum speed. This module proves (or refutes) that premise without
 //! running the simulator:
 //!
-//! 1. The off-line phase is run once at a deliberately loose probe
-//!    deadline (it cannot fail for well-formed graphs), yielding the
-//!    per-section canonical lengths at WCET/`f_max` — including the
+//! 1. The deadline-independent half of the off-line phase
+//!    ([`CanonicalPlan::build`], the same pass `Setup::for_load` runs) yields
+//!    the per-section canonical lengths at WCET/`f_max` — including the
 //!    per-task PMP reservation, so the bound is the one the runtime
 //!    actually schedules against.
 //! 2. The number of OR-paths is counted *without* enumeration (a memoized
@@ -30,7 +30,7 @@ use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios};
 use andor_graph::{AndOrGraph, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel};
-use pas_core::{OfflinePlan, PlanError};
+use pas_core::{CanonicalPlan, PlanError};
 
 pub use crate::enumeration::ENUMERATION_THRESHOLD;
 
@@ -79,24 +79,13 @@ pub fn verify_feasibility(
 ) -> (Report, Option<Feasibility>) {
     let mut r = Report::new();
     let reserve = pas_core::pmp_reserve(model, overheads);
-    // A deadline loose enough that the offline phase cannot be
-    // infeasible (same construction `Setup::for_load` uses).
-    let probe_deadline = (g.total_wcet().max(1.0) + g.num_tasks() as f64 * reserve + 1.0) * 10.0;
-    let probe_span = pas_obs::profile::span(pas_obs::profile::names::OFFLINE_PROBE);
-    let plan = match OfflinePlan::build_with_pmp_reserve(
-        g,
-        sections,
-        num_procs,
-        probe_deadline,
-        reserve,
-    ) {
-        Ok(p) => p,
+    let canonical = match CanonicalPlan::build(g, sections, num_procs, reserve) {
+        Ok(c) => c,
         Err(e) => {
             push_plan_error(&mut r, e, src);
             return (r, None);
         }
     };
-    drop(probe_span);
 
     let scenarios_total = count_scenarios(g, sections);
     let (worst, exact, witness) = if scenarios_total <= ENUMERATION_THRESHOLD {
@@ -104,11 +93,11 @@ pub fn verify_feasibility(
             pas_obs::profile::span_with(pas_obs::profile::names::OFFLINE_ENUMERATE, || {
                 format!("{scenarios_total} paths")
             });
-        let (max, witness) = enumerate_worst(g, sections, &plan);
+        let (max, witness) = enumerate_worst(g, sections, canonical.section_worst_len());
         debug_assert!(
-            (max - plan.worst_total).abs() <= 1e-6 * plan.worst_total.max(1.0),
+            (max - canonical.worst_total()).abs() <= 1e-6 * canonical.worst_total().max(1.0),
             "enumerated worst {max} disagrees with offline Tw {}",
-            plan.worst_total
+            canonical.worst_total()
         );
         (max, true, witness)
     } else {
@@ -120,7 +109,7 @@ pub fn verify_feasibility(
                  {ENUMERATION_THRESHOLD}; using the recursive worst-case bound"
             ),
         ));
-        (plan.worst_total, false, Vec::new())
+        (canonical.worst_total(), false, Vec::new())
     };
 
     let deadline = match spec {
@@ -183,9 +172,7 @@ pub fn verify_feasibility(
                 ),
             ));
         }
-        check_ss2_switch_time(
-            g, sections, model, overheads, num_procs, deadline, reserve, src, &mut r,
-        );
+        check_ss2_switch_time(canonical, model, deadline, src, &mut r);
     }
     (r, Some(feas))
 }
@@ -207,6 +194,11 @@ pub(crate) fn push_plan_error(r: &mut Report, e: PlanError, src: &str) {
             Code::Pas0107,
             Loc::at(src, "deadline"),
             format!("deadline {d} ms must be finite and positive"),
+        )),
+        PlanError::BadLoad(l) => r.push(Diagnostic::new(
+            Code::Pas0107,
+            Loc::at(src, "load"),
+            format!("load {l} must be in (0, 1]"),
         )),
         PlanError::NoProcessors => r.push(Diagnostic::new(
             Code::Pas0106,
@@ -231,12 +223,12 @@ pub(crate) fn push_plan_error(r: &mut Report, e: PlanError, src: &str) {
 fn enumerate_worst(
     g: &AndOrGraph,
     sections: &SectionGraph,
-    plan: &OfflinePlan,
+    section_worst_len: &[f64],
 ) -> (f64, Vec<String>) {
     let mut worst = f64::NEG_INFINITY;
     let mut witness = Vec::new();
     enumeration::for_each_path(g, sections, |scenario, _p, chain| {
-        let total = enumeration::chain_sum(chain, &plan.section_worst_len);
+        let total = enumeration::chain_sum(chain, section_worst_len);
         if total > worst {
             worst = total;
             witness = enumeration::witness(g, scenario);
@@ -249,25 +241,19 @@ fn enumerate_worst(
     }
 }
 
-/// PAS0108: rebuilds the plan at the real deadline and recomputes SS(2)'s
-/// *unclamped* switch time `θ = (s₂·D − Tᵃ)/(s₂ − s₁)`. The policy clamps
-/// θ into `[0, D]`, so an out-of-range value is not unsafe — but it means
-/// the two-speed speculation degenerates to a single speed, which is
-/// worth a warning (the user probably wanted SS(1)).
-#[allow(clippy::too_many_arguments)]
+/// PAS0108: applies the real deadline to the canonical pass and
+/// recomputes SS(2)'s *unclamped* switch time `θ = (s₂·D − Tᵃ)/(s₂ − s₁)`.
+/// The policy clamps θ into `[0, D]`, so an out-of-range value is not
+/// unsafe — but it means the two-speed speculation degenerates to a single
+/// speed, which is worth a warning (the user probably wanted SS(1)).
 fn check_ss2_switch_time(
-    g: &AndOrGraph,
-    sections: &SectionGraph,
+    canonical: CanonicalPlan,
     model: &ProcessorModel,
-    _overheads: Overheads,
-    num_procs: usize,
     deadline: f64,
-    reserve: f64,
     src: &str,
     r: &mut Report,
 ) {
-    let Ok(plan) = OfflinePlan::build_with_pmp_reserve(g, sections, num_procs, deadline, reserve)
-    else {
+    let Ok(plan) = canonical.with_deadline(deadline) else {
         return;
     };
     let ideal = (plan.avg_total / plan.deadline).min(1.0);
@@ -379,10 +365,9 @@ mod tests {
         let sections = SectionGraph::build(&g).expect("sections build");
         let model = ProcessorModel::transmeta5400();
         let reserve = pas_core::pmp_reserve(&model, Overheads::paper_defaults());
-        let plan = OfflinePlan::build_with_pmp_reserve(&g, &sections, 2, 1000.0, reserve)
-            .expect("loose deadline is feasible");
-        let (worst, _) = enumerate_worst(&g, &sections, &plan);
-        assert!((worst - plan.worst_total).abs() < 1e-9);
+        let plan = CanonicalPlan::build(&g, &sections, 2, reserve).expect("canonical pass runs");
+        let (worst, _) = enumerate_worst(&g, &sections, plan.section_worst_len());
+        assert!((worst - plan.worst_total()).abs() < 1e-9);
     }
 
     #[test]

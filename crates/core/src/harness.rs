@@ -170,7 +170,8 @@ impl Setup {
     /// Builds a setup for a target load under an explicit overhead
     /// configuration. The deadline is derived from the overhead-inflated
     /// canonical worst case, so the load axis keeps its meaning across
-    /// overhead sweeps.
+    /// overhead sweeps. A load outside `(0, 1]` (or NaN) is
+    /// [`PlanError::BadLoad`](crate::PlanError::BadLoad).
     pub fn for_load_with_overheads(
         graph: AndOrGraph,
         model: ProcessorModel,
@@ -178,28 +179,18 @@ impl Setup {
         load: f64,
         overheads: Overheads,
     ) -> Result<Self, SetupError> {
-        assert!(load > 0.0 && load <= 1.0, "load must be in (0, 1]");
         let _setup_span =
             pas_obs::profile::span_with(pas_obs::profile::names::OFFLINE_SETUP, || {
                 format!("{num_procs} procs, load {load}")
             });
-        let reserve = pmp_reserve(&model, overheads);
         let sections = SectionGraph::build(&graph)?;
-        // Probe with a certainly-feasible deadline to learn Tw.
-        let probe_deadline =
-            (graph.total_wcet().max(1.0) + graph.num_tasks() as f64 * reserve + 1.0) * 10.0;
-        let probe_span = pas_obs::profile::span(pas_obs::profile::names::OFFLINE_PROBE);
-        let probe = OfflinePlan::build_with_pmp_reserve(
+        let plan = OfflinePlan::build_for_load(
             &graph,
             &sections,
             num_procs,
-            probe_deadline,
-            reserve,
+            load,
+            pmp_reserve(&model, overheads),
         )?;
-        drop(probe_span);
-        let deadline = probe.worst_total / load;
-        let plan =
-            OfflinePlan::build_with_pmp_reserve(&graph, &sections, num_procs, deadline, reserve)?;
         Ok(Self {
             graph,
             sections,
@@ -425,6 +416,7 @@ impl Setup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PlanError;
     use andor_graph::Segment;
     use mp_sim::FaultSet;
     use rand::rngs::StdRng;
@@ -448,6 +440,18 @@ mod tests {
             let s =
                 Setup::for_load(app(), ProcessorModel::xscale(), 2, load).expect("feasible load");
             assert!((s.plan.load() - load).abs() < 1e-9, "load {load}");
+        }
+    }
+
+    #[test]
+    fn bad_load_is_a_typed_offline_error() {
+        for load in [0.0, -1.0, 1.5, f64::NAN, f64::INFINITY] {
+            let err = Setup::for_load(app(), ProcessorModel::xscale(), 2, load)
+                .expect_err("load outside (0, 1] is rejected");
+            let SetupError::Offline(PlanError::BadLoad(got)) = err else {
+                panic!("load {load}: expected BadLoad, got {err}");
+            };
+            assert_eq!(got.to_bits(), load.to_bits());
         }
     }
 

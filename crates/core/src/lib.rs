@@ -55,7 +55,7 @@ pub use artifact::{PlanArtifact, SchemeParams, PLAN_SCHEMA_VERSION};
 pub use digest::sha256_hex;
 pub use exhaustive::{optimal_assignment, AssignmentPolicy, OptimalAssignment};
 pub use harness::{pmp_reserve, Setup, SetupError};
-pub use offline::{OfflineError, OfflinePlan, PlanError};
+pub use offline::{CanonicalPlan, OfflineError, OfflinePlan, PlanError};
 pub use oracle::OraclePolicy;
 pub use policies::{
     AsPolicy, EnergyFloorPolicy, GssPolicy, ProportionalPolicy, Scheme, SpmPolicy, Ss1Policy,

@@ -1,5 +1,13 @@
 //! The off-line phase: canonical schedules, execution orders, latest start
 //! times, and the per-PMP worst/average remaining-time statistics.
+//!
+//! The phase runs in two steps. [`CanonicalPlan::build`] does all the work
+//! that does not depend on the deadline: each section's LTF canonical
+//! schedule with its WCET and ACET replays, then the remaining-time
+//! recursion that yields `Tw` and `Ta`. [`CanonicalPlan::with_deadline`]
+//! tests feasibility and shifts the schedules into latest start times.
+//! A caller that derives the deadline from `Tw` (a target load, see
+//! [`OfflinePlan::build_for_load`]) runs the first step once.
 
 use andor_graph::{AndOrGraph, NodeId, SectionGraph, SectionId};
 use mp_sim::DispatchOrder;
@@ -21,6 +29,8 @@ pub enum PlanError {
     },
     /// The deadline must be positive and finite.
     BadDeadline(f64),
+    /// A target load must lie in `(0, 1]`.
+    BadLoad(f64),
     /// At least one processor is required.
     NoProcessors,
     /// An OR branch has no program section — the section graph and the
@@ -55,6 +65,7 @@ impl std::fmt::Display for PlanError {
                 "infeasible: worst-case finish {worst_finish} exceeds deadline {deadline}"
             ),
             PlanError::BadDeadline(d) => write!(f, "bad deadline {d}"),
+            PlanError::BadLoad(l) => write!(f, "bad load {l}: must be in (0, 1]"),
             PlanError::NoProcessors => write!(f, "at least one processor required"),
             PlanError::MissingBranchSection { or, branch } => {
                 write!(f, "OR node '{or}' branch {branch} has no program section")
@@ -137,8 +148,84 @@ impl OfflinePlan {
         if num_procs == 0 {
             return Err(PlanError::NoProcessors);
         }
-        if !(deadline.is_finite() && deadline > 0.0) {
-            return Err(PlanError::BadDeadline(deadline));
+        check_deadline(deadline)?;
+        CanonicalPlan::build(g, sections, num_procs, pmp_reserve_ms)?.with_deadline(deadline)
+    }
+
+    /// Runs the full off-line phase for a target *load* (the paper's
+    /// x-axis): the canonical pass once, then the deadline step at
+    /// `D = Tw / load`. The plan equals [`OfflinePlan::build_with_pmp_reserve`]
+    /// at that deadline, bit for bit.
+    pub fn build_for_load(
+        g: &AndOrGraph,
+        sections: &SectionGraph,
+        num_procs: usize,
+        load: f64,
+        pmp_reserve_ms: f64,
+    ) -> Result<Self, PlanError> {
+        let _build_span = profile::span(profile::names::OFFLINE_BUILD);
+        if !(load > 0.0 && load <= 1.0) {
+            return Err(PlanError::BadLoad(load));
+        }
+        let canonical = CanonicalPlan::build(g, sections, num_procs, pmp_reserve_ms)?;
+        let deadline = canonical.worst_total / load;
+        canonical.with_deadline(deadline)
+    }
+
+    /// Static slack available before the application starts: `D − Tw`.
+    pub fn static_slack(&self) -> f64 {
+        self.deadline - self.worst_total
+    }
+
+    /// Load of this plan in the paper's sense: canonical longest-path
+    /// length over the deadline.
+    pub fn load(&self) -> f64 {
+        self.worst_total / self.deadline
+    }
+}
+
+fn check_deadline(deadline: f64) -> Result<(), PlanError> {
+    if deadline.is_finite() && deadline > 0.0 {
+        Ok(())
+    } else {
+        Err(PlanError::BadDeadline(deadline))
+    }
+}
+
+/// The deadline-independent half of the off-line phase for one
+/// (application, processor count, PMP reservation) triple: everything in
+/// an [`OfflinePlan`] except the deadline and the latest start times, in
+/// the fields of the same names.
+#[derive(Debug, Clone)]
+pub struct CanonicalPlan {
+    num_procs: usize,
+    dispatch: DispatchOrder,
+    worst_total: f64,
+    avg_total: f64,
+    branch_worst: HashMap<(NodeId, usize), f64>,
+    branch_avg: HashMap<(NodeId, usize), f64>,
+    canonical_start_rel: Vec<Vec<f64>>,
+    section_worst_len: Vec<f64>,
+    section_avg_len: Vec<f64>,
+    worst_after: Vec<f64>,
+    /// Node count of the application: the length of the LST table.
+    num_nodes: usize,
+}
+
+impl CanonicalPlan {
+    /// Round 1 (the canonical LTF schedule of every section at WCET and
+    /// full speed, replayed with ACETs) and the remaining-time recursion
+    /// over the section chain. Every computation node's duration is
+    /// inflated by `pmp_reserve_ms` (see
+    /// [`OfflinePlan::build_with_pmp_reserve`]).
+    pub fn build(
+        g: &AndOrGraph,
+        sections: &SectionGraph,
+        num_procs: usize,
+        pmp_reserve_ms: f64,
+    ) -> Result<Self, PlanError> {
+        if num_procs == 0 {
+            return Err(PlanError::NoProcessors);
         }
 
         // Round 1: canonical LTF schedule per section (WCET, full speed)
@@ -147,15 +234,36 @@ impl OfflinePlan {
         let canonical_span = profile::span_with(profile::names::OFFLINE_CANONICAL, || {
             format!("{n_sections} sections")
         });
-        let mut per_section_order = Vec::with_capacity(n_sections);
-        let mut canon: Vec<SectionSchedule> = Vec::with_capacity(n_sections);
-        for sid in 0..n_sections {
-            let nodes = &sections.section(SectionId(sid as u32)).nodes;
-            let order = ltf_order(g, nodes, num_procs);
-            let worst = replay(g, &order, num_procs, DurationKind::Wcet, pmp_reserve_ms);
-            let avg = replay(g, &order, num_procs, DurationKind::Acet, pmp_reserve_ms);
-            per_section_order.push(order);
-            canon.push(SectionSchedule { worst, avg });
+        let mut scratch = SectionScratch::new(g.len());
+        let mut per_section = Vec::with_capacity(n_sections);
+        let mut canonical_start_rel = Vec::with_capacity(n_sections);
+        let mut section_worst_len = Vec::with_capacity(n_sections);
+        let mut section_avg_len = Vec::with_capacity(n_sections);
+        for section in sections.sections() {
+            let nodes = &section.nodes;
+            scratch.enter(nodes);
+            let order = ltf_order(g, nodes, num_procs, &mut scratch);
+            let worst = replay(
+                g,
+                &order,
+                num_procs,
+                DurationKind::Wcet,
+                pmp_reserve_ms,
+                &mut scratch,
+            );
+            let avg = replay(
+                g,
+                &order,
+                num_procs,
+                DurationKind::Acet,
+                pmp_reserve_ms,
+                &mut scratch,
+            );
+            scratch.leave(nodes);
+            per_section.push(order);
+            canonical_start_rel.push(worst.start_rel);
+            section_worst_len.push(worst.makespan);
+            section_avg_len.push(avg.makespan);
         }
         drop(canonical_span);
 
@@ -163,7 +271,7 @@ impl OfflinePlan {
         // created in topological order of the chain (entry OR processed
         // before its branch sections), so a reverse scan sees every
         // continuation before the sections that lead to it.
-        let remaining_span = profile::span(profile::names::OFFLINE_REMAINING);
+        let _remaining_span = profile::span(profile::names::OFFLINE_REMAINING);
         let mut worst_after = vec![0.0_f64; n_sections];
         let mut avg_after = vec![0.0_f64; n_sections];
         let mut branch_worst = HashMap::new();
@@ -184,8 +292,8 @@ impl OfflinePlan {
                         branch: k,
                     })?
                     .index();
-                let bw = canon[b].worst.makespan + worst_after[b];
-                let ba = canon[b].avg.makespan + avg_after[b];
+                let bw = section_worst_len[b] + worst_after[b];
+                let ba = section_avg_len[b] + avg_after[b];
                 branch_worst.insert((or, k), bw);
                 branch_avg.insert((or, k), ba);
                 w = w.max(bw);
@@ -196,12 +304,39 @@ impl OfflinePlan {
         }
 
         let root = sections.root().index();
-        let worst_total = canon[root].worst.makespan + worst_after[root];
-        let avg_total = canon[root].avg.makespan + avg_after[root];
-        drop(remaining_span);
-        if worst_total > deadline * (1.0 + 1e-12) {
+        Ok(CanonicalPlan {
+            num_procs,
+            dispatch: DispatchOrder { per_section },
+            worst_total: section_worst_len[root] + worst_after[root],
+            avg_total: section_avg_len[root] + avg_after[root],
+            branch_worst,
+            branch_avg,
+            canonical_start_rel,
+            section_worst_len,
+            section_avg_len,
+            worst_after,
+            num_nodes: g.len(),
+        })
+    }
+
+    /// `Tw` — worst-case canonical finish time along the longest path.
+    pub fn worst_total(&self) -> f64 {
+        self.worst_total
+    }
+
+    /// Canonical section length at WCET (indexed by `SectionId::index`).
+    pub fn section_worst_len(&self) -> &[f64] {
+        &self.section_worst_len
+    }
+
+    /// The deadline step: rejects a deadline the canonical worst case
+    /// misses, then Round 2 — shifts every section's canonical schedule
+    /// into latest start times.
+    pub fn with_deadline(self, deadline: f64) -> Result<OfflinePlan, PlanError> {
+        check_deadline(deadline)?;
+        if self.worst_total > deadline * (1.0 + 1e-12) {
             return Err(PlanError::Infeasible {
-                worst_finish: worst_total,
+                worst_finish: self.worst_total,
                 deadline,
             });
         }
@@ -209,50 +344,35 @@ impl OfflinePlan {
         // Round 2: shift — latest start times. For task i in section s:
         // LST_i = D − [(Lʷ(s) − start_rel_i) + worst_after(s)].
         let _lst_span = profile::span(profile::names::OFFLINE_LST);
-        let mut lst = vec![None; g.len()];
-        for sid in 0..n_sections {
-            let lw = canon[sid].worst.makespan;
-            for (&node, &start_rel) in per_section_order[sid]
-                .iter()
-                .zip(canon[sid].worst.start_rel.iter())
-            {
-                lst[node.index()] = Some(deadline - ((lw - start_rel) + worst_after[sid]));
+        let mut lst = vec![None; self.num_nodes];
+        for (sid, (order, starts)) in self
+            .dispatch
+            .per_section
+            .iter()
+            .zip(&self.canonical_start_rel)
+            .enumerate()
+        {
+            let lw = self.section_worst_len[sid];
+            for (&node, &start_rel) in order.iter().zip(starts) {
+                lst[node.index()] = Some(deadline - ((lw - start_rel) + self.worst_after[sid]));
             }
         }
 
         Ok(OfflinePlan {
             deadline,
-            num_procs,
-            dispatch: DispatchOrder {
-                per_section: per_section_order,
-            },
+            num_procs: self.num_procs,
+            dispatch: self.dispatch,
             lst,
-            worst_total,
-            avg_total,
-            branch_worst,
-            branch_avg,
-            canonical_start_rel: canon.iter().map(|c| c.worst.start_rel.clone()).collect(),
-            section_worst_len: canon.iter().map(|c| c.worst.makespan).collect(),
-            section_avg_len: canon.iter().map(|c| c.avg.makespan).collect(),
-            worst_after,
+            worst_total: self.worst_total,
+            avg_total: self.avg_total,
+            branch_worst: self.branch_worst,
+            branch_avg: self.branch_avg,
+            canonical_start_rel: self.canonical_start_rel,
+            section_worst_len: self.section_worst_len,
+            section_avg_len: self.section_avg_len,
+            worst_after: self.worst_after,
         })
     }
-
-    /// Static slack available before the application starts: `D − Tw`.
-    pub fn static_slack(&self) -> f64 {
-        self.deadline - self.worst_total
-    }
-
-    /// Load of this plan in the paper's sense: canonical longest-path
-    /// length over the deadline.
-    pub fn load(&self) -> f64 {
-        self.worst_total / self.deadline
-    }
-}
-
-struct SectionSchedule {
-    worst: ReplayOut,
-    avg: ReplayOut,
 }
 
 enum DurationKind {
@@ -277,45 +397,92 @@ impl DurationKind {
     }
 }
 
+/// Working arrays for scheduling one section at a time, allocated once
+/// per build. `local` maps a node to its position in the current
+/// section's node list (`None` outside it); the other arrays are indexed
+/// by that position.
+struct SectionScratch {
+    local: Vec<Option<u32>>,
+    indeg: Vec<u32>,
+    ready_at: Vec<f64>,
+    finish: Vec<f64>,
+}
+
+impl SectionScratch {
+    fn new(num_nodes: usize) -> Self {
+        Self {
+            local: vec![None; num_nodes],
+            indeg: Vec::new(),
+            ready_at: Vec::new(),
+            finish: Vec::new(),
+        }
+    }
+
+    fn enter(&mut self, nodes: &[NodeId]) {
+        for (i, n) in nodes.iter().enumerate() {
+            self.local[n.index()] = Some(i as u32);
+        }
+    }
+
+    fn leave(&mut self, nodes: &[NodeId]) {
+        for n in nodes {
+            self.local[n.index()] = None;
+        }
+    }
+}
+
 /// Longest-task-first list scheduling of one section's nodes on
-/// `num_procs` processors: returns the dispatch order.
+/// `num_procs` processors: returns the dispatch order. `scratch` must
+/// have entered `nodes`.
 ///
 /// Classic event-driven list scheduling: whenever a processor is free the
 /// longest *ready* task (by WCET, ties by node id for determinism) is
 /// dispatched. Synchronization (AND) nodes have zero length and flow
 /// through the same queue, exactly as the paper treats dummy tasks.
-fn ltf_order(g: &AndOrGraph, nodes: &[NodeId], num_procs: usize) -> Vec<NodeId> {
-    let in_section: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
-    let mut indeg: HashMap<NodeId, usize> = nodes
-        .iter()
-        .map(|&n| {
-            let d = g
-                .node(n)
-                .preds
-                .iter()
-                .filter(|p| in_section.contains(p))
-                .count();
-            (n, d)
-        })
-        .collect();
+fn ltf_order(
+    g: &AndOrGraph,
+    nodes: &[NodeId],
+    num_procs: usize,
+    scratch: &mut SectionScratch,
+) -> Vec<NodeId> {
+    let SectionScratch {
+        local,
+        indeg,
+        ready_at,
+        ..
+    } = scratch;
+    let local_of = |n: NodeId| local[n.index()].map(|i| i as usize);
+    indeg.clear();
+    indeg.extend(nodes.iter().map(|&n| {
+        g.node(n)
+            .preds
+            .iter()
+            .filter(|&&p| local_of(p).is_some())
+            .count() as u32
+    }));
+    ready_at.clear();
+    ready_at.resize(nodes.len(), 0.0);
     // Ready pool: (wcet, id) — popped longest-first.
-    let mut ready: Vec<NodeId> = nodes.iter().copied().filter(|n| indeg[n] == 0).collect();
+    let mut ready: Vec<NodeId> = nodes
+        .iter()
+        .zip(indeg.iter())
+        .filter(|(_, &d)| d == 0)
+        .map(|(&n, _)| n)
+        .collect();
     sort_ltf(g, &mut ready);
 
     let mut avail = vec![0.0_f64; num_procs];
-    let mut finish: HashMap<NodeId, f64> = HashMap::new();
-    let mut ready_at: HashMap<NodeId, f64> = nodes.iter().map(|&n| (n, 0.0)).collect();
     let mut order = Vec::with_capacity(nodes.len());
-    // Tasks whose ready time is in the future, keyed by that time.
-    let mut pending: Vec<NodeId> = Vec::new();
+    // Tasks whose ready time is in the future, as local indices.
+    let mut pending: Vec<usize> = Vec::new();
 
     let mut now = 0.0_f64;
     while order.len() < nodes.len() {
         // Promote pending tasks that became ready by `now`.
         let mut promoted = false;
-        pending.retain(|&n| {
-            if ready_at[&n] <= now + 1e-12 {
-                ready.push(n);
+        pending.retain(|&i| {
+            if ready_at[i] <= now + 1e-12 {
+                ready.push(nodes[i]);
                 promoted = true;
                 false
             } else {
@@ -336,27 +503,20 @@ fn ltf_order(g: &AndOrGraph, nodes: &[NodeId], num_procs: usize) -> Vec<NodeId> 
                 .expect("num_procs > 0 checked before scheduling");
             if p_avail <= now + 1e-12 {
                 ready.remove(0);
-                let start = now.max(ready_at[&n]);
+                let start = now.max(ready_at[local_of(n).expect("ready node is local")]);
                 let end = start + g.node(n).kind.wcet();
                 avail[p] = end;
-                finish.insert(n, end);
                 order.push(n);
                 for &s in &g.node(n).succs {
-                    if !in_section.contains(&s) {
-                        continue;
-                    }
-                    let Some(e) = indeg.get_mut(&s) else { continue };
-                    *e -= 1;
-                    let Some(r) = ready_at.get_mut(&s) else {
-                        continue;
-                    };
-                    *r = r.max(end);
-                    if *e == 0 {
+                    let Some(i) = local_of(s) else { continue };
+                    indeg[i] -= 1;
+                    ready_at[i] = ready_at[i].max(end);
+                    if indeg[i] == 0 {
                         if end <= now + 1e-12 {
                             ready.push(s);
                             sort_ltf(g, &mut ready);
                         } else {
-                            pending.push(s);
+                            pending.push(i);
                         }
                     }
                 }
@@ -372,7 +532,7 @@ fn ltf_order(g: &AndOrGraph, nodes: &[NodeId], num_procs: usize) -> Vec<NodeId> 
             .fold(f64::INFINITY, f64::min);
         let next_ready = pending
             .iter()
-            .map(|n| ready_at[n])
+            .map(|&i| ready_at[i])
             .filter(|&t| t > now + 1e-12)
             .fold(f64::INFINITY, f64::min);
         let next = next_proc.min(next_ready);
@@ -404,16 +564,19 @@ struct ReplayOut {
 /// serialization + earliest-available processor) and the chosen duration
 /// kind. The worst-case replay *is* the canonical schedule: the on-line
 /// engine at full speed with WCETs reproduces it step for step, which is
-/// what makes the latest start times safe.
+/// what makes the latest start times safe. `scratch` must have entered
+/// the section's nodes.
 fn replay(
     g: &AndOrGraph,
     order: &[NodeId],
     num_procs: usize,
     kind: DurationKind,
     pmp_reserve_ms: f64,
+    scratch: &mut SectionScratch,
 ) -> ReplayOut {
-    let in_section: std::collections::HashSet<NodeId> = order.iter().copied().collect();
-    let mut finish: HashMap<NodeId, f64> = HashMap::new();
+    let SectionScratch { local, finish, .. } = scratch;
+    finish.clear();
+    finish.resize(order.len(), 0.0);
     let mut avail = vec![0.0_f64; num_procs];
     let mut last_dispatch = 0.0_f64;
     let mut start_rel = Vec::with_capacity(order.len());
@@ -423,8 +586,7 @@ fn replay(
             .node(node)
             .preds
             .iter()
-            .filter(|p| in_section.contains(p))
-            .map(|p| finish[p])
+            .filter_map(|p| local[p.index()].map(|i| finish[i as usize]))
             .fold(0.0_f64, f64::max);
         let dur = kind.of(g, node, pmp_reserve_ms);
         let start = if g.node(node).kind.is_computation() {
@@ -441,7 +603,7 @@ fn replay(
         };
         last_dispatch = start;
         let end = start + dur;
-        finish.insert(node, end);
+        finish[local[node.index()].expect("replayed node is local") as usize] = end;
         makespan = makespan.max(end);
         start_rel.push(start);
     }

@@ -1,7 +1,7 @@
 //! Property-based invariants of the off-line phase.
 
 use andor_graph::{SectionGraph, Segment};
-use pas_core::OfflinePlan;
+use pas_core::{CanonicalPlan, OfflinePlan, PlanError};
 use proptest::prelude::*;
 
 /// Random structured apps (Par arms branch-free by design).
@@ -152,4 +152,122 @@ proptest! {
             }
         }
     }
+
+    /// The load path runs the canonical pass once and derives
+    /// `D = Tw / load` from it. Its plan equals, bit for bit, a full
+    /// build at that deadline and the two-build construction it replaced
+    /// (a plan at a loose probe deadline to learn `Tw`, then the real one).
+    #[test]
+    fn for_load_equals_a_build_at_its_deadline(
+        (g, sg, m) in instance(),
+        load_pct in 1u32..=100,
+        reserve_milli in 0u32..500,
+    ) {
+        let load = load_pct as f64 / 100.0;
+        let reserve = reserve_milli as f64 / 1000.0;
+        let plan = OfflinePlan::build_for_load(&g, &sg, m, load, reserve).unwrap();
+        let direct = OfflinePlan::build_with_pmp_reserve(&g, &sg, m, plan.deadline, reserve).unwrap();
+        assert_bit_identical(&plan, &direct);
+
+        let probe_deadline =
+            (g.total_wcet().max(1.0) + g.num_tasks() as f64 * reserve + 1.0) * 10.0;
+        let probe = OfflinePlan::build_with_pmp_reserve(&g, &sg, m, probe_deadline, reserve).unwrap();
+        prop_assert_eq!(plan.deadline.to_bits(), (probe.worst_total / load).to_bits());
+        let two_builds =
+            OfflinePlan::build_with_pmp_reserve(&g, &sg, m, probe.worst_total / load, reserve).unwrap();
+        assert_bit_identical(&plan, &two_builds);
+    }
+
+    /// Around the feasibility boundary, the deadline step accepts exactly
+    /// the deadlines with `Tw <= D·(1 + 1e-12)` (the rule `pas check`
+    /// shares), and agrees with a full build on every plan and error.
+    #[test]
+    fn deadline_step_keeps_the_infeasibility_boundary(
+        (g, sg, m) in instance(),
+        reserve_milli in 0u32..500,
+    ) {
+        let reserve = reserve_milli as f64 / 1000.0;
+        let canonical = CanonicalPlan::build(&g, &sg, m, reserve).unwrap();
+        let tw = canonical.worst_total();
+        let threshold = tw / (1.0 + 1e-12);
+        let mut saw = (false, false);
+        for d in [
+            tw,
+            tw * (1.0 + 1e-9),
+            tw * (1.0 - 1e-13),
+            tw * (1.0 - 1e-11),
+            tw * (1.0 - 1e-3),
+            threshold,
+            f64::from_bits(threshold.to_bits() - 1),
+            f64::from_bits(threshold.to_bits() - 2),
+            f64::from_bits(threshold.to_bits() + 1),
+        ] {
+            let step = canonical.clone().with_deadline(d);
+            prop_assert_eq!(step.is_err(), tw > d * (1.0 + 1e-12), "deadline {}", d);
+            let full = OfflinePlan::build_with_pmp_reserve(&g, &sg, m, d, reserve);
+            match (step, full) {
+                (Ok(a), Ok(b)) => {
+                    assert_bit_identical(&a, &b);
+                    saw.0 = true;
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert!(matches!(a, PlanError::Infeasible { .. }), "{a}");
+                    prop_assert_eq!(a, b);
+                    saw.1 = true;
+                }
+                (a, b) => prop_assert!(false, "deadline {d}: step {a:?}, full build {b:?}"),
+            }
+        }
+        prop_assert!(saw.0 && saw.1, "both sides of the boundary probed");
+    }
+}
+
+/// Asserts two plans are equal bit for bit: every float compared by its
+/// bits, every table entry by entry.
+fn assert_bit_identical(a: &OfflinePlan, b: &OfflinePlan) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.deadline.to_bits(), b.deadline.to_bits(), "deadline");
+    assert_eq!(a.num_procs, b.num_procs, "num_procs");
+    assert_eq!(a.dispatch.per_section, b.dispatch.per_section, "dispatch");
+    let lst_bits = |p: &OfflinePlan| {
+        p.lst
+            .iter()
+            .map(|l| l.map(f64::to_bits))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(lst_bits(a), lst_bits(b), "lst");
+    assert_eq!(
+        a.worst_total.to_bits(),
+        b.worst_total.to_bits(),
+        "worst_total"
+    );
+    assert_eq!(a.avg_total.to_bits(), b.avg_total.to_bits(), "avg_total");
+    for (name, x, y) in [
+        ("branch_worst", &a.branch_worst, &b.branch_worst),
+        ("branch_avg", &a.branch_avg, &b.branch_avg),
+    ] {
+        assert_eq!(x.len(), y.len(), "{name} size");
+        for (key, v) in x {
+            assert_eq!(
+                Some(v.to_bits()),
+                y.get(key).map(|w| w.to_bits()),
+                "{name} {key:?}"
+            );
+        }
+    }
+    assert_eq!(a.canonical_start_rel.len(), b.canonical_start_rel.len());
+    for (x, y) in a.canonical_start_rel.iter().zip(&b.canonical_start_rel) {
+        assert_eq!(bits(x), bits(y), "canonical_start_rel");
+    }
+    assert_eq!(
+        bits(&a.section_worst_len),
+        bits(&b.section_worst_len),
+        "section_worst_len"
+    );
+    assert_eq!(
+        bits(&a.section_avg_len),
+        bits(&b.section_avg_len),
+        "section_avg_len"
+    );
+    assert_eq!(bits(&a.worst_after), bits(&b.worst_after), "worst_after");
 }

@@ -65,9 +65,12 @@ pub struct Section {
     pub exit_or: Option<NodeId>,
     /// Distance from the root section along the section chain.
     pub depth: usize,
-    /// This section plus every section that is guaranteed to have executed
-    /// before it (used to admit ancestor cross-edges).
-    ancestors: BTreeSet<SectionId>,
+    /// The nearest section guaranteed to have executed before this one
+    /// (`None` for the root). The guaranteed history of a section is its
+    /// parent chain up to the root, used to admit ancestor cross-edges.
+    parent: Option<SectionId>,
+    /// Number of sections on the parent chain (0 for the root).
+    chain_len: usize,
 }
 
 impl Section {
@@ -124,9 +127,7 @@ impl SectionGraph {
     /// True if `maybe_ancestor` is `section` itself or one of its
     /// guaranteed-predecessor sections.
     pub fn is_ancestor(&self, maybe_ancestor: SectionId, section: SectionId) -> bool {
-        self.sections[section.index()]
-            .ancestors
-            .contains(&maybe_ancestor)
+        is_ancestor(&self.sections, maybe_ancestor, section)
     }
 
     /// Number of sections.
@@ -138,6 +139,41 @@ impl SectionGraph {
     pub fn is_empty(&self) -> bool {
         self.sections.is_empty()
     }
+}
+
+/// True if `maybe_ancestor` lies on `section`'s parent chain (or is
+/// `section` itself). Parent chains shorten by one per step, so the walk
+/// stops at `maybe_ancestor`'s chain length.
+fn is_ancestor(sections: &[Section], maybe_ancestor: SectionId, section: SectionId) -> bool {
+    let target = sections[maybe_ancestor.index()].chain_len;
+    let mut cur = section;
+    while sections[cur.index()].chain_len > target {
+        cur = sections[cur.index()]
+            .parent
+            .expect("only the root has no parent");
+    }
+    cur == maybe_ancestor
+}
+
+/// The deepest section on both `a`'s and `b`'s parent chains. Every chain
+/// ends at the root, so one always exists.
+fn common_ancestor(sections: &[Section], mut a: SectionId, mut b: SectionId) -> SectionId {
+    let parent = |s: SectionId| {
+        sections[s.index()]
+            .parent
+            .expect("only the root has no parent")
+    };
+    while sections[a.index()].chain_len > sections[b.index()].chain_len {
+        a = parent(a);
+    }
+    while sections[b.index()].chain_len > sections[a.index()].chain_len {
+        b = parent(b);
+    }
+    while a != b {
+        a = parent(a);
+        b = parent(b);
+    }
+    a
 }
 
 struct Builder<'g> {
@@ -159,14 +195,13 @@ impl<'g> Builder<'g> {
 
     fn run(mut self) -> Result<SectionGraph, GraphError> {
         // Root section is always id 0.
-        let mut root_ancestors = BTreeSet::new();
-        root_ancestors.insert(SectionId(0));
         self.sections.push(Section {
             entry: SectionEntry::Root,
             nodes: Vec::new(),
             exit_or: None,
             depth: 0,
-            ancestors: root_ancestors,
+            parent: None,
+            chain_len: 0,
         });
 
         for id in topo_forward(self.g) {
@@ -204,23 +239,23 @@ impl<'g> Builder<'g> {
         let home = if preds.is_empty() {
             SectionId(0)
         } else {
-            let candidates: Vec<SectionId> =
-                preds.iter().map(|&p| self.pred_section(p, id)).collect();
             // The node lives in the deepest candidate; all other candidates
             // must be ancestors of it (already-completed sections).
-            let deepest = *candidates
+            let deepest = preds
                 .iter()
-                .max_by_key(|s| self.sections[s.index()].ancestors.len())
+                .map(|&p| self.pred_section(p, id))
+                .max_by_key(|s| self.sections[s.index()].chain_len)
                 .expect("non-empty");
-            for &c in &candidates {
-                if !self.sections[deepest.index()].ancestors.contains(&c) {
-                    return Err(GraphError::SectionStructure {
-                        detail: format!(
-                            "node '{}' has predecessors on sibling OR branches",
-                            self.g.node(id).name
-                        ),
-                    });
-                }
+            if preds
+                .iter()
+                .any(|&p| !is_ancestor(&self.sections, self.pred_section(p, id), deepest))
+            {
+                return Err(GraphError::SectionStructure {
+                    detail: format!(
+                        "node '{}' has predecessors on sibling OR branches",
+                        self.g.node(id).name
+                    ),
+                });
             }
             deepest
         };
@@ -231,7 +266,7 @@ impl<'g> Builder<'g> {
 
     fn process_or(&mut self, id: NodeId) -> Result<(), GraphError> {
         // Sections that drain into this OR node.
-        let preds = self.g.node(id).preds.clone();
+        let preds = &self.g.node(id).preds;
         let exit_sections: BTreeSet<SectionId> = if preds.is_empty() {
             // A source OR: the (possibly empty) root section exits into it.
             std::iter::once(SectionId(0)).collect()
@@ -254,12 +289,13 @@ impl<'g> Builder<'g> {
             }
         }
         // Guaranteed-completed history of any branch taken from this OR:
-        // the sections *all* alternatives agree on.
-        let common: BTreeSet<SectionId> = exit_sections
+        // the part of the exit sections' parent chains they all share.
+        let parent = exit_sections
             .iter()
-            .map(|s| self.sections[s.index()].ancestors.clone())
-            .reduce(|a, b| a.intersection(&b).copied().collect())
+            .copied()
+            .reduce(|a, b| common_ancestor(&self.sections, a, b))
             .expect("at least one exit section");
+        let chain_len = self.sections[parent.index()].chain_len + 1;
         let depth = exit_sections
             .iter()
             .map(|s| self.sections[s.index()].depth)
@@ -269,14 +305,13 @@ impl<'g> Builder<'g> {
         let n_branches = self.g.node(id).succs.len();
         for k in 0..n_branches {
             let sid = SectionId(self.sections.len() as u32);
-            let mut ancestors = common.clone();
-            ancestors.insert(sid);
             self.sections.push(Section {
                 entry: SectionEntry::Branch { or: id, branch: k },
                 nodes: Vec::new(),
                 exit_or: None,
                 depth,
-                ancestors,
+                parent: Some(parent),
+                chain_len,
             });
             self.branch_section.insert((id, k), sid);
         }

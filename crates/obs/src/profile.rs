@@ -54,13 +54,11 @@ pub mod names {
     pub const CLI_PLAN: &str = "cli.plan";
     /// Root span of `pas check`: diagnostics plus plan verification.
     pub const CLI_CHECK: &str = "cli.check";
-    /// `Setup` construction for one (workload, platform, load) point:
-    /// probe plan, deadline derivation and the final offline plan.
+    /// `Setup` construction for one (workload, platform, deadline or
+    /// load) point: the section decomposition and the offline plan.
     pub const OFFLINE_SETUP: &str = "offline.setup";
-    /// The relaxed-deadline probe plan built to measure the critical
-    /// path before the real deadline is known.
-    pub const OFFLINE_PROBE: &str = "offline.probe_plan";
-    /// One `OfflinePlan::build_with_pmp_reserve` call end to end.
+    /// One offline plan build end to end (`OfflinePlan::build_with_pmp_reserve`
+    /// or `OfflinePlan::build_for_load`).
     pub const OFFLINE_BUILD: &str = "offline.build";
     /// Round 1: per-section canonical LTF schedules (worst + average).
     pub const OFFLINE_CANONICAL: &str = "offline.canonical_schedule";
@@ -110,7 +108,6 @@ pub mod names {
         CLI_PLAN,
         CLI_CHECK,
         OFFLINE_SETUP,
-        OFFLINE_PROBE,
         OFFLINE_BUILD,
         OFFLINE_CANONICAL,
         OFFLINE_REMAINING,

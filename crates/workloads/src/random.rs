@@ -12,7 +12,8 @@
 //! total.
 
 use andor_graph::Segment;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Shape parameters for a random application.
@@ -55,6 +56,15 @@ impl RandomAppParams {
             return self.gen_task(rng, &mut counter);
         }
         seg
+    }
+
+    /// Generates `segments` random applications from one RNG seeded with
+    /// `seed` and runs them one after another (`Segment::seq`): a long
+    /// chain whose OR-path count multiplies along it, reaching the
+    /// scale where the analyses stop enumerating paths.
+    pub fn chained(&self, seed: u64, segments: usize) -> Segment {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Segment::seq((0..segments).map(|_| self.generate(&mut rng)))
     }
 
     fn gen_task<R: Rng + ?Sized>(&self, rng: &mut R, counter: &mut usize) -> Segment {
