@@ -328,17 +328,11 @@ fn plan(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// The policy `--scheme` names; the oracle is built for `real`.
-fn scheme_policy<'s>(
-    setup: &'s Setup,
-    scheme: SchemeArg,
-    real: &mp_sim::Realization,
-) -> Result<Box<dyn mp_sim::Policy + 's>, String> {
+/// The policy `--scheme` names.
+fn scheme_policy(setup: &Setup, scheme: SchemeArg) -> Box<dyn mp_sim::Policy + '_> {
     match scheme {
-        SchemeArg::Scheme(s) => Ok(setup.policy(s)),
-        SchemeArg::Oracle => Ok(Box::new(
-            setup.oracle(real).map_err(|e| format!("simulation: {e}"))?,
-        )),
+        SchemeArg::Scheme(s) => setup.policy(s),
+        SchemeArg::Oracle => Box::new(setup.oracle()),
     }
 }
 
@@ -356,7 +350,7 @@ fn run_one(args: &Args) -> Result<String, String> {
     let fault_set = fault_plan
         .as_ref()
         .map(|p| p.realize(&setup.graph, args.seed));
-    let mut policy = scheme_policy(&setup, args.scheme, &real)?;
+    let mut policy = scheme_policy(&setup, args.scheme);
     let res = setup
         .simulator(true)
         .run_observed(policy.as_mut(), &real, None, fault_set.as_ref(), None)
@@ -489,13 +483,18 @@ fn compare(args: &Args) -> Result<String, String> {
     // once, outside the realization loop (the engine resets policy state
     // at every run start, so reuse is bit-identical to rebuilding).
     let sim = setup.simulator(false);
-    let mut policies: Vec<_> = Scheme::ALL.iter().map(|s| setup.policy(*s)).collect();
+    let mut policies: Vec<_> = Scheme::ALL
+        .iter()
+        .map(|s| scheme_policy(&setup, SchemeArg::Scheme(*s)))
+        .chain(std::iter::once(scheme_policy(&setup, SchemeArg::Oracle)))
+        .collect();
     let draws = setup.draw_table(&etm);
     for _ in 0..args.reps {
         let real = draws.sample(&mut rng);
         for (i, policy) in policies.iter_mut().enumerate() {
             let policy = policy.as_mut();
-            let res = if args.metrics {
+            // The oracle is a bound, not a scheme: no registry section.
+            let res = if args.metrics && i < Scheme::ALL.len() {
                 let mut reg = mp_sim::MetricsRegistry::new();
                 let res = sim
                     .run_observed(policy, &real, None, None, Some(&mut reg))
@@ -519,14 +518,6 @@ fn compare(args: &Args) -> Result<String, String> {
             changes[i].add(res.energy.speed_changes() as f64);
             misses[i] += res.missed_deadline as u64;
         }
-        let res = setup
-            .run_oracle(&real)
-            .map_err(|e| format!("simulation: {e}"))?;
-        let last = Scheme::ALL.len();
-        energies[last].add(res.total_energy());
-        hists[last].add(res.total_energy());
-        changes[last].add(res.energy.speed_changes() as f64);
-        misses[last] += res.missed_deadline as u64;
     }
     let npm = energies[0].mean();
     let mut out = String::new();
@@ -593,15 +584,14 @@ fn compare(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// `compare --metrics --batch N`: the batched Monte-Carlo engine over
+/// `compare --metrics --batch N`: the paired Monte-Carlo kernel over
 /// every scheme, reporting full distributions (quantiles and tails)
 /// instead of the sequential loop's means. Realization `i` is seeded with
-/// `realization_seed(--seed, i)` for *every* scheme, so the paired design
-/// of the paper's figures carries over to the distributions; the oracle
-/// is excluded (it needs a clairvoyant probe per realization and is a
-/// bound, not a scheme).
+/// `realization_seed(--seed, i)` and drawn once for *every* scheme, so the
+/// paired design of the paper's figures carries over to the
+/// distributions; the oracle is excluded (it is a bound, not a scheme).
 fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, String> {
-    use mp_sim::{run_batch, BatchConfig, BatchDistribution};
+    use mp_sim::{realization_seed, run_paired, BatchConfig, BatchDistribution, BatchOutput, Lane};
     let etm = ExecTimeModel::paper_defaults();
     let sim = setup.simulator(false);
     // Histogram geometry mirrors the sequential path's: NPM busy+idle
@@ -618,6 +608,24 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
         SchemeArg::Scheme(s) => s,
         SchemeArg::Oracle => Scheme::Gss,
     };
+    let lanes = || {
+        Scheme::ALL
+            .iter()
+            .map(|&scheme| Lane {
+                policy: setup.policy(scheme),
+                faulted: true,
+            })
+            .collect()
+    };
+    let outs: Vec<BatchOutput> = run_paired(
+        &sim,
+        &etm,
+        None,
+        lanes,
+        |i| realization_seed(args.seed, i),
+        &cfg,
+    )
+    .map_err(|e| format!("simulation: {e}"))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -636,13 +644,11 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
     let mut npm_mean = f64::NAN;
     let mut makespans: Vec<(String, BatchDistribution)> = Vec::new();
     let mut events_per_run = Summary::new();
-    for scheme in Scheme::ALL {
-        let bout = run_batch(&sim, &etm, None, || setup.policy(scheme), &cfg)
-            .map_err(|e| format!("simulation: {e}"))?;
+    for (scheme, bout) in Scheme::ALL.into_iter().zip(&outs) {
         if let Some(e) = bout.events_per_realization() {
             events_per_run.add(e);
         }
-        let dist = BatchDistribution::from_output(&bout, e_max, t_max, 200)
+        let dist = BatchDistribution::from_output(bout, e_max, t_max, 200)
             .ok_or_else(|| "degenerate histogram bounds".to_string())?;
         let q = |p: f64| dist.energy().quantile(p).unwrap_or(f64::NAN);
         if npm_mean.is_nan() {
@@ -866,10 +872,7 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
     let run_into = |observer: &mut dyn Observer| -> Result<RunDigest, String> {
         if let Some(fs) = &frames {
             let sim = setup.simulator(false);
-            let mut policy = match args.scheme {
-                SchemeArg::Scheme(s) => setup.policy(s),
-                SchemeArg::Oracle => unreachable!("rejected above"),
-            };
+            let mut policy = scheme_policy(&setup, args.scheme);
             let res = mp_sim::run_stream(&sim, policy.as_mut(), fs, args.carry, Some(observer))
                 .map_err(|e| format!("simulation: {e}"))?;
             let last = res.frame_finish.last().copied().unwrap_or(0.0);
@@ -892,7 +895,7 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
             })
         } else {
             let real = single.as_ref().expect("single-run realization");
-            let mut policy = scheme_policy(&setup, args.scheme, real)?;
+            let mut policy = scheme_policy(&setup, args.scheme);
             let res = setup
                 .simulator(false)
                 .run_observed(

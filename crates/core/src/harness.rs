@@ -382,24 +382,11 @@ impl Setup {
         self.simulator(false).run(policy.as_mut(), real)
     }
 
-    /// Builds the clairvoyant single-speed bound for one realization
-    /// (see [`crate::oracle`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the full-speed probe run that measures
-    /// the realization's makespan.
-    pub fn oracle(&self, real: &Realization) -> Result<crate::oracle::OraclePolicy, SimError> {
-        crate::oracle::OraclePolicy::for_realization(
-            &self.graph,
-            &self.sections,
-            &self.plan.dispatch,
-            &self.model,
-            self.plan.num_procs,
-            self.plan.deadline,
-            self.overheads,
-            real,
-        )
+    /// The clairvoyant single-speed bound as a policy (see
+    /// [`crate::oracle`]). It measures each realization when a run
+    /// starts, so one instance serves a whole Monte-Carlo loop.
+    pub fn oracle(&self) -> crate::oracle::OraclePolicy<'_> {
+        crate::oracle::OraclePolicy::new(self)
     }
 
     /// Runs the clairvoyant bound on one realization.
@@ -408,8 +395,7 @@ impl Setup {
     ///
     /// Propagates [`SimError`] from the probe or the measured run.
     pub fn run_oracle(&self, real: &Realization) -> Result<RunResult, SimError> {
-        let mut oracle = self.oracle(real)?;
-        self.simulator(false).run(&mut oracle, real)
+        self.simulator(false).run(&mut self.oracle(), real)
     }
 }
 

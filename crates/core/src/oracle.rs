@@ -5,13 +5,15 @@
 //! speed setting if the actual running time of every task is known" — this
 //! intuition motivates the speculative schemes.
 //!
-//! [`OraclePolicy`] realizes that algorithm: given the *realization* (which
-//! no on-line scheme may peek at), it computes the application's actual
+//! [`OraclePolicy`] realizes that algorithm: at the start of every run it
+//! peeks at the *realization* (which no on-line scheme may do, see
+//! [`Policy::peek_realization`]), measures the application's actual
 //! makespan at full speed and runs everything at the single slowest speed
 //! that still meets the deadline. Because the engine's schedule scales
 //! exactly with a uniform slowdown (every dispatch-time expression is a
 //! max/plus over scaled durations), the stretched schedule finishes at
-//! `makespan / s ≤ D`.
+//! `makespan / s ≤ D`. One instance serves any number of runs, so a
+//! Monte-Carlo loop runs it like any other policy.
 //!
 //! Two caveats make this a *reference point* rather than a provable
 //! optimum:
@@ -26,76 +28,89 @@
 //!
 //! Experiments report each scheme's *gap* to this reference.
 
-use andor_graph::{AndOrGraph, NodeId, SectionGraph};
+use crate::harness::Setup;
+use andor_graph::NodeId;
 use dvfs_power::{OperatingPoint, Overheads, ProcessorModel};
 use mp_sim::{
-    DispatchCtx, DispatchOrder, MaxSpeed, Policy, Realization, SimConfig, SimError, Simulator,
+    DispatchCtx, MaxSpeed, Policy, Realization, RunScratch, SimConfig, SimError, Simulator,
     SpeedDecision,
 };
 
-/// A clairvoyant single-speed policy for one specific realization.
-pub struct OraclePolicy {
+/// The clairvoyant single-speed policy.
+pub struct OraclePolicy<'a> {
+    /// Overhead-free full-speed engine measuring each realization (the
+    /// clairvoyant computes off-line).
+    probe: Simulator<'a>,
+    scratch: RunScratch,
+    model: &'a ProcessorModel,
+    /// The deadline less one voltage transition for entering the chosen
+    /// speed.
+    budget: f64,
     point: OperatingPoint,
     makespan_full_speed: f64,
 }
 
-impl OraclePolicy {
-    /// Builds the oracle for `real`: measures the realization's makespan at
-    /// full speed (overhead-free — the clairvoyant computes off-line) and
-    /// picks the slowest level finishing by `deadline`, reserving one
-    /// voltage transition for entering the chosen speed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the full-speed probe run (e.g. a
-    /// realization that does not resolve a reachable OR node).
-    #[allow(clippy::too_many_arguments)] // mirrors the engine's parameter set
-    pub fn for_realization(
-        g: &AndOrGraph,
-        sections: &SectionGraph,
-        dispatch: &DispatchOrder,
-        model: &ProcessorModel,
-        num_procs: usize,
-        deadline: f64,
-        overheads: Overheads,
-        real: &Realization,
-    ) -> Result<Self, SimError> {
+impl<'a> OraclePolicy<'a> {
+    /// Builds the oracle for `setup`'s plan. It measures each realization
+    /// when a run starts, so it runs at full speed until the first run.
+    pub fn new(setup: &'a Setup) -> Self {
+        let (plan, model) = (&setup.plan, &setup.model);
         let probe_cfg = SimConfig {
-            num_procs,
-            deadline,
+            num_procs: plan.num_procs,
+            deadline: plan.deadline,
             idle_fraction: 0.0,
             static_fraction: 0.0,
             overheads: Overheads::none(),
             record_trace: false,
         };
-        let probe = Simulator::new(g, sections, dispatch, model, probe_cfg);
-        let makespan = probe.run(&mut MaxSpeed, real)?.finish_time;
-        let budget = (deadline - overheads.transition_time_ms).max(f64::MIN_POSITIVE);
-        let desired = if makespan <= 0.0 {
-            model.min_speed()
-        } else {
-            makespan / budget
-        };
-        Ok(Self {
-            point: model.quantize_up(desired),
-            makespan_full_speed: makespan,
-        })
+        let budget = plan.deadline - setup.overheads.transition_time_ms;
+        Self {
+            probe: Simulator::new(
+                &setup.graph,
+                &setup.sections,
+                &plan.dispatch,
+                model,
+                probe_cfg,
+            ),
+            scratch: RunScratch::new(),
+            model,
+            budget: budget.max(f64::MIN_POSITIVE),
+            point: model.max_point(),
+            makespan_full_speed: 0.0,
+        }
     }
 
-    /// The single operating point chosen.
+    /// The single operating point chosen for the last realization.
     pub fn point(&self) -> OperatingPoint {
         self.point
     }
 
-    /// The realization's makespan at full speed (ms).
+    /// The last realization's makespan at full speed (ms).
     pub fn makespan_full_speed(&self) -> f64 {
         self.makespan_full_speed
     }
 }
 
-impl Policy for OraclePolicy {
+impl Policy for OraclePolicy<'_> {
     fn name(&self) -> &str {
         "Oracle"
+    }
+
+    /// Measures `real`'s makespan at full speed and picks the slowest
+    /// level finishing within the budget.
+    fn peek_realization(&mut self, real: &Realization) -> Result<(), SimError> {
+        let makespan = self
+            .probe
+            .run_into(&mut self.scratch, &mut MaxSpeed, real, None, None, None)?
+            .finish_time;
+        let desired = if makespan <= 0.0 {
+            self.model.min_speed()
+        } else {
+            makespan / self.budget
+        };
+        self.point = self.model.quantize_up(desired);
+        self.makespan_full_speed = makespan;
+        Ok(())
     }
 
     fn speed_for(&mut self, _task: NodeId, _ctx: &DispatchCtx) -> SpeedDecision {
@@ -110,7 +125,6 @@ impl Policy for OraclePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Setup;
     use crate::policies::Scheme;
     use andor_graph::Segment;
     use mp_sim::ExecTimeModel;
@@ -131,31 +145,15 @@ mod tests {
         Setup::for_load(app, ProcessorModel::transmeta5400(), 2, 0.6).expect("feasible load")
     }
 
-    fn oracle_for(s: &Setup, real: &Realization) -> OraclePolicy {
-        OraclePolicy::for_realization(
-            &s.graph,
-            &s.sections,
-            &s.plan.dispatch,
-            &s.model,
-            s.plan.num_procs,
-            s.plan.deadline,
-            s.overheads,
-            real,
-        )
-        .expect("probe run succeeds")
-    }
-
     #[test]
     fn oracle_meets_deadline_on_every_draw() {
         let s = setup();
+        let sim = s.simulator(false);
+        let mut oracle = s.oracle();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..200 {
             let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
-            let mut oracle = oracle_for(&s, &real);
-            let res = s
-                .simulator(false)
-                .run(&mut oracle, &real)
-                .expect("run succeeds");
+            let res = sim.run(&mut oracle, &real).expect("run succeeds");
             assert!(
                 !res.missed_deadline,
                 "oracle missed: {} > {}",
@@ -185,12 +183,7 @@ mod tests {
         let mut e_schemes = vec![0.0_f64; Scheme::ALL.len()];
         for _ in 0..300 {
             let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
-            let mut oracle = oracle_for(&s, &real);
-            e_oracle += s
-                .simulator(false)
-                .run(&mut oracle, &real)
-                .expect("run succeeds")
-                .total_energy();
+            e_oracle += s.run_oracle(&real).expect("run succeeds").total_energy();
             for (i, scheme) in Scheme::ALL.iter().enumerate() {
                 e_schemes[i] += s.run(*scheme, &real).expect("run succeeds").total_energy();
             }
@@ -211,7 +204,7 @@ mod tests {
         let s = setup();
         let mut rng = StdRng::seed_from_u64(14);
         let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
-        let mut oracle = oracle_for(&s, &real);
+        let mut oracle = s.oracle();
         let res = s
             .simulator(true)
             .run(&mut oracle, &real)
@@ -233,7 +226,8 @@ mod tests {
         let s = setup();
         let mut rng = StdRng::seed_from_u64(21);
         let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
-        let oracle = oracle_for(&s, &real);
+        let mut oracle = s.oracle();
+        oracle.peek_realization(&real).expect("probe run succeeds");
         // The chosen speed is the quantization of makespan/deadline.
         let ideal =
             oracle.makespan_full_speed() / (s.plan.deadline - s.overheads.transition_time_ms);
@@ -241,5 +235,23 @@ mod tests {
         // ...and no more than one level above it.
         let above = s.model.quantize_up(ideal).speed;
         assert_eq!(oracle.point().speed, above);
+    }
+
+    /// One oracle reused across realizations is bit-identical to a fresh
+    /// oracle per realization: the probe depends on nothing but the
+    /// realization it peeks at.
+    #[test]
+    fn reused_oracle_matches_a_fresh_one_per_realization() {
+        let s = setup();
+        let sim = s.simulator(false);
+        let mut reused = s.oracle();
+        let mut rng = StdRng::seed_from_u64(33);
+        for _ in 0..50 {
+            let real = s.sample(&ExecTimeModel::paper_defaults(), &mut rng);
+            let a = sim.run(&mut reused, &real).expect("run succeeds");
+            let b = sim.run(&mut s.oracle(), &real).expect("run succeeds");
+            assert_eq!(a.total_energy().to_bits(), b.total_energy().to_bits());
+            assert_eq!(a.finish_time.to_bits(), b.finish_time.to_bits());
+        }
     }
 }

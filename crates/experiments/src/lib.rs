@@ -4,8 +4,8 @@
 //!
 //! * [`runner`] — the Monte-Carlo harness: each data point is the mean of N
 //!   (default 1000) seeded runs; all schemes are evaluated on *identical*
-//!   realizations (paired design), and replications run in parallel with
-//!   rayon.
+//!   realizations (paired design), and replications run in parallel on
+//!   the paired batch kernel, [`mp_sim::run_paired`].
 //! * [`figures`] — one function per paper table/figure plus the ablations
 //!   the paper lists as future work. Each returns [`pas_stats::Table`]s
 //!   ready for text/markdown/CSV rendering.

@@ -1,11 +1,11 @@
 //! The Monte-Carlo experiment harness.
 
-use mp_sim::{FaultPlan, FaultReport, RunScratch, SimError};
+use mp_sim::{
+    run_paired, BatchConfig, FaultPlan, FaultReport, Lane, RunColumns, RunResult, RunScratch,
+    SimError,
+};
 use pas_core::{Scheme, Setup};
 use pas_stats::Summary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// How an experiment point is evaluated.
 #[derive(Debug, Clone)]
@@ -144,10 +144,14 @@ pub fn evaluate(setup: &Setup, cfg: &ExperimentConfig) -> Result<EvalResult, Sim
 
 /// [`evaluate`], optionally injecting faults from a [`FaultPlan`].
 ///
-/// Replication `r` realizes the plan with run index `r`, so every scheme
-/// sees the *same* fault set on the same replication — the paired design
-/// extends to faults. With `faults: None` (or an all-zero plan) the
-/// results are identical to [`evaluate`].
+/// The replications run on the paired kernel ([`mp_sim::run_paired`]),
+/// one lane per scheme plus the oracle's when included. Replication `r`
+/// draws from an RNG seeded with `base_seed + r·φ64` (wrapping) and
+/// realizes the plan with run index `r`, so every scheme sees the *same*
+/// realization and fault set — the paired design extends to faults. The
+/// oracle is the fault-free clairvoyant bound of each realization. With
+/// `faults: None` (or an all-zero plan) the results are identical to
+/// [`evaluate`].
 ///
 /// # Errors
 ///
@@ -158,113 +162,125 @@ pub fn evaluate_with_faults(
     cfg: &ExperimentConfig,
     faults: Option<&FaultPlan>,
 ) -> Result<EvalResult, SimError> {
-    struct RepSample {
-        energy: f64,
-        busy: f64,
-        idle: f64,
-        transition: f64,
-        changes: u64,
-        missed: bool,
-        missed_by: Option<f64>,
-        report: FaultReport,
-    }
     if let Some(plan) = faults {
         plan.validate()?;
     }
-    let draws = setup.draw_table(&cfg.etm);
-    let per_rep: Vec<(Vec<RepSample>, Option<f64>)> = (0..cfg.replications)
-        .into_par_iter()
-        .map(|r| -> Result<(Vec<RepSample>, Option<f64>), SimError> {
-            // SplitMix-style seed derivation keeps streams independent.
-            let seed = cfg
-                .base_seed
-                .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let real = draws.sample(&mut rng);
-            let fault_set = faults.map(|p| p.realize(&setup.graph, r as u64));
-            let sim = setup.simulator(false);
-            let mut scratch = RunScratch::new();
-            let mut samples = Vec::with_capacity(cfg.schemes.len());
-            for &scheme in &cfg.schemes {
-                let mut policy = setup.policy(scheme);
-                let res = sim.run_into(
-                    &mut scratch,
-                    policy.as_mut(),
-                    &real,
-                    None,
-                    fault_set.as_ref(),
-                    None,
-                )?;
-                samples.push(RepSample {
-                    energy: res.total_energy(),
-                    busy: res.energy.busy_energy(),
-                    idle: res.energy.idle_energy(),
-                    transition: res.energy.transition_energy(),
-                    changes: res.energy.speed_changes(),
-                    missed: res.missed_deadline,
-                    missed_by: (!res.status.met()).then(|| res.status.missed_by()),
-                    report: res.faults,
-                });
-            }
-            let oracle = match cfg.include_oracle {
-                true => Some(setup.run_oracle(&real)?.total_energy()),
-                false => None,
-            };
-            Ok((samples, oracle))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-
+    let lanes = || {
+        let mut lanes: Vec<Lane> = cfg
+            .schemes
+            .iter()
+            .map(|&scheme| Lane {
+                policy: setup.policy(scheme),
+                faulted: true,
+            })
+            .collect();
+        if cfg.include_oracle {
+            lanes.push(Lane {
+                policy: Box::new(setup.oracle()),
+                faulted: false,
+            });
+        }
+        lanes
+    };
+    let seed = |r: u64| {
+        cfg.base_seed
+            .wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    };
+    // One chunk per core: the result does not depend on the chunking.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut batch = BatchConfig::new(cfg.replications, cfg.base_seed);
+    batch.chunk = cfg.replications.div_ceil(threads);
+    let mut lanes: Vec<Rows> = run_paired(
+        &setup.simulator(false),
+        &cfg.etm,
+        faults,
+        lanes,
+        seed,
+        &batch,
+    )?;
+    let oracle_energy = cfg.include_oracle.then(|| {
+        let Rows(blocks) = lanes.pop().expect("the oracle's lane");
+        blocks.into_iter().flatten().map(|row| row.energy).collect()
+    });
     let stats = cfg
         .schemes
         .iter()
-        .enumerate()
-        .map(|(i, &scheme)| {
-            let mut energy = Summary::new();
-            let mut busy_energy = Summary::new();
-            let mut idle_energy = Summary::new();
-            let mut transition_energy = Summary::new();
-            let mut speed_changes = Summary::new();
-            let mut deadline_misses = 0u64;
-            let mut miss_margin = Summary::new();
-            let mut fault_report = FaultReport::default();
-            let mut recovery_energy = Summary::new();
-            for (rep, _) in &per_rep {
-                let s = &rep[i];
-                energy.add(s.energy);
-                busy_energy.add(s.busy);
-                idle_energy.add(s.idle);
-                transition_energy.add(s.transition);
-                speed_changes.add(s.changes as f64);
-                deadline_misses += s.missed as u64;
-                if let Some(by) = s.missed_by {
-                    miss_margin.add(by);
-                }
-                fault_report.absorb(&s.report);
-                recovery_energy.add(s.report.recovery_energy);
-            }
-            SchemeStats {
-                scheme,
-                energy,
-                busy_energy,
-                idle_energy,
-                transition_energy,
-                speed_changes,
-                deadline_misses,
-                miss_margin,
-                faults: fault_report,
-                recovery_energy,
-            }
-        })
+        .zip(lanes)
+        .map(|(&scheme, rows)| rows.fold(scheme))
         .collect();
-    let oracle_energy = cfg
-        .include_oracle
-        .then(|| per_rep.iter().filter_map(|(_, o)| *o).collect::<Summary>());
     Ok(EvalResult {
         stats,
         oracle_energy,
     })
+}
+
+/// What the runner keeps of one run until it is folded.
+struct Row {
+    energy: f64,
+    busy: f64,
+    idle: f64,
+    transition: f64,
+    changes: u64,
+    missed_by: Option<f64>,
+    report: FaultReport,
+}
+
+/// One lane's runs, one block of rows per chunk, in replication order.
+struct Rows(Vec<Vec<Row>>);
+
+impl RunColumns for Rows {
+    fn with_capacity(runs: usize, _n_sections: usize, _cfg: &BatchConfig) -> Self {
+        Rows(vec![Vec::with_capacity(runs)])
+    }
+
+    fn push(&mut self, res: RunResult, _scratch: &RunScratch, _events: Option<u64>) {
+        self.0.last_mut().expect("one block per chunk").push(Row {
+            energy: res.total_energy(),
+            busy: res.energy.busy_energy(),
+            idle: res.energy.idle_energy(),
+            transition: res.energy.transition_energy(),
+            changes: res.energy.speed_changes(),
+            missed_by: (!res.status.met()).then(|| res.status.missed_by()),
+            report: res.faults,
+        });
+    }
+
+    fn concat(chunks: Vec<Self>) -> Self {
+        Rows(chunks.into_iter().flat_map(|c| c.0).collect())
+    }
+}
+
+impl Rows {
+    /// Folds the rows in replication order (so every summary is
+    /// bit-identical whatever the chunking), freeing each block as it goes.
+    fn fold(self, scheme: Scheme) -> SchemeStats {
+        let mut s = SchemeStats {
+            scheme,
+            energy: Summary::new(),
+            busy_energy: Summary::new(),
+            idle_energy: Summary::new(),
+            transition_energy: Summary::new(),
+            speed_changes: Summary::new(),
+            deadline_misses: 0,
+            miss_margin: Summary::new(),
+            faults: FaultReport::default(),
+            recovery_energy: Summary::new(),
+        };
+        for row in self.0.into_iter().flatten() {
+            s.energy.add(row.energy);
+            s.busy_energy.add(row.busy);
+            s.idle_energy.add(row.idle);
+            s.transition_energy.add(row.transition);
+            s.speed_changes.add(row.changes as f64);
+            if let Some(by) = row.missed_by {
+                s.deadline_misses += 1;
+                s.miss_margin.add(by);
+            }
+            s.faults.absorb(&row.report);
+            s.recovery_energy.add(row.report.recovery_energy);
+        }
+        s
+    }
 }
 
 #[cfg(test)]

@@ -136,6 +136,7 @@ pub struct Request {
     /// `montecarlo`: global index of the first realization — slices of
     /// one logical batch submitted as separate requests draw exactly the
     /// realizations the full batch would (see `docs/simulator.md`).
+    /// `start_index + batch` must fit in a `u64` (`PAS0503` otherwise).
     pub start_index: u64,
     /// Per-request deadline; `None` uses the service default.
     pub timeout_ms: Option<u64>,
@@ -285,6 +286,11 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         Some(b) => b as usize,
     };
     let start_index = u64_field(&v, "start_index")?.unwrap_or(0);
+    if start_index.checked_add(batch as u64).is_none() {
+        return Err(Rejection::bad_param(
+            "`start_index + batch` must not exceed 2^64 - 1",
+        ));
+    }
     let timeout_ms = u64_field(&v, "timeout_ms")?;
     if timeout_ms == Some(0) {
         return Err(Rejection::bad_param("`timeout_ms` must be positive"));
@@ -450,6 +456,11 @@ mod tests {
         assert_eq!(r.kind, ReqKind::Montecarlo);
         assert_eq!(r.batch, 512);
         assert_eq!(r.start_index, 2048);
+        // The last index, start_index + batch - 1, may be u64::MAX - 1.
+        let r =
+            parse_request(r#"{"kind":"montecarlo","batch":2,"start_index":18446744073709551613}"#)
+                .expect("parses");
+        assert_eq!(r.start_index, u64::MAX - 2);
         for line in [
             r#"{"kind":"montecarlo","batch":0}"#,
             r#"{"kind":"montecarlo","batch":100000}"#,
@@ -494,6 +505,7 @@ mod tests {
             r#"{"kind":"run","timeout_ms":0}"#,
             r#"{"kind":"run","workload":"atr","graph":{"nodes":[]}}"#,
             r#"{"kind":"run","procs":"two"}"#,
+            r#"{"kind":"montecarlo","batch":2,"start_index":18446744073709551615}"#,
         ] {
             let rej = parse_request(line).expect_err(line);
             assert_eq!(rej.code, Code::Pas0503, "{line}");

@@ -3,19 +3,22 @@
 //! reused mutable state and the vendored rayon fanning chunks across
 //! cores.
 //!
+//! [`run_paired`] is the one loop: it draws each realization once and runs
+//! every lane's policy on it; [`run_batch`] is its one-lane case.
+//!
 //! The determinism contract (written down in `docs/simulator.md`) is the
 //! load-bearing property here: realization `i` of a batch is executed
 //! through exactly the same [`Simulator::run_into`] code path as a
-//! sequential `run` call would use, seeded with
-//! [`realization_seed`]`(base_seed, i)` — so per-seed results are
-//! bit-identical whichever engine ran them, and the batch can skip
-//! `Observer` wiring (and therefore all event construction) unless a
-//! realization is sampled for observability.
+//! sequential `run` call would use, seeded with the caller's seed mapping
+//! of `i` — so per-seed results are bit-identical whichever engine ran
+//! them, and the batch can skip `Observer` wiring (and therefore all
+//! event construction) unless a realization is sampled for observability.
 //!
-//! Outputs are packed structure-of-arrays ([`BatchOutput`]): one column
-//! per scalar metric plus a row-major `realizations × sections` energy
-//! matrix, ready to fold into distribution summaries
-//! ([`BatchDistribution`]) without touching per-run heap objects.
+//! [`run_batch`]'s outputs are packed structure-of-arrays
+//! ([`BatchOutput`]): one column per scalar metric plus a row-major
+//! `realizations × sections` energy matrix, ready to fold into
+//! distribution summaries ([`BatchDistribution`]) without touching
+//! per-run heap objects.
 
 use crate::engine::{RunResult, RunScratch, Simulator};
 use crate::error::SimError;
@@ -61,14 +64,15 @@ impl pas_obs::Observer for EventCounter {
 pub struct BatchConfig {
     /// Number of realizations to execute.
     pub realizations: usize,
-    /// Base seed; realization `i` draws from
+    /// Base seed; [`run_batch`] draws realization `i` from
     /// [`realization_seed`]`(base_seed, start_index + i)`.
     pub base_seed: u64,
     /// Global index of the first realization (lets `pas serve` slice one
     /// logical batch across requests without changing any draw).
+    /// `start_index + realizations` must not overflow a `u64`.
     pub start_index: u64,
     /// Realizations per work unit handed to a rayon worker. Each chunk
-    /// reuses one policy instance, one [`RunScratch`] and one
+    /// reuses one instance of every policy, one [`RunScratch`] and one
     /// [`Realization`] buffer across its whole range.
     pub chunk: usize,
     /// Also materialize the full per-realization [`RunResult`]s
@@ -99,6 +103,26 @@ impl BatchConfig {
     }
 }
 
+/// One policy of a paired batch, run on every realization.
+pub struct Lane<'s> {
+    /// Built once per chunk and reused across its runs.
+    pub policy: Box<dyn Policy + 's>,
+    /// Whether the realization's fault set is injected into this lane.
+    pub faulted: bool,
+}
+
+/// What a paired batch keeps of one lane's runs. Each chunk fills its own
+/// in index order, then one lane's chunks are joined in chunk order.
+pub trait RunColumns: Send + Sized {
+    /// Empty columns for a chunk of `runs` realizations over `n_sections`
+    /// sections.
+    fn with_capacity(runs: usize, n_sections: usize, cfg: &BatchConfig) -> Self;
+    /// Keeps one run; `events` counts its events if it was sampled.
+    fn push(&mut self, res: RunResult, scratch: &RunScratch, events: Option<u64>);
+    /// Joins one lane's chunks (at least one), in chunk order.
+    fn concat(chunks: Vec<Self>) -> Self;
+}
+
 /// The structure-of-arrays output of [`run_batch`]: column `i` of every
 /// vector belongs to realization `start_index + i`.
 #[derive(Debug)]
@@ -127,6 +151,20 @@ pub struct BatchOutput {
 }
 
 impl BatchOutput {
+    fn with_room(runs: usize, n_sections: usize, keep_results: bool) -> Self {
+        Self {
+            n_sections,
+            finish_time: Vec::with_capacity(runs),
+            missed: Vec::with_capacity(runs),
+            energy: Vec::with_capacity(runs),
+            speed_changes: Vec::with_capacity(runs),
+            section_energy: Vec::with_capacity(runs * n_sections),
+            events_sampled: 0,
+            runs_sampled: 0,
+            results: keep_results.then(|| Vec::with_capacity(runs)),
+        }
+    }
+
     /// Number of realizations executed.
     pub fn len(&self) -> usize {
         self.finish_time.len()
@@ -152,28 +190,125 @@ impl BatchOutput {
     }
 }
 
-/// One worker's contiguous slice of the batch; concatenated in chunk
-/// order (rayon's collect preserves it) to form the [`BatchOutput`].
-#[derive(Debug, Default)]
-struct ChunkOut {
-    finish_time: Vec<f64>,
-    missed: Vec<bool>,
-    energy: Vec<f64>,
-    speed_changes: Vec<u64>,
-    section_energy: Vec<f64>,
-    events_sampled: u64,
-    runs_sampled: u64,
-    results: Vec<RunResult>,
+impl RunColumns for BatchOutput {
+    fn with_capacity(runs: usize, n_sections: usize, cfg: &BatchConfig) -> Self {
+        Self::with_room(runs, n_sections, cfg.keep_results)
+    }
+
+    fn push(&mut self, res: RunResult, scratch: &RunScratch, events: Option<u64>) {
+        self.finish_time.push(res.finish_time);
+        self.missed.push(res.missed_deadline);
+        self.energy.push(res.energy.total_energy());
+        self.speed_changes.push(res.energy.speed_changes());
+        self.section_energy
+            .extend_from_slice(scratch.section_energy());
+        if let Some(count) = events {
+            self.events_sampled += count;
+            self.runs_sampled += 1;
+        }
+        if let Some(results) = self.results.as_mut() {
+            results.push(res);
+        }
+    }
+
+    fn concat(chunks: Vec<Self>) -> Self {
+        let runs = chunks.iter().map(Self::len).sum();
+        let first = chunks.first().expect("run_paired joins at least one chunk");
+        let mut out = Self::with_room(runs, first.n_sections, first.results.is_some());
+        for mut next in chunks {
+            out.finish_time.append(&mut next.finish_time);
+            out.missed.append(&mut next.missed);
+            out.energy.append(&mut next.energy);
+            out.speed_changes.append(&mut next.speed_changes);
+            out.section_energy.append(&mut next.section_energy);
+            out.events_sampled += next.events_sampled;
+            out.runs_sampled += next.runs_sampled;
+            if let (Some(results), Some(next)) = (out.results.as_mut(), next.results.as_mut()) {
+                results.append(next);
+            }
+        }
+        out
+    }
 }
 
-/// Executes `cfg.realizations` seeded realizations of one plan, batched.
+/// The paired Monte-Carlo kernel: executes `cfg.realizations` seeded
+/// realizations of one plan, runs every lane on each, and returns one
+/// [`RunColumns`] per lane.
 ///
-/// `factory` builds one policy instance per chunk; the engine calls
-/// `Policy::begin_run` at every run start, so reusing one instance across
-/// a chunk is bit-identical to rebuilding it per realization (pinned by
-/// the `batch` property tests). `faults`, when given, realizes the fault
-/// set for global index `start_index + i` — identical to what a
-/// sequential loop over `FaultPlan::realize` would inject.
+/// Global realization `g = start_index + i` draws from an RNG seeded with
+/// `seed(g)`, and `faults`, when given, is realized with index `g` —
+/// what a sequential loop over `FaultPlan::realize` would inject.
+/// `lanes` builds one instance of every policy per chunk; the engine
+/// resets each at every run start (`Policy::begin_run`), so reuse is
+/// bit-identical to rebuilding per realization.
+pub fn run_paired<'s, C, L, S>(
+    sim: &Simulator<'_>,
+    etm: &ExecTimeModel,
+    faults: Option<&FaultPlan>,
+    lanes: L,
+    seed: S,
+    cfg: &BatchConfig,
+) -> Result<Vec<C>, SimError>
+where
+    C: RunColumns,
+    L: Fn() -> Vec<Lane<'s>> + Sync,
+    S: Fn(u64) -> u64 + Sync,
+{
+    let g = sim.graph();
+    let n_sections = sim.sections().len();
+    let chunk = cfg.chunk.max(1);
+    // At least one chunk, so that even an empty batch has one per lane.
+    let n_chunks = cfg.realizations.div_ceil(chunk).max(1);
+    let draws = DrawTable::new(g, sim.sections(), etm);
+
+    let chunks: Vec<Result<Vec<C>, SimError>> = (0..n_chunks)
+        .into_par_iter()
+        .map(|c| {
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(cfg.realizations);
+            let mut lanes = lanes();
+            let mut out: Vec<C> = (0..lanes.len())
+                .map(|_| C::with_capacity(hi - lo, n_sections, cfg))
+                .collect();
+            let mut scratch = RunScratch::new();
+            let mut real = Realization::default();
+            for i in lo..hi {
+                let global = cfg.start_index + i as u64;
+                let mut rng = StdRng::seed_from_u64(seed(global));
+                draws.sample_into(&mut real, &mut rng);
+                let fs = faults.map(|plan| plan.realize(g, global));
+                let sampled =
+                    cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
+                for (lane, cols) in lanes.iter_mut().zip(&mut out) {
+                    let mut counter = EventCounter::default();
+                    let res = sim.run_into(
+                        &mut scratch,
+                        lane.policy.as_mut(),
+                        &real,
+                        None,
+                        fs.as_ref().filter(|_| lane.faulted),
+                        sampled.then_some(&mut counter as &mut dyn pas_obs::Observer),
+                    )?;
+                    cols.push(res, &scratch, sampled.then_some(counter.count));
+                }
+            }
+            Ok(out)
+        })
+        .collect();
+
+    let mut per_lane: Vec<Vec<C>> = Vec::new();
+    for chunk in chunks {
+        let chunk = chunk?;
+        per_lane.resize_with(chunk.len(), Vec::new);
+        for (lane, cols) in per_lane.iter_mut().zip(chunk) {
+            lane.push(cols);
+        }
+    }
+    Ok(per_lane.into_iter().map(C::concat).collect())
+}
+
+/// [`run_paired`] with one lane (the policy `factory` builds per chunk),
+/// seeded by [`realization_seed`]`(cfg.base_seed, start_index + i)`.
 pub fn run_batch<'s, F>(
     sim: &Simulator<'_>,
     etm: &ExecTimeModel,
@@ -184,98 +319,15 @@ pub fn run_batch<'s, F>(
 where
     F: Fn() -> Box<dyn Policy + 's> + Sync,
 {
-    let g = sim.graph();
-    let sections = sim.sections();
-    let n_sections = sections.len();
-    let chunk = cfg.chunk.max(1);
-    let n_chunks = cfg.realizations.div_ceil(chunk);
-    let draws = DrawTable::new(g, sections, etm);
-
-    let chunks: Vec<Result<ChunkOut, SimError>> = (0..n_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(cfg.realizations);
-            let mut policy = factory();
-            let mut scratch = RunScratch::new();
-            let mut real = Realization::default();
-            let mut out = ChunkOut {
-                finish_time: Vec::with_capacity(hi - lo),
-                missed: Vec::with_capacity(hi - lo),
-                energy: Vec::with_capacity(hi - lo),
-                speed_changes: Vec::with_capacity(hi - lo),
-                section_energy: Vec::with_capacity((hi - lo) * n_sections),
-                ..ChunkOut::default()
-            };
-            for i in lo..hi {
-                let global = cfg.start_index + i as u64;
-                let mut rng = StdRng::seed_from_u64(realization_seed(cfg.base_seed, global));
-                draws.sample_into(&mut real, &mut rng);
-                let fs = faults.map(|plan| plan.realize(g, global));
-                let sampled =
-                    cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
-                let res = if sampled {
-                    let mut counter = EventCounter::default();
-                    let res = sim.run_into(
-                        &mut scratch,
-                        policy.as_mut(),
-                        &real,
-                        None,
-                        fs.as_ref(),
-                        Some(&mut counter),
-                    )?;
-                    out.events_sampled += counter.count;
-                    out.runs_sampled += 1;
-                    res
-                } else {
-                    sim.run_into(
-                        &mut scratch,
-                        policy.as_mut(),
-                        &real,
-                        None,
-                        fs.as_ref(),
-                        None,
-                    )?
-                };
-                out.finish_time.push(res.finish_time);
-                out.missed.push(res.missed_deadline);
-                out.energy.push(res.energy.total_energy());
-                out.speed_changes.push(res.energy.speed_changes());
-                out.section_energy
-                    .extend_from_slice(scratch.section_energy());
-                if cfg.keep_results {
-                    out.results.push(res);
-                }
-            }
-            Ok(out)
-        })
-        .collect();
-
-    let mut out = BatchOutput {
-        n_sections,
-        finish_time: Vec::with_capacity(cfg.realizations),
-        missed: Vec::with_capacity(cfg.realizations),
-        energy: Vec::with_capacity(cfg.realizations),
-        speed_changes: Vec::with_capacity(cfg.realizations),
-        section_energy: Vec::with_capacity(cfg.realizations * n_sections),
-        events_sampled: 0,
-        runs_sampled: 0,
-        results: cfg.keep_results.then(Vec::new),
+    let lanes = || {
+        vec![Lane {
+            policy: factory(),
+            faulted: true,
+        }]
     };
-    for chunk in chunks {
-        let mut chunk = chunk?;
-        out.finish_time.append(&mut chunk.finish_time);
-        out.missed.append(&mut chunk.missed);
-        out.energy.append(&mut chunk.energy);
-        out.speed_changes.append(&mut chunk.speed_changes);
-        out.section_energy.append(&mut chunk.section_energy);
-        out.events_sampled += chunk.events_sampled;
-        out.runs_sampled += chunk.runs_sampled;
-        if let Some(results) = out.results.as_mut() {
-            results.append(&mut chunk.results);
-        }
-    }
-    Ok(out)
+    let seed = |i| realization_seed(cfg.base_seed, i);
+    let mut out = run_paired(sim, etm, faults, lanes, seed, cfg)?;
+    Ok(out.pop().expect("one lane in, one output out"))
 }
 
 /// One metric's distribution: a fixed-geometry [`Histogram`] for

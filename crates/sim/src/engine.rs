@@ -401,6 +401,7 @@ impl<'a> Simulator<'a> {
         let mut contained = false;
         let max_point = self.model.max_point();
 
+        policy.peek_realization(real)?;
         policy.begin_run();
         if em.active() {
             if let Some(spec) = policy.speculation() {

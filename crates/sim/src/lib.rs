@@ -39,7 +39,8 @@ pub mod stream;
 pub mod trace;
 
 pub use batch::{
-    realization_seed, run_batch, BatchConfig, BatchDistribution, BatchOutput, MetricDistribution,
+    realization_seed, run_batch, run_paired, BatchConfig, BatchDistribution, BatchOutput, Lane,
+    MetricDistribution, RunColumns,
 };
 pub use engine::{DispatchOrder, RunResult, RunScratch, SimConfig, Simulator, TraceEntry};
 pub use error::SimError;

@@ -97,6 +97,7 @@ pub fn run_literal(
 ) -> Result<LiteralResult, SimError> {
     let m = cfg.num_procs;
     assert!(m > 0);
+    policy.peek_realization(real)?;
     policy.begin_run();
 
     let mut finish: Vec<Option<f64>> = vec![None; g.len()];

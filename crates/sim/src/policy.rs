@@ -1,5 +1,7 @@
 //! The speed-policy interface between the engine and the scheduling schemes.
 
+use crate::error::SimError;
+use crate::realization::Realization;
 use andor_graph::NodeId;
 use dvfs_power::OperatingPoint;
 
@@ -35,6 +37,18 @@ pub struct SpeedDecision {
 pub trait Policy {
     /// Short display name, e.g. `"GSS"`.
     fn name(&self) -> &str;
+
+    /// Shows the policy the realization a run is about to execute. Called
+    /// once per run, just before [`Policy::begin_run`]. On-line schemes
+    /// must not look; only the clairvoyant oracle (`pas-core`) does, to
+    /// measure the realization's full-speed makespan.
+    ///
+    /// # Errors
+    ///
+    /// A [`SimError`] from that measurement; the run fails with it.
+    fn peek_realization(&mut self, _real: &Realization) -> Result<(), SimError> {
+        Ok(())
+    }
 
     /// Resets any per-run state. Called once before each simulation run.
     fn begin_run(&mut self) {}
@@ -97,6 +111,8 @@ mod tests {
         assert_eq!(d.point.power, 1.0);
         assert!(!d.ran_pmp);
         // Default hooks are no-ops.
+        p.peek_realization(&Realization::default())
+            .expect("the default peek never fails");
         p.begin_run();
         p.on_or_fired(NodeId(1), 0, 5.0);
     }

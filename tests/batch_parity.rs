@@ -10,8 +10,8 @@
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::{EnergyMeter, ProcessorModel};
 use pas_andor::sim::{
-    realization_seed, run_batch, BatchConfig, BatchDistribution, DeadlineStatus, ExecTimeModel,
-    FaultPlan, Realization, RunResult, RunScratch,
+    realization_seed, run_batch, run_paired, BatchConfig, BatchDistribution, BatchOutput,
+    DeadlineStatus, ExecTimeModel, FaultPlan, Lane, Policy, Realization, RunResult, RunScratch,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -206,6 +206,89 @@ fn reused_scratch_matches_fresh_scratch_bit_for_bit() {
     }
     assert!(faulted > 0, "the fault plan never fired");
     assert_eq!(carried, Scheme::ALL.len() * setups.len());
+}
+
+/// Every column of a [`BatchOutput`] as bit patterns, kept results and
+/// observability counts included.
+fn columns(out: &BatchOutput) -> Vec<u64> {
+    let mut v = vec![out.n_sections as u64, out.len() as u64];
+    v.extend(out.finish_time.iter().map(|x| x.to_bits()));
+    v.extend(out.missed.iter().map(|&m| u64::from(m)));
+    v.extend(out.energy.iter().map(|x| x.to_bits()));
+    v.extend(&out.speed_changes);
+    v.extend(out.section_energy.iter().map(|x| x.to_bits()));
+    v.push(out.events_sampled);
+    v.push(out.runs_sampled);
+    for r in out.results.as_deref().unwrap_or_default() {
+        v.extend(fingerprint(r));
+    }
+    v
+}
+
+/// The paired kernel over the six schemes and the oracle equals one
+/// single-policy `run_batch` per lane, column for column and bit for bit:
+/// drawing each realization once for every lane changes nothing, under a
+/// fault plan, uneven chunking, a sliced start and observability sampling.
+#[test]
+fn paired_lanes_equal_single_policy_batches() {
+    const SEED: u64 = 0xBA1D;
+    let etm = ExecTimeModel::paper_defaults();
+    let plan = FaultPlan {
+        overrun_prob: 0.3,
+        overrun_factor: 1.5,
+        speed_fail_prob: 0.1,
+        stall_prob: 0.2,
+        stall_ms: 0.5,
+        seed: 3,
+    };
+    let app = pas_andor::workloads::synthetic_app()
+        .lower()
+        .expect("lowers");
+    let setup = Setup::for_load(app, ProcessorModel::xscale(), 2, 0.5).expect("feasible");
+    let sim = setup.simulator(false);
+    let mut cfg = BatchConfig::new(23, SEED);
+    cfg.start_index = 4;
+    cfg.chunk = 5;
+    cfg.observe_stride = 3;
+    cfg.keep_results = true;
+    let width = Scheme::ALL.len() + 1;
+    let policy = |k: usize| -> Box<dyn Policy + '_> {
+        match Scheme::ALL.get(k) {
+            Some(&scheme) => setup.policy(scheme),
+            None => Box::new(setup.oracle()),
+        }
+    };
+    let lanes = || {
+        (0..width)
+            .map(|k| Lane {
+                policy: policy(k),
+                faulted: true,
+            })
+            .collect()
+    };
+    let paired: Vec<BatchOutput> = run_paired(
+        &sim,
+        &etm,
+        Some(&plan),
+        lanes,
+        |i| realization_seed(SEED, i),
+        &cfg,
+    )
+    .expect("paired batch runs");
+    assert_eq!(paired.len(), width);
+    for (k, lane) in paired.iter().enumerate() {
+        let single = run_batch(&sim, &etm, Some(&plan), || policy(k), &cfg).expect("batch runs");
+        assert!(single.runs_sampled > 0, "lane {k}: nothing sampled");
+        assert!(
+            single
+                .results
+                .iter()
+                .flatten()
+                .any(|r| !r.faults.is_clean()),
+            "lane {k}: the fault plan never fired"
+        );
+        assert_eq!(columns(lane), columns(&single), "lane {k} diverged");
+    }
 }
 
 /// Batch distribution summaries equal a fold over the sequential runs:
