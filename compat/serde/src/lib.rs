@@ -460,11 +460,18 @@ impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
 fn map_to_value<'a, K: Serialize + 'a, V: Serialize + 'a>(
     entries: impl Iterator<Item = (&'a K, &'a V)>,
 ) -> Value {
-    let mut pairs: Vec<Value> = entries
-        .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-        .collect();
-    pairs.sort_by(|a, b| a.sort_key_cmp(b));
-    Value::Array(pairs)
+    // Sorted on the serialized key; values break ties only between keys
+    // that serialize equal, so the order never depends on the map's own
+    // iteration order.
+    let mut pairs: Vec<(Value, Value)> =
+        entries.map(|(k, v)| (k.to_value(), v.to_value())).collect();
+    pairs.sort_by(|(ka, va), (kb, vb)| ka.sort_key_cmp(kb).then_with(|| va.sort_key_cmp(vb)));
+    Value::Array(
+        pairs
+            .into_iter()
+            .map(|(k, v)| Value::Array(vec![k, v]))
+            .collect(),
+    )
 }
 
 fn map_from_value<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, Error> {

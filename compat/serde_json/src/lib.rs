@@ -10,7 +10,7 @@
 //! the golden-trace tests rely on.
 
 use serde::{Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// JSON serialization/parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,29 +88,43 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 
 // ---- printer ---------------------------------------------------------------
 
+/// A run of spaces that indentation is sliced from.
+const SPACES: &str = "                                                                ";
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Every byte that needs escaping is ASCII, so `start..i` always lies
+    // on character boundaries.
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
+        let mut n = w * depth;
+        while n > 0 {
+            let run = n.min(SPACES.len());
+            out.push_str(&SPACES[..run]);
+            n -= run;
         }
     }
 }
@@ -121,20 +135,25 @@ fn write_value(
     indent: Option<usize>,
     depth: usize,
 ) -> Result<(), Error> {
+    // `write!` into a `String` cannot fail.
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => {
             if !f.is_finite() {
                 return Err(Error::new("JSON cannot represent NaN or infinity"));
             }
             // Rust's Display prints the shortest decimal that round-trips,
             // without exponents — valid JSON and bit-exact on re-parse.
-            let s = f.to_string();
-            out.push_str(&s);
-            if !s.contains('.') {
+            let start = out.len();
+            let _ = write!(out, "{f}");
+            if !out.as_bytes()[start..].contains(&b'.') {
                 out.push_str(".0");
             }
         }

@@ -842,17 +842,8 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
     let setup = build_setup(args)?;
     let mut rng = StdRng::seed_from_u64(args.seed);
     let etm = ExecTimeModel::paper_defaults();
-    if args.frames.is_some() {
-        if args.fault_plan.is_some() {
-            return Err(
-                "--fault-plan does not combine with --frames (fault draws are per run)".into(),
-            );
-        }
-        if args.scheme == SchemeArg::Oracle {
-            return Err(
-                "--frames does not support the oracle scheme (its plan is per-realization)".into(),
-            );
-        }
+    if args.frames.is_some() && args.fault_plan.is_some() {
+        return Err("--fault-plan does not combine with --frames (fault draws are per run)".into());
     }
     let fault_plan = match &args.fault_plan {
         Some(path) => Some(load_fault_plan(path)?),

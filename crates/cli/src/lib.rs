@@ -560,18 +560,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_frames_rejects_oracle_and_faults() {
-        let err = call(&[
-            "trace",
-            "--app",
-            "synthetic",
-            "--frames",
-            "2",
-            "--scheme",
-            "oracle",
-        ])
-        .unwrap_err();
-        assert!(err.contains("oracle"), "{err}");
+    fn trace_frames_streams_the_oracle_and_rejects_faults() {
+        // The oracle measures each frame's realization when its run
+        // starts, so it streams like any scheme, with or without carried
+        // DVS state.
+        for carry in [false, true] {
+            let mut argv = vec![
+                "trace",
+                "--app",
+                "synthetic",
+                "--frames",
+                "3",
+                "--scheme",
+                "oracle",
+            ];
+            if carry {
+                argv.push("--carry");
+            }
+            let out = call(&argv).unwrap();
+            assert!(out.contains("3 frames streamed"), "{out}");
+            assert!(out.contains(", 0 deadline misses"), "{out}");
+        }
         let err = call(&[
             "trace",
             "--app",
