@@ -404,9 +404,12 @@ macro_rules! prop_oneof {
     };
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from
-/// strategies. Supports an optional leading
-/// `#![proptest_config(expr)]`.
+/// Defines functions whose arguments are drawn from strategies.
+/// Supports an optional leading `#![proptest_config(expr)]`.
+///
+/// As in upstream proptest, the macro adds no `#[test]`: each `fn` in the
+/// block carries its own, or it never runs (and a second one would
+/// register it twice).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -427,7 +430,6 @@ macro_rules! __proptest_fns {
      fn $name:ident($($pat:pat_param in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             $crate::runner::run_cases(stringify!($name), &config, |rng| {
@@ -499,6 +501,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
         fn macro_defined_property(x in 0u64..1000, y in 0u64..1000) {
             prop_assert!(x + y < 2000);
             prop_assert_eq!(x + y, y + x);
@@ -506,6 +509,7 @@ mod tests {
     }
 
     proptest! {
+        #[test]
         fn default_config_property(v in collection::vec(0i32..10, 0..4)) {
             prop_assert!(v.len() < 4);
         }

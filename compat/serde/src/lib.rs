@@ -88,7 +88,8 @@ impl Value {
         match self {
             Value::UInt(u) => Some(*u),
             Value::Int(i) => u64::try_from(*i).ok(),
-            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => {
+            // `u64::MAX as f64` is 2^64, one past the range.
+            Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f < u64::MAX as f64 => {
                 Some(*f as u64)
             }
             _ => None,
@@ -100,8 +101,9 @@ impl Value {
         match self {
             Value::UInt(u) => i64::try_from(*u).ok(),
             Value::Int(i) => Some(*i),
+            // `i64::MAX as f64` is 2^63, one past the range.
             Value::Float(f)
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 =>
+                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f < i64::MAX as f64 =>
             {
                 Some(*f as i64)
             }
@@ -568,5 +570,21 @@ mod tests {
         let v = Value::UInt(300);
         assert!(u8::from_value(&v).is_err());
         assert_eq!(u16::from_value(&v).unwrap(), 300);
+    }
+
+    #[test]
+    fn integral_floats_convert_only_in_range() {
+        let two_64 = Value::Float(18446744073709551616.0);
+        assert_eq!(two_64.as_u64(), None);
+        assert_eq!(Value::Float(9223372036854775808.0).as_i64(), None);
+        assert_eq!(
+            Value::Float(-9223372036854775808.0).as_i64(),
+            Some(i64::MIN)
+        );
+        let top = Value::Float(18446744073709549568.0); // 2^64 - 2^11
+        assert_eq!(top.as_u64(), Some(18446744073709549568));
+        assert_eq!(Value::Float(3.0).as_u64(), Some(3));
+        assert_eq!(Value::Float(-1.0).as_u64(), None);
+        assert_eq!(Value::Float(2.5).as_i64(), None);
     }
 }

@@ -300,7 +300,7 @@ impl Code {
             Code::Pas0103 => "speed levels not monotone (frequency up, voltage non-decreasing)",
             Code::Pas0104 => "level table deviates from the published table of the same name",
             Code::Pas0105 => "overhead parameters must be finite and non-negative",
-            Code::Pas0106 => "processor count must be positive",
+            Code::Pas0106 => "processor count must lie in [1, 4096] (`MAX_PROCS`)",
             Code::Pas0107 => "deadline must be finite and positive",
             Code::Pas0108 => "SS(2) switch time falls outside [0, D]",
             Code::Pas0201 => "fault probability outside [0, 1]",

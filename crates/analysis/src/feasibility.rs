@@ -30,7 +30,7 @@ use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios};
 use andor_graph::{AndOrGraph, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel};
-use pas_core::{CanonicalPlan, PlanError};
+use pas_core::{CanonicalPlan, PlanError, MAX_PROCS};
 
 pub use crate::enumeration::ENUMERATION_THRESHOLD;
 
@@ -204,6 +204,11 @@ pub(crate) fn push_plan_error(r: &mut Report, e: PlanError, src: &str) {
             Code::Pas0106,
             Loc::at(src, "procs"),
             "processor count must be positive",
+        )),
+        PlanError::TooManyProcessors(n) => r.push(Diagnostic::new(
+            Code::Pas0106,
+            Loc::at(src, "procs"),
+            format!("processor count {n} exceeds the maximum of {MAX_PROCS}"),
         )),
         PlanError::MissingBranchSection { or, branch } => r.push(Diagnostic::new(
             Code::Pas0011,

@@ -107,6 +107,16 @@ pub fn check_plan(
             Loc::at(plan_src, "plan.num_procs"),
             "processor count must be positive",
         ));
+    } else if stored.num_procs > pas_core::MAX_PROCS {
+        r.push(Diagnostic::new(
+            Code::Pas0106,
+            Loc::at(plan_src, "plan.num_procs"),
+            format!(
+                "processor count {} exceeds the maximum of {}",
+                stored.num_procs,
+                pas_core::MAX_PROCS
+            ),
+        ));
     }
     if !(stored.deadline.is_finite() && stored.deadline > 0.0) {
         r.push(Diagnostic::new(
@@ -739,6 +749,21 @@ mod tests {
             "{}",
             r.render_human()
         );
+    }
+
+    #[test]
+    fn oversized_processor_count_is_pas0106() {
+        for n in [pas_core::MAX_PROCS + 1, usize::MAX] {
+            let (mut a, s) = artifact(Scheme::Gss);
+            a.plan.num_procs = n;
+            let r = check_plan(&a, "plan.json", &s.graph, "fixture", &s.model);
+            assert!(r.has_errors());
+            assert!(
+                r.diagnostics.iter().any(|d| d.code == Code::Pas0106),
+                "{}",
+                r.render_human()
+            );
+        }
     }
 
     #[test]

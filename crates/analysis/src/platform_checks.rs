@@ -133,6 +133,15 @@ pub fn check_run_params(num_procs: usize, deadline: Option<f64>, src: &str) -> R
             Loc::at(src, "procs"),
             "processor count must be positive",
         ));
+    } else if num_procs > pas_core::MAX_PROCS {
+        r.push(Diagnostic::new(
+            Code::Pas0106,
+            Loc::at(src, "procs"),
+            format!(
+                "processor count {num_procs} exceeds the maximum of {}",
+                pas_core::MAX_PROCS
+            ),
+        ));
     }
     if let Some(d) = deadline {
         if !(d.is_finite() && d > 0.0) {
@@ -190,5 +199,17 @@ mod tests {
         let codes: Vec<_> = r.diagnostics.iter().map(|d| d.code).collect();
         assert_eq!(codes, vec![Code::Pas0106, Code::Pas0107]);
         assert!(check_run_params(2, Some(40.0), "cli").is_clean());
+    }
+
+    #[test]
+    fn too_many_procs_is_pas0106() {
+        let max = pas_core::MAX_PROCS;
+        assert!(check_run_params(max, None, "cli").is_clean());
+        for n in [max + 1, usize::MAX] {
+            let r = check_run_params(n, None, "cli");
+            let codes: Vec<_> = r.diagnostics.iter().map(|d| d.code).collect();
+            assert_eq!(codes, vec![Code::Pas0106], "{n}");
+            assert!(r.has_errors());
+        }
     }
 }

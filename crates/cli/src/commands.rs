@@ -741,14 +741,14 @@ fn optimal(args: &Args) -> Result<String, String> {
     .map_err(|e| format!("simulation: {e}"))?
     .ok_or_else(|| {
         format!(
-            "search space too large ({n_tasks} tasks × {} levels — exhaustive              search is for tiny instances) or model has no discrete levels",
+            "search space too large ({n_tasks} tasks × {} levels — exhaustive search is for tiny instances) or model has no discrete levels",
             setup.model.num_levels().map_or(0, |n| n)
         )
     })?;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "exhaustive optimum over per-task level assignments          ({} assignments evaluated):",
+        "exhaustive optimum over per-task level assignments ({} assignments evaluated):",
         opt.evaluated
     );
     let mut named: Vec<(String, f64)> = opt

@@ -218,9 +218,7 @@ impl Setup {
         let mismatch = |detail: String| {
             SetupError::Offline(crate::offline::PlanError::PlanGraphMismatch { detail })
         };
-        if plan.num_procs == 0 {
-            return Err(SetupError::Offline(crate::offline::PlanError::NoProcessors));
-        }
+        crate::offline::check_procs(plan.num_procs)?;
         if !(plan.deadline.is_finite() && plan.deadline > 0.0) {
             return Err(SetupError::Offline(crate::offline::PlanError::BadDeadline(
                 plan.deadline,
@@ -418,6 +416,22 @@ mod tests {
         ])
         .lower()
         .expect("fixture app lowers")
+    }
+
+    #[test]
+    fn from_plan_rejects_too_many_processors() {
+        let s = Setup::for_load(app(), ProcessorModel::xscale(), 2, 0.5).expect("feasible load");
+        let mut plan = s.plan.clone();
+        plan.num_procs = usize::MAX;
+        let err = Setup::from_plan(app(), ProcessorModel::xscale(), plan, s.overheads)
+            .expect_err("rejected");
+        assert!(
+            matches!(
+                err,
+                SetupError::Offline(PlanError::TooManyProcessors(usize::MAX))
+            ),
+            "{err}"
+        );
     }
 
     #[test]

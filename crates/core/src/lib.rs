@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 //! Power-aware scheduling of AND/OR applications on multiprocessors —
 //! the primary contribution of Zhu et al., ICPP'02.
@@ -55,7 +56,7 @@ pub use artifact::{PlanArtifact, SchemeParams, PLAN_SCHEMA_VERSION};
 pub use digest::sha256_hex;
 pub use exhaustive::{optimal_assignment, AssignmentPolicy, OptimalAssignment};
 pub use harness::{pmp_reserve, Setup, SetupError};
-pub use offline::{CanonicalPlan, OfflineError, OfflinePlan, PlanError};
+pub use offline::{CanonicalPlan, OfflineError, OfflinePlan, PlanError, MAX_PROCS};
 pub use oracle::OraclePolicy;
 pub use policies::{
     AsPolicy, EnergyFloorPolicy, GssPolicy, ProportionalPolicy, Scheme, SpmPolicy, Ss1Policy,

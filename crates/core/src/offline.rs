@@ -33,6 +33,8 @@ pub enum PlanError {
     BadLoad(f64),
     /// At least one processor is required.
     NoProcessors,
+    /// More processors than [`MAX_PROCS`].
+    TooManyProcessors(usize),
     /// An OR branch has no program section — the section graph and the
     /// application graph disagree (e.g. a plan built against a different
     /// application).
@@ -67,6 +69,9 @@ impl std::fmt::Display for PlanError {
             PlanError::BadDeadline(d) => write!(f, "bad deadline {d}"),
             PlanError::BadLoad(l) => write!(f, "bad load {l}: must be in (0, 1]"),
             PlanError::NoProcessors => write!(f, "at least one processor required"),
+            PlanError::TooManyProcessors(n) => {
+                write!(f, "{n} processors exceed the maximum of {MAX_PROCS}")
+            }
             PlanError::MissingBranchSection { or, branch } => {
                 write!(f, "OR node '{or}' branch {branch} has no program section")
             }
@@ -145,9 +150,7 @@ impl OfflinePlan {
         pmp_reserve_ms: f64,
     ) -> Result<Self, PlanError> {
         let _build_span = profile::span(profile::names::OFFLINE_BUILD);
-        if num_procs == 0 {
-            return Err(PlanError::NoProcessors);
-        }
+        check_procs(num_procs)?;
         check_deadline(deadline)?;
         CanonicalPlan::build(g, sections, num_procs, pmp_reserve_ms)?.with_deadline(deadline)
     }
@@ -181,6 +184,20 @@ impl OfflinePlan {
     /// length over the deadline.
     pub fn load(&self) -> f64 {
         self.worst_total / self.deadline
+    }
+}
+
+/// The largest processor count the off-line phase accepts. The plan and
+/// the engine hold state per processor, so a count taken unchecked from a
+/// command line or a request (`u64::MAX`, `10^12`) would overflow the
+/// allocation or exhaust memory, which aborts the process.
+pub const MAX_PROCS: usize = 4096;
+
+pub(crate) fn check_procs(num_procs: usize) -> Result<(), PlanError> {
+    match num_procs {
+        0 => Err(PlanError::NoProcessors),
+        n if n > MAX_PROCS => Err(PlanError::TooManyProcessors(n)),
+        _ => Ok(()),
     }
 }
 
@@ -224,9 +241,7 @@ impl CanonicalPlan {
         num_procs: usize,
         pmp_reserve_ms: f64,
     ) -> Result<Self, PlanError> {
-        if num_procs == 0 {
-            return Err(PlanError::NoProcessors);
-        }
+        check_procs(num_procs)?;
 
         // Round 1: canonical LTF schedule per section (WCET, full speed)
         // plus an average-case replay of the same order.
@@ -757,6 +772,24 @@ mod tests {
         let sg = SectionGraph::build(&g).expect("fixture sections");
         let err = OfflinePlan::build(&g, &sg, 1, 9.0).expect_err("must be infeasible");
         assert!(matches!(err, PlanError::Infeasible { .. }));
+    }
+
+    #[test]
+    fn processor_count_is_capped() {
+        let app = Segment::task("A", 1.0, 0.5);
+        let g = app.lower().expect("fixture lowers");
+        let sg = SectionGraph::build(&g).expect("fixture sections");
+        assert!(OfflinePlan::build(&g, &sg, MAX_PROCS, 10.0).is_ok());
+        for n in [MAX_PROCS + 1, 1 << 40, usize::MAX] {
+            assert_eq!(
+                OfflinePlan::build(&g, &sg, n, 10.0).expect_err("too many"),
+                PlanError::TooManyProcessors(n)
+            );
+            assert_eq!(
+                OfflinePlan::build_for_load(&g, &sg, n, 0.5, 0.0).expect_err("too many"),
+                PlanError::TooManyProcessors(n)
+            );
+        }
     }
 
     #[test]

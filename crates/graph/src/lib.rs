@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 //! The extended AND/OR application model of Zhu et al., ICPP'02 §2.1.
 //!

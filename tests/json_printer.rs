@@ -224,6 +224,7 @@ fn assert_same_bytes(v: &Value) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
+    #[test]
     fn printer_matches_reference_on_random_trees(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_same_bytes(&random_value(&mut rng, 5))?;
@@ -231,6 +232,7 @@ proptest! {
 
     /// Nesting deep enough that indentation outgrows the printer's
     /// constant run of spaces several times over.
+    #[test]
     fn printer_matches_reference_on_deep_trees(seed in 0u64..u64::MAX, levels in 30usize..120) {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_same_bytes(&deep_value(&mut rng, levels))?;
