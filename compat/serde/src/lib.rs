@@ -20,6 +20,7 @@
 //! shapes this workspace uses (named structs, tuple structs, enums with
 //! unit/newtype/tuple/struct variants; no generics).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -188,6 +189,12 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Renders `self` as a value tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as a value tree, borrowed when `self` already is one, so
+    /// that printing a [`Value`] does not copy it first.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Types rebuildable from a [`Value`].
@@ -340,6 +347,10 @@ impl Deserialize for char {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -521,6 +532,10 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl Deserialize for Value {
@@ -548,6 +563,19 @@ mod tests {
         assert_eq!(keys, vec![1, 2, 3]);
         let back: HashMap<u32, String> = Deserialize::from_value(&v).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn a_value_is_borrowed_not_copied() {
+        let v = Value::Array(vec![Value::Float(1.5), Value::Null]);
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        let r = &v;
+        let through_ref = <&Value as Serialize>::as_value(&r);
+        assert!(matches!(through_ref, Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        assert_eq!(
+            vec![1.5f64].as_value().into_owned(),
+            vec![1.5f64].to_value()
+        );
     }
 
     #[test]

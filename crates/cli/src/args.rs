@@ -58,7 +58,7 @@ pub struct Args {
     pub scheme: SchemeArg,
     /// RNG seed.
     pub seed: u64,
-    /// Replications for `compare`.
+    /// Paired realizations for `compare`.
     pub reps: usize,
     /// Override the workload's α (ACET/WCET ratio).
     pub alpha: Option<f64>,
@@ -81,14 +81,6 @@ pub struct Args {
     pub frames: Option<usize>,
     /// Carry DVS state across streamed frames (with `--frames`).
     pub carry: bool,
-    /// `compare`: additionally aggregate a [`pas_obs::MetricsRegistry`]
-    /// across replications and cross-check engine counters.
-    pub metrics: bool,
-    /// `compare --metrics`: run this many realizations per scheme
-    /// through the batched Monte-Carlo engine and report distribution
-    /// summaries (energy/makespan quantiles, miss-rate CI, per-section
-    /// ledger quantiles) instead of the sequential replication loop.
-    pub batch: Option<usize>,
     /// `check`/`plan`: positional sources (workload/platform/fault-plan/
     /// plan files or builtin names). Empty means use the defaults
     /// (`--app`/`--model`).
@@ -170,8 +162,6 @@ impl Args {
             kinds: None,
             frames: None,
             carry: false,
-            metrics: false,
-            batch: None,
             sources: Vec::new(),
             deny_warnings: false,
             against: Vec::new(),
@@ -243,13 +233,6 @@ impl Args {
                     }
                 }
                 "--carry" => parsed.carry = true,
-                "--metrics" => parsed.metrics = true,
-                "--batch" => {
-                    parsed.batch = Some(parse_num(value("--batch")?, "--batch")?);
-                    if parsed.batch == Some(0) {
-                        return Err("--batch must be positive".into());
-                    }
-                }
                 "--deny-warnings" => parsed.deny_warnings = true,
                 "--against" => {
                     if parsed.command != Command::Check {
@@ -341,9 +324,6 @@ impl Args {
         }
         if parsed.bounds && parsed.command != Command::Check {
             return Err("--bounds is a `check` flag".into());
-        }
-        if parsed.batch.is_some() && !(parsed.command == Command::Compare && parsed.metrics) {
-            return Err("--batch requires `compare --metrics`".into());
         }
         if parsed.command != Command::Serve {
             if parsed.log.is_some() || parsed.log_level != "info" {
@@ -475,22 +455,11 @@ mod tests {
     }
 
     #[test]
-    fn compare_metrics_flag() {
-        let a = parse(&["compare", "--metrics", "--reps", "5"]).unwrap();
-        assert!(a.metrics);
-        assert!(!parse(&["compare"]).unwrap().metrics);
-    }
-
-    #[test]
-    fn compare_batch_flag() {
-        let a = parse(&["compare", "--metrics", "--batch", "4096"]).unwrap();
-        assert_eq!(a.batch, Some(4096));
-        assert_eq!(parse(&["compare", "--metrics"]).unwrap().batch, None);
-        // The batched engine rides on the metrics path of `compare`.
-        assert!(parse(&["compare", "--batch", "64"]).is_err());
-        assert!(parse(&["run", "--batch", "64"]).is_err());
-        assert!(parse(&["compare", "--metrics", "--batch", "0"]).is_err());
-        assert!(parse(&["compare", "--metrics", "--batch", "x"]).is_err());
+    fn compare_has_no_metrics_or_batch_flag() {
+        for flag in ["--metrics", "--batch"] {
+            let err = parse(&["compare", flag, "64"]).unwrap_err();
+            assert!(err.contains("unknown flag"), "{err}");
+        }
     }
 
     #[test]

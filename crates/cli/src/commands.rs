@@ -8,7 +8,7 @@ use dvfs_power::ProcessorModel;
 use mp_sim::trace::{lane_stats, power_profile, render_gantt, GanttOptions};
 use mp_sim::ExecTimeModel;
 use pas_core::{Scheme, Setup, SetupError};
-use pas_stats::{Histogram, Summary};
+use pas_stats::Summary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -456,181 +456,65 @@ fn run_one(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// `compare`: the paired Monte-Carlo kernel over the six schemes plus the
+/// fault-free clairvoyant bound. Realization `i` is seeded with
+/// `realization_seed(--seed, i)` and drawn once for *every* lane, so the
+/// paired design of the paper's figures carries over to the full
+/// distributions (quantiles and tails) reported next to the means.
 fn compare(args: &Args) -> Result<String, String> {
+    use mp_sim::{realization_seed, run_paired, BatchConfig, BatchOutput, Lane};
     let setup = build_setup(args)?;
-    if let Some(batch) = args.batch {
-        return compare_batch(args, &setup, batch);
-    }
-    let etm = ExecTimeModel::paper_defaults();
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let n = Scheme::ALL.len() + 1;
-    let mut energies: Vec<Summary> = vec![Summary::new(); n];
-    let mut changes: Vec<Summary> = vec![Summary::new(); n];
-    let mut misses = vec![0u64; n];
-    // Upper bound for the energy histograms: NPM busy+idle over the whole
-    // horizon on every processor.
-    let e_max = setup.plan.num_procs as f64 * setup.plan.deadline * 1.05;
-    let mut hists: Vec<Histogram> = (0..n)
-        .map(|_| Histogram::new(0.0, e_max, 200).ok_or("degenerate histogram bounds"))
-        .collect::<Result<_, _>>()?;
-    // `--metrics`: per-run MetricsRegistry aggregation plus an engine
-    // counter cross-check at Monte-Carlo scale (every run must agree
-    // between the event-derived and meter speed-change counts).
-    let mut ev_runs: Vec<Summary> = vec![Summary::new(); Scheme::ALL.len()];
-    let mut slack_runs: Vec<Summary> = vec![Summary::new(); Scheme::ALL.len()];
-    let mut counter_mismatches = 0u64;
-    // Plan, engine and policies are all offline artifacts — build each
-    // once, outside the realization loop (the engine resets policy state
-    // at every run start, so reuse is bit-identical to rebuilding).
-    let sim = setup.simulator(false);
-    let mut policies: Vec<_> = Scheme::ALL
-        .iter()
-        .map(|s| scheme_policy(&setup, SchemeArg::Scheme(*s)))
-        .chain(std::iter::once(scheme_policy(&setup, SchemeArg::Oracle)))
-        .collect();
-    let draws = setup.draw_table(&etm);
-    for _ in 0..args.reps {
-        let real = draws.sample(&mut rng);
-        for (i, policy) in policies.iter_mut().enumerate() {
-            let policy = policy.as_mut();
-            // The oracle is a bound, not a scheme: no registry section.
-            let res = if args.metrics && i < Scheme::ALL.len() {
-                let mut reg = mp_sim::MetricsRegistry::new();
-                let res = sim
-                    .run_observed(policy, &real, None, None, Some(&mut reg))
-                    .map_err(|e| format!("simulation: {e}"))?;
-                let total: u64 = pas_obs::EventKind::ALL
-                    .iter()
-                    .map(|k| reg.counter(&format!("events.{}", k.name())))
-                    .sum();
-                ev_runs[i].add(total as f64);
-                slack_runs[i].add(reg.slack_reclaimed_ms());
-                if reg.speed_changes() != res.energy.speed_changes() {
-                    counter_mismatches += 1;
-                }
-                res
-            } else {
-                sim.run(policy, &real)
-                    .map_err(|e| format!("simulation: {e}"))?
-            };
-            energies[i].add(res.total_energy());
-            hists[i].add(res.total_energy());
-            changes[i].add(res.energy.speed_changes() as f64);
-            misses[i] += res.missed_deadline as u64;
-        }
-    }
-    let npm = energies[0].mean();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} replications on {} ({} processors, load {:.2})",
-        args.reps,
-        setup.model.name(),
-        setup.plan.num_procs,
-        setup.plan.load()
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>10} {:>10} {:>14} {:>8}",
-        "scheme", "norm.energy", "±95% CI", "p95", "changes/run", "misses"
-    );
-    let names: Vec<String> = Scheme::ALL
-        .iter()
-        .map(|s| s.name().to_string())
-        .chain(std::iter::once("Oracle".to_string()))
-        .collect();
-    for (i, name) in names.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12.4} {:>10.4} {:>10.4} {:>14.2} {:>8}",
-            name,
-            energies[i].mean() / npm,
-            energies[i].ci95() / npm,
-            hists[i].quantile(0.95).unwrap_or(f64::NAN) / npm,
-            changes[i].mean(),
-            misses[i]
-        );
-    }
-    if args.metrics {
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "metrics registry aggregated over {} replications:",
-            args.reps
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12} {:>10} {:>14} {:>10}",
-            "scheme", "events/run", "±95% CI", "slack ms/run", "±95% CI"
-        );
-        for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>12.1} {:>10.2} {:>14.2} {:>10.2}",
-                scheme.name(),
-                ev_runs[i].mean(),
-                ev_runs[i].ci95(),
-                slack_runs[i].mean(),
-                slack_runs[i].ci95()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "engine counter cross-check: {} runs, {} speed-change mismatches",
-            args.reps * Scheme::ALL.len(),
-            counter_mismatches
-        );
-    }
-    Ok(out)
-}
-
-/// `compare --metrics --batch N`: the paired Monte-Carlo kernel over
-/// every scheme, reporting full distributions (quantiles and tails)
-/// instead of the sequential loop's means. Realization `i` is seeded with
-/// `realization_seed(--seed, i)` and drawn once for *every* scheme, so the
-/// paired design of the paper's figures carries over to the
-/// distributions; the oracle is excluded (it is a bound, not a scheme).
-fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, String> {
-    use mp_sim::{realization_seed, run_paired, BatchConfig, BatchDistribution, BatchOutput, Lane};
-    let etm = ExecTimeModel::paper_defaults();
-    let sim = setup.simulator(false);
-    // Histogram geometry mirrors the sequential path's: NPM busy+idle
-    // over the whole horizon bounds the energy axis; overruns land in the
-    // makespan histogram's top bin (the exact max is tracked separately).
-    let e_max = setup.plan.num_procs as f64 * setup.plan.deadline * 1.05;
-    let t_max = setup.plan.deadline * 1.5;
-    let mut cfg = BatchConfig::new(batch, args.seed);
+    let empty = setup
+        .batch_distribution()
+        .ok_or("degenerate histogram bounds")?;
+    let mut cfg = BatchConfig::new(args.reps, args.seed);
     // Sampled observability: wire an event counter to every 64th
     // realization. Emission is additive, so the numbers are identical to
     // unobserved runs — this only prices the event stream.
     cfg.observe_stride = 64;
-    let focus = match args.scheme {
-        SchemeArg::Scheme(s) => s,
-        SchemeArg::Oracle => Scheme::Gss,
-    };
     let lanes = || {
-        Scheme::ALL
+        let mut lanes: Vec<Lane> = Scheme::ALL
             .iter()
             .map(|&scheme| Lane {
                 policy: setup.policy(scheme),
                 faulted: true,
             })
-            .collect()
+            .collect();
+        lanes.push(Lane {
+            policy: Box::new(setup.oracle()),
+            faulted: false,
+        });
+        lanes
     };
     let outs: Vec<BatchOutput> = run_paired(
-        &sim,
-        &etm,
+        &setup.simulator(false),
+        &ExecTimeModel::paper_defaults(),
         None,
         lanes,
         |i| realization_seed(args.seed, i),
         &cfg,
     )
     .map_err(|e| format!("simulation: {e}"))?;
+    let names: Vec<&str> = Scheme::ALL
+        .iter()
+        .map(|s| s.name())
+        .chain(["Oracle"])
+        .collect();
+    let dists: Vec<_> = outs
+        .iter()
+        .map(|bout| {
+            let mut dist = empty.clone();
+            dist.push_output(bout);
+            dist
+        })
+        .collect();
+    // Scheme::ALL[0] is NPM: the figures' normalization base.
+    let npm = dists[0].energy().summary().mean();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "batched Monte-Carlo: {} realizations/scheme on {} ({} processors, load {:.2}), base seed {}",
-        batch,
+        "{} paired realizations on {} ({} processors, load {:.2}), base seed {}",
+        args.reps,
         setup.model.name(),
         setup.plan.num_procs,
         setup.plan.load(),
@@ -638,36 +522,27 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
     );
     let _ = writeln!(
         out,
-        "{:<8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8}",
-        "scheme", "mean", "p50", "p95", "p99", "max", "miss rate", "±95%"
+        "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>10} {:>8}",
+        "scheme", "mean", "±95% CI", "p50", "p95", "p99", "max", "changes/run", "miss rate", "±95%"
     );
-    let mut npm_mean = f64::NAN;
-    let mut makespans: Vec<(String, BatchDistribution)> = Vec::new();
-    let mut events_per_run = Summary::new();
-    for (scheme, bout) in Scheme::ALL.into_iter().zip(&outs) {
-        if let Some(e) = bout.events_per_realization() {
-            events_per_run.add(e);
-        }
-        let dist = BatchDistribution::from_output(bout, e_max, t_max, 200)
-            .ok_or_else(|| "degenerate histogram bounds".to_string())?;
-        let q = |p: f64| dist.energy().quantile(p).unwrap_or(f64::NAN);
-        if npm_mean.is_nan() {
-            // Scheme::ALL[0] is NPM: the figures' normalization base.
-            npm_mean = dist.energy().summary().mean();
-        }
+    for ((name, dist), bout) in names.iter().zip(&dists).zip(&outs) {
+        let energy = dist.energy();
+        let q = |p: f64| energy.quantile(p).unwrap_or(f64::NAN) / npm;
+        let changes = bout.speed_changes.iter().sum::<u64>() as f64 / bout.len() as f64;
         let _ = writeln!(
             out,
-            "{:<8} {:>10.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>10.4} {:>8.4}",
-            scheme.name(),
-            dist.energy().summary().mean() / npm_mean,
-            q(0.5) / npm_mean,
-            q(0.95) / npm_mean,
-            q(0.99) / npm_mean,
-            dist.energy().max() / npm_mean,
+            "{:<8} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>11.2} {:>10.4} {:>8.4}",
+            name,
+            energy.summary().mean() / npm,
+            energy.summary().ci95() / npm,
+            q(0.5),
+            q(0.95),
+            q(0.99),
+            energy.max() / npm,
+            changes,
             dist.miss_rate(),
             dist.miss_ci95()
         );
-        makespans.push((scheme.name().to_string(), dist));
     }
     let _ = writeln!(out);
     let _ = writeln!(
@@ -680,7 +555,7 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
         "{:<8} {:>8} {:>8} {:>8} {:>8}",
         "scheme", "p50", "p95", "p99", "max"
     );
-    for (name, dist) in &makespans {
+    for (name, dist) in names.iter().zip(&dists) {
         let q = |p: f64| dist.makespan().quantile(p).unwrap_or(f64::NAN);
         let _ = writeln!(
             out,
@@ -692,30 +567,43 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
             dist.makespan().max()
         );
     }
-    if let Some((_, dist)) = makespans.iter().find(|(name, _)| *name == focus.name()) {
-        let _ = writeln!(out);
+    // `--scheme` picks the lane whose sections are broken down; the
+    // oracle's is the last.
+    let focus = match args.scheme {
+        SchemeArg::Scheme(s) => Scheme::ALL.iter().position(|&x| x == s).unwrap_or(0),
+        SchemeArg::Oracle => Scheme::ALL.len(),
+    };
+    let sections = dists[focus].sections();
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "per-section energy quantiles ({}, {} sections):",
+        names[focus],
+        sections.len()
+    );
+    let _ = writeln!(
+        out,
+        "{:<10} {:>8} {:>8} {:>8}",
+        "section", "p50", "p95", "p99"
+    );
+    for (k, sec) in sections.iter().enumerate() {
+        let q = |p: f64| sec.quantile(p).unwrap_or(f64::NAN);
         let _ = writeln!(
             out,
-            "per-section energy quantiles ({}, {} sections):",
-            focus.name(),
-            dist.sections().len()
+            "S{:<9} {:>8.3} {:>8.3} {:>8.3}",
+            k,
+            q(0.5),
+            q(0.95),
+            q(0.99)
         );
-        let _ = writeln!(
-            out,
-            "{:<10} {:>8} {:>8} {:>8}",
-            "section", "p50", "p95", "p99"
-        );
-        for (k, sec) in dist.sections().iter().enumerate() {
-            let q = |p: f64| sec.quantile(p).unwrap_or(f64::NAN);
-            let _ = writeln!(
-                out,
-                "S{:<9} {:>8.3} {:>8.3} {:>8.3}",
-                k,
-                q(0.5),
-                q(0.95),
-                q(0.99)
-            );
-        }
+    }
+    // The schemes' mean; the oracle is a bound, not a scheme.
+    let mut events_per_run = Summary::new();
+    for e in outs[..Scheme::ALL.len()]
+        .iter()
+        .filter_map(BatchOutput::events_per_realization)
+    {
+        events_per_run.add(e);
     }
     let _ = writeln!(
         out,

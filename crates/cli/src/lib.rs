@@ -10,7 +10,7 @@
 //! pas run      --app synthetic --procs 2 --load 0.5 \
 //!              --scheme gss --seed 42 --gantt        simulate one realization
 //! pas compare  --app atr --procs 2 --load 0.5 \
-//!              --reps 200                            Monte-Carlo scheme comparison
+//!              --reps 200 --seed 42                  paired Monte-Carlo comparison
 //! pas dot      --app synthetic                       Graphviz DOT to stdout
 //! pas export   --app atr --out atr.json              save a workload as JSON
 //! pas trace    --app atr --scheme as --format chrome \
@@ -47,7 +47,7 @@ pub const USAGE: &str =
 [--procs N] [--load L | --deadline D] [--scheme npm|spm|gss|ss1|ss2|as|oracle] \
 [--seed S] [--reps N] [--alpha A] [--gantt] [--out FILE] \
 [--fault-plan FILE.json] [--format chrome|jsonl|csv|summary] [--proc P] \
-[--kinds k1,k2,...] [--frames N] [--carry] [--metrics] \
+[--kinds k1,k2,...] [--frames N] [--carry] \
 [--deny-warnings] [--against REF...] [--fix] \
 [--profile] [--profile-out FILE] \
 [--listen HOST:PORT] [--socket PATH] [--watch DIR] [--workers N] [--queue N] \
@@ -614,8 +614,10 @@ mod tests {
         assert!(out.contains("root"), "{out}");
     }
 
+    /// The six scheme rows, the makespan rows and `events/run` the README
+    /// shows for `compare --reps 400 --seed 42`.
     #[test]
-    fn compare_metrics_aggregates_and_cross_checks() {
+    fn compare_pins_the_readme_sample() {
         let out = call(&[
             "compare",
             "--app",
@@ -625,28 +627,39 @@ mod tests {
             "--load",
             "0.5",
             "--reps",
-            "10",
+            "400",
             "--seed",
-            "3",
-            "--metrics",
+            "42",
         ])
         .unwrap();
-        assert!(out.contains("metrics registry aggregated"), "{out}");
-        assert!(out.contains("events/run"), "{out}");
-        assert!(out.contains("60 runs, 0 speed-change mismatches"), "{out}");
+        for row in [
+            "NPM        1.0000   0.0096   1.0189   1.1412   1.1862   1.2314        0.00     0.0000   0.0000",
+            "SPM        0.5956   0.0045   0.6038   0.6621   0.6857   0.7048        2.00     0.0000   0.0000",
+            "GSS        0.4747   0.0050   0.4771   0.5662   0.6074   0.6311        3.08     0.0000   0.0000",
+            "SS(1)      0.4747   0.0050   0.4771   0.5662   0.6074   0.6311        3.08     0.0000   0.0000",
+            "SS(2)      0.4747   0.0050   0.4771   0.5662   0.6074   0.6311        3.08     0.0000   0.0000",
+            "AS         0.4758   0.0045   0.4789   0.5559   0.5841   0.6114        4.74     0.0000   0.0000",
+            "makespan distribution (ms, deadline 118.1):",
+            "NPM         34.20    39.67    41.64    42.02",
+            "SPM         65.49    75.60    79.29    80.38",
+            "GSS        111.63   115.84   116.76   117.09",
+            "SS(1)      111.63   115.84   116.76   117.09",
+            "SS(2)      111.63   115.84   116.76   117.09",
+            "AS         110.55   115.05   116.06   117.32",
+            "events/run 41.3 (observer sampled every 64th realization)",
+        ] {
+            assert!(out.lines().any(|l| l == row), "missing {row:?} in\n{out}");
+        }
     }
 
     #[test]
     fn compare_with_an_overflowing_deadline_is_an_error_not_a_panic() {
         // procs · D · 1.05 overflows to inf: no histogram fits that range.
-        for extra in [&[][..], &["--metrics", "--batch", "64"][..]] {
-            let mut argv = vec!["compare", "--deadline", "1e308", "--reps", "2"];
-            argv.extend_from_slice(extra);
-            let err = std::panic::catch_unwind(|| call(&argv))
-                .expect("compare does not panic")
-                .unwrap_err();
-            assert!(err.contains("degenerate histogram bounds"), "{err}");
-        }
+        let argv = ["compare", "--deadline", "1e308", "--reps", "2"];
+        let err = std::panic::catch_unwind(|| call(&argv))
+            .expect("compare does not panic")
+            .unwrap_err();
+        assert!(err.contains("degenerate histogram bounds"), "{err}");
     }
 
     #[test]

@@ -81,8 +81,6 @@ mod tests {
             kinds: None,
             frames: None,
             carry: false,
-            metrics: false,
-            batch: None,
             listen: None,
             socket: None,
             watch: None,

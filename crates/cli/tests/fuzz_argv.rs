@@ -9,7 +9,7 @@
 //! panic (exit 101) is the only way out of that contract. An `Err` must
 //! also say something.
 //!
-//! The counts (`--reps`, `--frames`, `--batch`, `--workers`, `--queue`)
+//! The counts (`--reps`, `--frames`, `--workers`, `--queue`)
 //! are drawn small or invalid, never huge: the work and memory of a valid
 //! run grow with them by design. `--procs` is drawn huge too, since any
 //! count above `pas_core::MAX_PROCS` is an error. `serve` is only parsed,
@@ -206,9 +206,7 @@ impl Fixtures {
                 p.1.extend(strings(&["4097", "1000000000000", "18446744073709551615"]));
                 p
             }
-            "--reps" | "--frames" | "--batch" | "--workers" | "--queue" => {
-                pools(&["1", "2", "3"], BAD_COUNTS)
-            }
+            "--reps" | "--frames" | "--workers" | "--queue" => pools(&["1", "2", "3"], BAD_COUNTS),
             "--load" | "--alpha" => pools(&["0.5", "1", "0.05", "1e-9", "0.999"], BAD_REALS),
             "--deadline" => pools(&["100", "250", "1e6", "1e308", "30"], BAD_REALS),
             "--seed" | "--proc" | "--timeout-ms" => {
@@ -245,7 +243,6 @@ impl Fixtures {
 const BOOLEAN_FLAGS: &[&str] = &[
     "--gantt",
     "--carry",
-    "--metrics",
     "--deny-warnings",
     "--fix",
     "--bounds",
@@ -272,8 +269,6 @@ const ALL_FLAGS: &[&str] = &[
     "--kinds",
     "--frames",
     "--carry",
-    "--metrics",
-    "--batch",
     "--deny-warnings",
     "--against",
     "--fix",
@@ -338,8 +333,6 @@ fn own_flags(command: &str) -> (&'static [&'static str], bool) {
                 "--seed",
                 "--reps",
                 "--alpha",
-                "--metrics",
-                "--batch",
                 "--fault-plan",
             ],
             false,

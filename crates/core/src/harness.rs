@@ -5,7 +5,8 @@ use crate::policies::Scheme;
 use andor_graph::{AndOrGraph, GraphError, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel, DEFAULT_IDLE_FRACTION};
 use mp_sim::{
-    DrawTable, ExecTimeModel, Policy, Realization, RunResult, SimConfig, SimError, Simulator,
+    BatchDistribution, DrawTable, ExecTimeModel, Policy, Realization, RunResult, SimConfig,
+    SimError, Simulator,
 };
 use rand::Rng;
 
@@ -367,6 +368,18 @@ impl Setup {
     /// [`Setup::sample`], without re-resolving each task per run).
     pub fn draw_table(&self, etm: &ExecTimeModel) -> DrawTable<'_> {
         DrawTable::new(&self.graph, &self.sections, etm)
+    }
+
+    /// An empty [`BatchDistribution`] in the histogram geometry that
+    /// `pas compare` and `pas serve`'s `montecarlo` share: 200 bins,
+    /// energy up to NPM's busy+idle over the whole horizon on every
+    /// processor (× 1.05), makespan up to 1.5 deadlines (an overrun lands
+    /// in the top bin; the exact maximum is kept apart). `None` when a
+    /// bound overflows to a degenerate range.
+    pub fn batch_distribution(&self) -> Option<BatchDistribution> {
+        let d = self.plan.deadline;
+        let e_max = self.plan.num_procs as f64 * d * 1.05;
+        BatchDistribution::new(e_max, d * 1.5, self.sections.len(), 200)
     }
 
     /// Runs one scheme on one realization (no trace).

@@ -1,6 +1,6 @@
 //! Extension E2: busy/idle/transition energy decomposition per scheme.
 //! With `--per-section`, E2b instead: per-program-section attribution
-//! from the event stream's `SectionedLedger` (which OR branch is
+//! from the engine's per-section energy rows (which OR branch is
 //! expensive?).
 
 use pas_experiments::cli::Options;

@@ -1,6 +1,8 @@
 //! One function per paper table/figure, plus the future-work ablations.
 
-use crate::runner::{evaluate, evaluate_with_faults, EvalResult, ExperimentConfig};
+use crate::runner::{
+    evaluate, evaluate_with_faults, replication_seed, EvalResult, ExperimentConfig,
+};
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
 use mp_sim::{FaultPlan, SimError};
@@ -393,8 +395,9 @@ pub fn energy_breakdown(
 }
 
 /// **Extension E2b** — which OR branch is expensive? Mean per-section
-/// energy per scheme at one operating point, attributed from the event
-/// stream by a [`mp_sim::SectionedLedger`]. The x-axis is the
+/// energy per scheme at one operating point, read from the paired
+/// kernel's per-section energy rows ([`mp_sim::BatchOutput::section_row`]),
+/// replication `r` seeded as the runner seeds it. The x-axis is the
 /// program-section id (chain order, `s0` = root); a section a
 /// realization never entered contributes 0 to its mean, so each series
 /// sums to that scheme's mean total energy.
@@ -404,7 +407,7 @@ pub fn section_breakdown(
     load: f64,
     cfg: &ExperimentConfig,
 ) -> Table {
-    use mp_sim::{SectionKey, SectionedLedger};
+    use mp_sim::{run_paired, BatchConfig, BatchOutput, Lane};
 
     let setup = Setup::for_load(atr_app(), platform.model(), num_procs, load).expect("feasible");
     let num_sections = setup.sections.len();
@@ -418,31 +421,29 @@ pub fn section_breakdown(
         "section",
         (0..num_sections).map(|i| i as f64).collect(),
     );
-    let draws = setup.draw_table(&cfg.etm);
-    for &scheme in &cfg.schemes {
+    let lanes = || {
+        cfg.schemes
+            .iter()
+            .map(|&scheme| Lane {
+                policy: setup.policy(scheme),
+                faulted: true,
+            })
+            .collect()
+    };
+    let outs: Vec<BatchOutput> = run_paired(
+        &setup.simulator(false),
+        &cfg.etm,
+        None,
+        lanes,
+        |r| replication_seed(cfg.base_seed, r),
+        &BatchConfig::new(cfg.replications, cfg.base_seed),
+    )
+    .expect("valid setup simulates");
+    for (&scheme, out) in cfg.schemes.iter().zip(&outs) {
         let mut sums = vec![0.0_f64; num_sections];
-        for r in 0..cfg.replications {
-            let seed = cfg
-                .base_seed
-                .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let real = draws.sample(&mut rng);
-            let mut ledger = SectionedLedger::new();
-            let mut policy = setup.policy(scheme);
-            let res = setup
-                .simulator(false)
-                .run_observed(policy.as_mut(), &real, None, None, Some(&mut ledger))
-                .expect("valid setup simulates");
-            debug_assert!(ledger.verify(res.total_energy()).is_ok());
-            for slice in ledger.merged() {
-                let sid = match slice.key {
-                    SectionKey::Root => setup.sections.root(),
-                    SectionKey::Branch { or, branch } => setup
-                        .sections
-                        .branch_section(or, branch)
-                        .expect("stream keys map to sections"),
-                };
-                sums[sid.index()] += slice.ledger.total();
+        for r in 0..out.len() {
+            for (sum, e) in sums.iter_mut().zip(out.section_row(r)) {
+                *sum += e;
             }
         }
         t.push_series(

@@ -182,10 +182,6 @@ pub fn evaluate_with_faults(
         }
         lanes
     };
-    let seed = |r: u64| {
-        cfg.base_seed
-            .wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    };
     // One chunk per core: the result does not depend on the chunking.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut batch = BatchConfig::new(cfg.replications, cfg.base_seed);
@@ -195,7 +191,7 @@ pub fn evaluate_with_faults(
         &cfg.etm,
         faults,
         lanes,
-        seed,
+        |r| replication_seed(cfg.base_seed, r),
         &batch,
     )?;
     let oracle_energy = cfg.include_oracle.then(|| {
@@ -212,6 +208,11 @@ pub fn evaluate_with_faults(
         stats,
         oracle_energy,
     })
+}
+
+/// The RNG seed of replication `r`: `base_seed + r·φ64` (wrapping).
+pub(crate) fn replication_seed(base_seed: u64, r: u64) -> u64 {
+    base_seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// What the runner keeps of one run until it is folded.

@@ -434,7 +434,7 @@ fn handle_montecarlo(
     req: &Request,
     ctx: &JobCtx,
 ) -> Result<Value, Rejection> {
-    use mp_sim::{run_batch, BatchConfig, BatchDistribution};
+    use mp_sim::{run_batch, BatchConfig};
     const SLICE: usize = 256;
     let (g, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
@@ -448,10 +448,8 @@ fn handle_montecarlo(
     let etm = ExecTimeModel::paper_defaults();
     let sim = setup.simulator(false);
     let scheme: Scheme = req.scheme;
-    // Histogram geometry mirrors `pas compare --metrics --batch`.
-    let e_max = setup.plan.num_procs as f64 * setup.plan.deadline * 1.05;
-    let t_max = setup.plan.deadline * 1.5;
-    let mut dist = BatchDistribution::new(e_max, t_max, setup.sections.len(), 200)
+    let mut dist = setup
+        .batch_distribution()
         .ok_or_else(|| Rejection::new(Code::Pas0508, "degenerate histogram bounds"))?;
     let mut events_sampled = 0u64;
     let mut runs_sampled = 0u64;
@@ -463,14 +461,7 @@ fn handle_montecarlo(
         cfg.observe_stride = 64;
         let out = run_batch(&sim, &etm, None, || setup.policy(scheme), &cfg)
             .map_err(|e| Rejection::new(Code::Pas0508, format!("simulation failed: {e}")))?;
-        for i in 0..out.len() {
-            dist.push(
-                out.energy[i],
-                out.finish_time[i],
-                out.missed[i],
-                out.section_row(i),
-            );
-        }
+        dist.push_output(&out);
         events_sampled += out.events_sampled;
         runs_sampled += out.runs_sampled;
         done += out.len();

@@ -36,8 +36,8 @@ use rayon::prelude::*;
 /// realization gets an independent, well-mixed stream, the mapping is a
 /// pure function of `(base_seed, index)`, and slicing a batch across
 /// workers (or across `pas serve` requests) cannot change any
-/// realization's draws. This is the seeding contract `--batch` and the
-/// `montecarlo` request kind both advertise.
+/// realization's draws. This is the seeding contract `pas compare` and
+/// the `montecarlo` request kind both advertise.
 pub fn realization_seed(base_seed: u64, index: u64) -> u64 {
     let mut z = base_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -437,6 +437,12 @@ impl BatchDistribution {
         bins: usize,
     ) -> Option<Self> {
         let mut dist = Self::new(energy_hi, makespan_hi, out.n_sections, bins)?;
+        dist.push_output(out);
+        Some(dist)
+    }
+
+    /// Folds every realization of `out` in, in index order.
+    pub fn push_output(&mut self, out: &BatchOutput) {
         for (i, ((&energy, &finish), &missed)) in out
             .energy
             .iter()
@@ -444,9 +450,8 @@ impl BatchDistribution {
             .zip(&out.missed)
             .enumerate()
         {
-            dist.push(energy, finish, missed, out.section_row(i));
+            self.push(energy, finish, missed, out.section_row(i));
         }
-        Some(dist)
     }
 
     /// Total energy distribution.
