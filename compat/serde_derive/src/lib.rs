@@ -1,9 +1,10 @@
 //! `#[derive(Serialize, Deserialize)]` for the offline serde stand-in.
 //!
 //! The macros parse the item's token stream directly (no `syn`/`quote` —
-//! the build environment is offline) and emit impls of the value-tree
-//! `serde::Serialize`/`serde::Deserialize` traits. Supported shapes are
-//! exactly what this workspace derives on:
+//! the build environment is offline) and emit `serde::Serialize::serialize`,
+//! which describes the value to a `serde::Serializer` call by call, and
+//! `serde::Deserialize::from_value`, which reads a `serde::Value` tree.
+//! Supported shapes are exactly what this workspace derives on:
 //!
 //! * named-field structs, tuple structs (newtype included), unit structs;
 //! * enums with unit, newtype, tuple and struct variants;
@@ -211,17 +212,36 @@ fn parse_item(input: TokenStream) -> Item {
 
 // ---- code generation (as source strings, parsed back into tokens) ----------
 
-fn named_ser_body(fields: &[String], access: impl Fn(&str) -> String) -> String {
-    let entries: Vec<String> = fields
+// The generated `serialize` names its serializer `__s` and that type
+// `__S`, so that neither shadows nor is shadowed by a field binding or a
+// type of the deriving crate.
+
+/// Statements serializing `value` (an expression of reference type).
+fn ser(value: &str) -> String {
+    format!("::serde::Serialize::serialize({value}, __s);")
+}
+
+/// Statements serializing `items` as an array.
+fn array_ser_body(items: &[String]) -> String {
+    let elems: String = items
         .iter()
-        .map(|f| {
-            format!(
-                "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value({})),",
-                access(f)
-            )
-        })
+        .map(|v| format!("__s.element(); {}", ser(v)))
         .collect();
-    format!("::serde::Value::Object(::std::vec![{}])", entries.join(""))
+    format!("__s.begin_array(); {elems} __s.end_array();")
+}
+
+/// Statements serializing the named fields as an object.
+fn named_ser_body(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let entries: String = fields
+        .iter()
+        .map(|f| format!("__s.key(\"{f}\"); {}", ser(&access(f))))
+        .collect();
+    format!("__s.begin_object(); {entries} __s.end_object();")
+}
+
+/// Statements serializing a data variant as `{"Name": payload}`.
+fn variant_ser_body(vn: &str, payload: &str) -> String {
+    format!("__s.begin_object(); __s.key(\"{vn}\"); {payload} __s.end_object();")
 }
 
 fn named_de_body(ty_path: &str, ty_label: &str, fields: &[String], src: &str) -> String {
@@ -242,24 +262,22 @@ fn derive_impls(item: &Item, gen_ser: bool, gen_de: bool) -> String {
         Item::Struct { name, shape } => {
             let (ser_body, de_body) = match shape {
                 Shape::Unit => (
-                    "::serde::Value::Null".to_string(),
+                    "__s.null();".to_string(),
                     format!("::std::result::Result::Ok({name})"),
                 ),
                 Shape::Tuple(1) => (
-                    "::serde::Serialize::to_value(&self.0)".to_string(),
+                    ser("&self.0"),
                     format!(
                         "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
                     ),
                 ),
                 Shape::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i}),"))
-                        .collect();
+                    let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
                     let inits: Vec<String> = (0..*n)
                         .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
                         .collect();
                     (
-                        format!("::serde::Value::Array(::std::vec![{}])", items.join("")),
+                        array_ser_body(&items),
                         format!(
                             "{{ let items = ::serde::tuple_items(v, \"{name}\", {n})?; \
                              ::std::result::Result::Ok({name}({})) }}",
@@ -278,7 +296,7 @@ fn derive_impls(item: &Item, gen_ser: bool, gen_de: bool) -> String {
             if gen_ser {
                 out.push_str(&format!(
                     "impl ::serde::Serialize for {name} {{ \
-                     fn to_value(&self) -> ::serde::Value {{ {ser_body} }} }}"
+                     fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{ {ser_body} }} }}"
                 ));
             }
             if gen_de {
@@ -294,32 +312,26 @@ fn derive_impls(item: &Item, gen_ser: bool, gen_de: bool) -> String {
             for v in variants {
                 let vn = &v.name;
                 match &v.shape {
-                    Shape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str(::std::string::String::from(\"{vn}\")),"
-                    )),
+                    Shape::Unit => arms.push_str(&format!("{name}::{vn} => __s.str(\"{vn}\"),")),
                     Shape::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
                         let payload = if *n == 1 {
-                            "::serde::Serialize::to_value(f0)".to_string()
+                            ser("f0")
                         } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b}),"))
-                                .collect();
-                            format!("::serde::Value::Array(::std::vec![{}])", items.join(""))
+                            array_ser_body(&binds)
                         };
                         arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![\
-                             (::std::string::String::from(\"{vn}\"), {payload})]),",
-                            binds.join(",")
+                            "{name}::{vn}({}) => {{ {} }},",
+                            binds.join(","),
+                            variant_ser_body(vn, &payload)
                         ));
                     }
                     Shape::Named(fields) => {
                         let binds = fields.join(",");
                         let payload = named_ser_body(fields, |f| f.to_string());
                         arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(::std::vec![\
-                             (::std::string::String::from(\"{vn}\"), {payload})]),"
+                            "{name}::{vn} {{ {binds} }} => {{ {} }},",
+                            variant_ser_body(vn, &payload)
                         ));
                     }
                 }
@@ -327,7 +339,7 @@ fn derive_impls(item: &Item, gen_ser: bool, gen_de: bool) -> String {
             if gen_ser {
                 out.push_str(&format!(
                     "impl ::serde::Serialize for {name} {{ \
-                     fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }} }}"
+                     fn serialize<__S: ::serde::Serializer>(&self, __s: &mut __S) {{ match self {{ {arms} }} }} }}"
                 ));
             }
 
@@ -393,7 +405,7 @@ fn derive_impls(item: &Item, gen_ser: bool, gen_de: bool) -> String {
     out
 }
 
-/// Derives the value-tree `serde::Serialize` impl.
+/// Derives `serde::Serialize`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -402,7 +414,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         .expect("generated Serialize impl parses")
 }
 
-/// Derives the value-tree `serde::Deserialize` impl.
+/// Derives `serde::Deserialize`, which reads a `serde::Value` tree.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);

@@ -943,12 +943,16 @@ pub fn analyze_bounds(setup: &Setup, cfg: &BoundsConfig, src: &str) -> BoundsAna
                  section DAG without per-path witnesses"
             ),
         ));
-        for (shape, (table, acc)) in shapes.iter().zip(costs.iter().zip(accs.iter_mut())) {
-            let (lo_t, hi_t) = dag_extremes(g, sections, table);
-            acc.merge(assemble(&lo_t, &hi_t, shape, &ctx), &[]);
+        let extremes: Vec<(SectionCost, SectionCost)> = costs
+            .iter()
+            .map(|table| dag_extremes(g, sections, table))
+            .collect();
+        for (shape, ((lo_t, hi_t), acc)) in shapes.iter().zip(extremes.iter().zip(accs.iter_mut()))
+        {
+            acc.merge(assemble(lo_t, hi_t, shape, &ctx), &[]);
         }
-        if let Some(table) = costs.first() {
-            let (lo_t, hi_t) = dag_extremes(g, sections, table);
+        // The optimality anchor reuses the first scheme's walk.
+        if let Some(&(lo_t, hi_t)) = extremes.first() {
             // The mean-g hull is monotone in the time budget, so the
             // bilinear minimum over the work/budget box sits at a corner.
             let c_a = ctx.min_mean_g(ctx.m_f * ctx.d * (1.0 + 1e-9) / lo_t.wcet.max(1e-300));

@@ -462,16 +462,19 @@ fn run_one(args: &Args) -> Result<String, String> {
 /// paired design of the paper's figures carries over to the full
 /// distributions (quantiles and tails) reported next to the means.
 fn compare(args: &Args) -> Result<String, String> {
-    use mp_sim::{realization_seed, run_paired, BatchConfig, BatchOutput, Lane};
+    use mp_sim::{batch::SLICE, realization_seed, run_paired, BatchConfig, BatchOutput, Lane};
     let setup = build_setup(args)?;
     let empty = setup
         .batch_distribution()
         .ok_or("degenerate histogram bounds")?;
-    let mut cfg = BatchConfig::new(args.reps, args.seed);
+    let mut cfg = BatchConfig::new(0, args.seed);
     // Sampled observability: wire an event counter to every 64th
     // realization. Emission is additive, so the numbers are identical to
     // unobserved runs — this only prices the event stream.
     cfg.observe_stride = 64;
+    // Four work units per slice, so that each slice still spreads over
+    // the cores.
+    cfg.chunk = SLICE / 4;
     let lanes = || {
         let mut lanes: Vec<Lane> = Scheme::ALL
             .iter()
@@ -486,28 +489,39 @@ fn compare(args: &Args) -> Result<String, String> {
         });
         lanes
     };
-    let outs: Vec<BatchOutput> = run_paired(
-        &setup.simulator(false),
-        &ExecTimeModel::paper_defaults(),
-        None,
-        lanes,
-        |i| realization_seed(args.seed, i),
-        &cfg,
-    )
-    .map_err(|e| format!("simulation: {e}"))?;
     let names: Vec<&str> = Scheme::ALL
         .iter()
         .map(|s| s.name())
         .chain(["Oracle"])
         .collect();
-    let dists: Vec<_> = outs
-        .iter()
-        .map(|bout| {
-            let mut dist = empty.clone();
-            dist.push_output(bout);
-            dist
-        })
-        .collect();
+    // Per lane: the distributions, speed changes, and (events, runs) over
+    // the observability sample, folded slice by slice.
+    let mut dists = vec![empty; names.len()];
+    let mut changes = vec![0u64; names.len()];
+    let mut sampled = vec![(0u64, 0u64); names.len()];
+    let sim = setup.simulator(false);
+    let etm = ExecTimeModel::paper_defaults();
+    let mut done = 0;
+    while done < args.reps {
+        cfg.realizations = (args.reps - done).min(SLICE);
+        cfg.start_index = done as u64;
+        let outs: Vec<BatchOutput> = run_paired(
+            &sim,
+            &etm,
+            None,
+            lanes,
+            |i| realization_seed(args.seed, i),
+            &cfg,
+        )
+        .map_err(|e| format!("simulation: {e}"))?;
+        for (lane, bout) in outs.iter().enumerate() {
+            dists[lane].push_output(bout);
+            changes[lane] += bout.speed_changes.iter().sum::<u64>();
+            sampled[lane].0 += bout.events_sampled;
+            sampled[lane].1 += bout.runs_sampled;
+        }
+        done += cfg.realizations;
+    }
     // Scheme::ALL[0] is NPM: the figures' normalization base.
     let npm = dists[0].energy().summary().mean();
     let mut out = String::new();
@@ -525,10 +539,10 @@ fn compare(args: &Args) -> Result<String, String> {
         "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>11} {:>10} {:>8}",
         "scheme", "mean", "±95% CI", "p50", "p95", "p99", "max", "changes/run", "miss rate", "±95%"
     );
-    for ((name, dist), bout) in names.iter().zip(&dists).zip(&outs) {
+    for ((name, dist), &changes) in names.iter().zip(&dists).zip(&changes) {
         let energy = dist.energy();
         let q = |p: f64| energy.quantile(p).unwrap_or(f64::NAN) / npm;
-        let changes = bout.speed_changes.iter().sum::<u64>() as f64 / bout.len() as f64;
+        let changes = changes as f64 / args.reps as f64;
         let _ = writeln!(
             out,
             "{:<8} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>8.4} {:>11.2} {:>10.4} {:>8.4}",
@@ -599,11 +613,10 @@ fn compare(args: &Args) -> Result<String, String> {
     }
     // The schemes' mean; the oracle is a bound, not a scheme.
     let mut events_per_run = Summary::new();
-    for e in outs[..Scheme::ALL.len()]
-        .iter()
-        .filter_map(BatchOutput::events_per_realization)
-    {
-        events_per_run.add(e);
+    for &(events, runs) in &sampled[..Scheme::ALL.len()] {
+        if runs > 0 {
+            events_per_run.add(events as f64 / runs as f64);
+        }
     }
     let _ = writeln!(
         out,

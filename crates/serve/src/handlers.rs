@@ -434,8 +434,7 @@ fn handle_montecarlo(
     req: &Request,
     ctx: &JobCtx,
 ) -> Result<Value, Rejection> {
-    use mp_sim::{run_batch, BatchConfig};
-    const SLICE: usize = 256;
+    use mp_sim::{batch::SLICE, run_batch, BatchConfig};
     let (g, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
         let (g, graph_src) = resolve_graph(req, metrics)?;

@@ -59,6 +59,13 @@ impl pas_obs::Observer for EventCounter {
     }
 }
 
+/// Realizations per slice for callers that fold a long batch as it runs
+/// (`pas serve`'s `montecarlo` handler, `pas compare`): each slice's
+/// columns are folded and dropped before the next slice runs, so memory
+/// does not grow with the realization count. [`BatchConfig::start_index`]
+/// keeps every draw where an unsliced batch would put it.
+pub const SLICE: usize = 256;
+
 /// Parameters of one batched run.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
@@ -83,7 +90,8 @@ pub struct BatchConfig {
     /// Wire an event-counting observer to every `observe_stride`-th
     /// realization (0 disables sampling). Emission is purely additive, so
     /// sampled and unsampled realizations produce bit-identical numbers;
-    /// the sample feeds [`BatchOutput::events_per_realization`].
+    /// the sample feeds [`BatchOutput::events_sampled`] and
+    /// [`BatchOutput::runs_sampled`].
     pub observe_stride: usize,
 }
 
@@ -181,12 +189,6 @@ impl BatchOutput {
         self.section_energy
             .get(lo..lo + self.n_sections)
             .expect("realization index within the batch")
-    }
-
-    /// Mean events per realization over the observability sample, if any
-    /// realizations were sampled.
-    pub fn events_per_realization(&self) -> Option<f64> {
-        (self.runs_sampled > 0).then(|| self.events_sampled as f64 / self.runs_sampled as f64)
     }
 }
 
@@ -648,7 +650,6 @@ mod tests {
             run_batch(&sim, &etm, None, || Box::new(MaxSpeed), &scfg).expect("sampled batch");
         assert_eq!(sampled.runs_sampled, 4);
         assert!(sampled.events_sampled > 0);
-        assert!(sampled.events_per_realization().expect("sampled") > 0.0);
         for i in 0..12 {
             assert_eq!(plain.energy[i].to_bits(), sampled.energy[i].to_bits());
             assert_eq!(

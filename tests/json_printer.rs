@@ -1,19 +1,31 @@
 //! The JSON printer against a reference copy of the printer it replaced.
 //!
-//! `serde_json::to_string`/`to_string_pretty` append scalars, indentation
-//! and unescaped string runs straight into the output buffer. The
-//! reference below is the earlier printer, which allocated a `String` per
-//! integer and float and pushed indentation one space at a time. Plan
-//! digests hash the printed bytes, so on random `Value` trees (edge-case
-//! floats and integers, strings needing every kind of escape, empty and
-//! deeply nested containers) the two must print the same bytes, compact
-//! and pretty.
+//! `serde_json::to_string`/`to_string_pretty` serialize typed data and
+//! `Value` trees through one `Serializer` that appends scalars,
+//! indentation and unescaped string runs straight into the output
+//! buffer. The reference below is the earlier printer, which walked a
+//! `Value` tree, allocated a `String` per integer and float and pushed
+//! indentation one space at a time. Plan digests hash the printed bytes,
+//! so the two must print the same bytes, compact and pretty:
+//! - on random `Value` trees (edge-case floats and integers, strings
+//!   needing every kind of escape, empty and deeply nested containers);
+//! - on typed data of every shape the derive supports, printed straight
+//!   against the reference run on its `to_value()` tree;
+//! - on plan artifacts of random chained graphs under all six schemes.
+//!
+//! Maps print in the order their entries' `Value`s sort in; the
+//! reference order is the tree comparison the printer used before it
+//! stopped building trees.
 
+use pas_andor::core::{PlanArtifact, Scheme, Setup};
+use pas_andor::power::ProcessorModel;
+use pas_andor::workloads::RandomAppParams;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize, Serializer, Value};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 // ---- reference printer -----------------------------------------------------
 
@@ -268,8 +280,8 @@ fn printer_matches_reference_on_edge_scalars() {
 struct Label(&'static str, u8);
 
 impl Serialize for Label {
-    fn to_value(&self) -> Value {
-        Value::Str(self.0.to_string())
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        s.str(self.0);
     }
 }
 
@@ -296,5 +308,331 @@ fn hash_map_order_does_not_depend_on_insertion_order() {
         for _ in 0..4 {
             assert_eq!(serde_json::to_string(&fill(&order)).unwrap(), want);
         }
+    }
+}
+
+// ---- typed data against the reference on its tree --------------------------
+
+/// `x` printed straight must equal the reference printer on
+/// `x.to_value()`, compact and pretty.
+fn assert_typed_matches<T: Serialize + ?Sized>(x: &T) {
+    let v = x.to_value();
+    assert_eq!(serde_json::to_string(x).ok(), reference(&v, None), "{v:?}");
+    assert_eq!(
+        serde_json::to_string_pretty(x).ok(),
+        reference(&v, Some(2)),
+        "{v:?}"
+    );
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Named {
+    id: u32,
+    name: String,
+    weight: f64,
+    offset: i16,
+    tags: Vec<String>,
+    next: Option<Box<Named>>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Pair(i64, f32);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Newtype(u64);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Unit;
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Empty,
+    Scalar(f64),
+    Span(u8, usize, char),
+    Rect { w: f64, h: f64, label: String },
+    Nested(Vec<Shape>),
+}
+
+fn random_named(rng: &mut StdRng, depth: usize) -> Named {
+    Named {
+        id: rng.gen::<u64>() as u32,
+        name: random_string(rng),
+        weight: random_float(rng),
+        offset: rng.gen::<u64>() as i16,
+        tags: (0..rng.gen_range(0..3))
+            .map(|_| random_string(rng))
+            .collect(),
+        next: (depth > 0 && rng.gen()).then(|| Box::new(random_named(rng, depth - 1))),
+    }
+}
+
+fn random_shape(rng: &mut StdRng, depth: usize) -> Shape {
+    match rng.gen_range(0..if depth == 0 { 4 } else { 5 }) {
+        0 => Shape::Empty,
+        1 => Shape::Scalar(random_float(rng)),
+        2 => Shape::Span(
+            rng.gen::<u64>() as u8,
+            rng.gen::<u64>() as usize,
+            ['a', '"', '\n', 'é', '🦀'][rng.gen_range(0..5usize)],
+        ),
+        3 => Shape::Rect {
+            w: random_float(rng),
+            h: random_float(rng),
+            label: random_string(rng),
+        },
+        _ => Shape::Nested(
+            (0..rng.gen_range(0..4))
+                .map(|_| random_shape(rng, depth - 1))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn derived_types_print_as_their_trees(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let named = random_named(&mut rng, 3);
+        assert_typed_matches(&named);
+        let shapes: Vec<Shape> = (0..rng.gen_range(0..6)).map(|_| random_shape(&mut rng, 3)).collect();
+        assert_typed_matches(&shapes);
+        let pair = Pair(rng.gen::<u64>() as i64, random_float(&mut rng) as f32);
+        assert_typed_matches(&pair);
+        assert_typed_matches(&(Newtype(rng.gen::<u64>()), Unit, Some(pair), None::<Pair>));
+        assert_typed_matches(&[shapes.clone(), vec![], shapes]);
+        let nested: Vec<Vec<Option<i32>>> = (0..rng.gen_range(0..4))
+            .map(|_| (0..rng.gen_range(0..4)).map(|_| rng.gen::<bool>().then(|| rng.gen::<u64>() as i32)).collect())
+            .collect();
+        assert_typed_matches(&nested);
+        let set: BTreeSet<(i8, String)> = (0..rng.gen_range(0..6)).map(|_| (rng.gen::<u64>() as i8, random_string(&mut rng))).collect();
+        assert_typed_matches(&set);
+        let map: BTreeMap<String, Vec<f64>> = (0..rng.gen_range(0..6))
+            .map(|_| (random_string(&mut rng), (0..rng.gen_range(0..3)).map(|_| random_float(&mut rng)).collect()))
+            .collect();
+        assert_typed_matches(&map);
+        let hmap: HashMap<(u16, i8), Shape> = (0..rng.gen_range(0..8))
+            .map(|_| ((rng.gen_range(0..4), rng.gen_range(-2..2)), random_shape(&mut rng, 1)))
+            .collect();
+        assert_typed_matches(&hmap);
+        // Derived types read back what they print.
+        let back: Named = serde_json::from_str(&serde_json::to_string(&named).unwrap()).unwrap();
+        prop_assert_eq!(serde_json::to_string(&back).unwrap(), serde_json::to_string(&named).unwrap());
+    }
+}
+
+#[test]
+fn unit_and_empty_shapes_print_as_their_trees() {
+    assert_typed_matches(&Unit);
+    assert_typed_matches(&Shape::Empty);
+    assert_typed_matches(&Shape::Nested(vec![]));
+    assert_typed_matches(&Vec::<Unit>::new());
+    assert_typed_matches(&BTreeMap::<u8, u8>::new());
+    assert_typed_matches(&HashMap::<String, Unit>::new());
+    assert_typed_matches(&BTreeSet::<u8>::new());
+    assert_typed_matches(&[[0u8; 0]; 2]);
+    assert_typed_matches(&((Unit,), (Unit, (Unit,))));
+    assert_typed_matches("a\"b");
+    assert_typed_matches(&'\u{1f}');
+}
+
+/// A `HashMap` whose keys serialize equal prints in the same order as
+/// the reference does on its tree: by key, then by value.
+#[test]
+fn equal_keys_print_as_their_trees() {
+    let map: HashMap<Label, Vec<f64>> = [
+        (Label("b", 0), vec![2.5]),
+        (Label("a", 0), vec![7.0, 1.0]),
+        (Label("b", 1), vec![]),
+        (Label("a", 1), vec![7.0]),
+        (Label("a", 2), vec![-1.0]),
+    ]
+    .into_iter()
+    .collect();
+    assert_typed_matches(&map);
+    assert_eq!(
+        serde_json::to_string(&map).unwrap(),
+        r#"[["a",[-1.0]],["a",[7.0]],["a",[7.0,1.0]],["b",[]],["b",[2.5]]]"#
+    );
+}
+
+#[derive(Serialize)]
+struct WithFloat {
+    ok: f64,
+    bad: Vec<f64>,
+}
+
+/// A non-finite float anywhere in typed data is still an error, with the
+/// same message, compact and pretty.
+#[test]
+fn a_non_finite_field_is_an_error() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let x = WithFloat {
+            ok: 1.0,
+            bad: vec![0.5, bad],
+        };
+        for r in [serde_json::to_string(&x), serde_json::to_string_pretty(&x)] {
+            assert_eq!(
+                r.unwrap_err().to_string(),
+                "JSON cannot represent NaN or infinity"
+            );
+        }
+        assert!(serde_json::to_string(&Shape::Scalar(bad)).is_err());
+        assert!(serde_json::to_string(&Some(bad as f32)).is_err());
+    }
+}
+
+/// Plan artifacts of random chained graphs under every scheme: the
+/// printed plan equals the reference printer on its tree, and its digest
+/// is the digest of those bytes.
+#[test]
+fn plan_artifacts_print_as_their_trees() {
+    let params = RandomAppParams {
+        max_depth: 4,
+        ..RandomAppParams::default()
+    };
+    for (seed, segments) in [(11u64, 3usize), (12, 8), (13, 20)] {
+        let g = params
+            .chained(seed, segments)
+            .lower()
+            .expect("chained segments lower");
+        for (platform, model) in [
+            ("xscale", ProcessorModel::xscale()),
+            ("transmeta", ProcessorModel::transmeta5400()),
+        ] {
+            let setup = Setup::for_load(g.clone(), model, 3, 0.7).expect("feasible load");
+            for scheme in Scheme::ALL {
+                let artifact = PlanArtifact::from_setup(&setup, scheme, "random", platform);
+                let json = artifact.to_json().expect("artifact serializes");
+                assert_eq!(Some(json.clone()), reference(&artifact.to_value(), Some(2)));
+                assert_typed_matches(&artifact);
+                assert_eq!(artifact.digest().unwrap(), PlanArtifact::digest_of(&json));
+            }
+        }
+    }
+}
+
+// ---- map order against the tree comparison ---------------------------------
+
+/// The order the printer sorted map entries in while it built trees: a
+/// total order over `Value`s, by kind, then by content.
+fn ref_cmp(a: &Value, b: &Value) -> Ordering {
+    fn rank(v: &Value) -> u8 {
+        match v {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::UInt(_) | Value::Int(_) | Value::Float(_) => 2,
+            Value::Str(_) => 3,
+            Value::Array(_) => 4,
+            Value::Object(_) => 5,
+        }
+    }
+    match (a, b) {
+        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+        (Value::Str(a), Value::Str(b)) => a.cmp(b),
+        (a, b) if rank(a) == 2 && rank(b) == 2 => {
+            a.as_f64().unwrap().total_cmp(&b.as_f64().unwrap())
+        }
+        (Value::Array(a), Value::Array(b)) => a
+            .iter()
+            .zip(b)
+            .map(|(x, y)| ref_cmp(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len())),
+        (Value::Object(a), Value::Object(b)) => a
+            .iter()
+            .zip(b)
+            .map(|((ka, va), (kb, vb))| ka.cmp(kb).then_with(|| ref_cmp(va, vb)))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len())),
+        (a, b) => rank(a).cmp(&rank(b)),
+    }
+}
+
+/// A map key that prints as its `Value` and is ordered (and so iterated
+/// by a `BTreeMap`) by its index alone.
+struct Keyed(usize, Value);
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+impl Eq for Keyed {}
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl Serialize for Keyed {
+    fn serialize<S: Serializer>(&self, s: &mut S) {
+        self.1.serialize(s);
+    }
+}
+
+/// Keys drawn from small pools so that they often tie or share prefixes:
+/// numbers equal as `f64` across widths (2^53 and 2^53 + 1, `3` and
+/// `3.0`), signed zeros, strings with common prefixes, and containers of
+/// them of different lengths.
+fn random_key(rng: &mut StdRng, depth: usize) -> Value {
+    let scalars = [
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::UInt(3),
+        Value::Float(3.0),
+        Value::Int(-3),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::UInt(1 << 53),
+        Value::UInt((1 << 53) + 1),
+        Value::Float(f64::MAX),
+        Value::Str(String::new()),
+        Value::Str("a".into()),
+        Value::Str("ab".into()),
+        Value::Str("b".into()),
+    ];
+    if depth == 0 || rng.gen_range(0..3) > 0 {
+        return scalars[rng.gen_range(0..scalars.len())].clone();
+    }
+    let len = rng.gen_range(0..3);
+    if rng.gen() {
+        Value::Array((0..len).map(|_| random_key(rng, depth - 1)).collect())
+    } else {
+        Value::Object(
+            (0..len)
+                .map(|_| {
+                    let name = ["a", "ab", "b"][rng.gen_range(0..3usize)].to_string();
+                    (name, random_key(rng, depth - 1))
+                })
+                .collect(),
+        )
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A map prints its entries sorted (stably, from its iteration order)
+    /// by the tree comparison on keys, then on values.
+    #[test]
+    fn map_order_matches_the_tree_comparison(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..12);
+        let map: BTreeMap<Keyed, Value> = (0..n)
+            .map(|i| (Keyed(i, random_key(&mut rng, 3)), random_key(&mut rng, 2)))
+            .collect();
+        let mut want: Vec<(Value, Value)> = map.iter().map(|(k, v)| (k.1.clone(), v.clone())).collect();
+        want.sort_by(|(ka, va), (kb, vb)| ref_cmp(ka, kb).then_with(|| ref_cmp(va, vb)));
+        let want = Value::Array(want.into_iter().map(|(k, v)| Value::Array(vec![k, v])).collect());
+        prop_assert_eq!(serde_json::to_string(&map).ok(), reference(&want, None));
+        prop_assert_eq!(map.to_value(), want);
     }
 }
