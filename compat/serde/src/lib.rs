@@ -577,7 +577,9 @@ where
     s.end_array();
 }
 
-fn map_from_value<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, Error> {
+/// Reads a map's `[key, value]` entries in document order, duplicates
+/// kept (helper for map-like types; a map keeps the last of equal keys).
+pub fn map_from_value<K: Deserialize, V: Deserialize>(v: &Value) -> Result<Vec<(K, V)>, Error> {
     let items = v
         .as_array()
         .ok_or_else(|| Error::custom("expected array of map entries"))?;

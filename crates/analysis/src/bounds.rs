@@ -49,12 +49,11 @@
 
 use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios, ENUMERATION_THRESHOLD};
-use andor_graph::{AndOrGraph, NodeId, SectionGraph, SectionId};
+use andor_graph::{AndOrGraph, SectionGraph, SectionId};
 use dvfs_power::OperatingPoint;
 use mp_sim::FaultPlan;
 use pas_core::{Scheme, SchemeParams, Setup};
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// A closed interval `[lo, hi]` of a physical quantity (energy in
 /// full-speed·ms units, or time in ms).
@@ -845,52 +844,45 @@ fn dag_extremes(
     sections: &SectionGraph,
     costs: &[SectionCost],
 ) -> (SectionCost, SectionCost) {
-    let mut memo: HashMap<NodeId, (SectionCost, SectionCost)> = HashMap::new();
+    let mut memo = vec![None; g.len()];
     from_section(g, sections, costs, sections.root(), &mut memo)
 }
 
+/// The extremes from the start of section `s`; `memo` holds the join
+/// over each exit OR's branches, indexed by node.
 fn from_section(
     g: &AndOrGraph,
     sections: &SectionGraph,
     costs: &[SectionCost],
     s: SectionId,
-    memo: &mut HashMap<NodeId, (SectionCost, SectionCost)>,
+    memo: &mut [Option<(SectionCost, SectionCost)>],
 ) -> (SectionCost, SectionCost) {
     let own = costs.get(s.index()).copied().unwrap_or_default();
-    match sections.section(s).exit_or {
-        None => (own, own),
-        Some(or) => {
-            let (suffix_min, suffix_max) = from_or(g, sections, costs, or, memo);
-            (own.plus(&suffix_min), own.plus(&suffix_max))
+    let Some(or) = sections.section(s).exit_or else {
+        return (own, own);
+    };
+    let (suffix_min, suffix_max) = if let Some(&Some(joined)) = memo.get(or.index()) {
+        joined
+    } else {
+        let mut joined: Option<(SectionCost, SectionCost)> = None;
+        for k in 0..g.node(or).succs.len() {
+            let below = sections
+                .branch_section(or, k)
+                .map_or_else(Default::default, |b| {
+                    from_section(g, sections, costs, b, memo)
+                });
+            joined = Some(match joined {
+                None => below,
+                Some((lo, hi)) => (lo.join_min(&below.0), hi.join_max(&below.1)),
+            });
         }
-    }
-}
-
-fn from_or(
-    g: &AndOrGraph,
-    sections: &SectionGraph,
-    costs: &[SectionCost],
-    or: NodeId,
-    memo: &mut HashMap<NodeId, (SectionCost, SectionCost)>,
-) -> (SectionCost, SectionCost) {
-    if let Some(&c) = memo.get(&or) {
-        return c;
-    }
-    let n_branches = g.node(or).succs.len();
-    let mut joined: Option<(SectionCost, SectionCost)> = None;
-    for k in 0..n_branches {
-        let below = match sections.branch_section(or, k) {
-            Some(b) => from_section(g, sections, costs, b, memo),
-            None => (SectionCost::default(), SectionCost::default()),
-        };
-        joined = Some(match joined {
-            None => below,
-            Some((lo, hi)) => (lo.join_min(&below.0), hi.join_max(&below.1)),
-        });
-    }
-    let result = joined.unwrap_or_default();
-    memo.insert(or, result);
-    result
+        let joined = joined.unwrap_or_default();
+        if let Some(slot) = memo.get_mut(or.index()) {
+            *slot = Some(joined);
+        }
+        joined
+    };
+    (own.plus(&suffix_min), own.plus(&suffix_max))
 }
 
 // ---------------------------------------------------------------------------

@@ -15,57 +15,45 @@
 //!   sum" every symbolic quantity reduces to);
 //! * rendering a scenario's OR choices as a human-readable witness.
 
-use andor_graph::{AndOrGraph, NodeId, Scenario, SectionGraph, SectionId};
-use std::collections::HashMap;
+use andor_graph::{AndOrGraph, Scenario, SectionGraph, SectionId};
 
 /// Maximum number of OR-paths enumerated exactly; above this every
 /// client falls back to a conservative recursive bound and notes the
 /// downgrade (`PAS0303` for the verifiers, `PAS0602` for bounds).
 pub const ENUMERATION_THRESHOLD: u64 = 4096;
 
-/// Counts OR-paths without enumerating them: a memoized recursion over
-/// the section chain, saturating at `u64::MAX`.
+/// Counts OR-paths without enumerating them: a recursion over the
+/// section chain memoized per OR node, saturating at `u64::MAX`.
 pub(crate) fn count_scenarios(g: &AndOrGraph, sections: &SectionGraph) -> u64 {
-    let mut memo: HashMap<NodeId, u64> = HashMap::new();
-    count_from_section(g, sections, sections.root(), &mut memo)
+    count_from(g, sections, sections.root(), &mut vec![None; g.len()])
 }
 
-fn count_from_section(
+/// OR-paths from the start of section `s`; `memo` holds the count of
+/// each exit OR, indexed by node.
+fn count_from(
     g: &AndOrGraph,
     sections: &SectionGraph,
     s: SectionId,
-    memo: &mut HashMap<NodeId, u64>,
+    memo: &mut [Option<u64>],
 ) -> u64 {
-    match sections.section(s).exit_or {
-        None => 1,
-        Some(or) => count_from_or(g, sections, or, memo),
-    }
-}
-
-fn count_from_or(
-    g: &AndOrGraph,
-    sections: &SectionGraph,
-    or: NodeId,
-    memo: &mut HashMap<NodeId, u64>,
-) -> u64 {
-    if let Some(&c) = memo.get(&or) {
+    let Some(or) = sections.section(s).exit_or else {
+        return 1;
+    };
+    if let Some(&Some(c)) = memo.get(or.index()) {
         return c;
     }
     let n_branches = g.node(or).succs.len();
-    let count = if n_branches == 0 {
-        1 // Terminal OR: the application ends at the synchronization point.
-    } else {
-        let mut total: u64 = 0;
-        for k in 0..n_branches {
-            let below = sections
-                .branch_section(or, k)
-                .map(|b| count_from_section(g, sections, b, memo))
-                .unwrap_or(1);
-            total = total.saturating_add(below);
-        }
-        total
-    };
-    memo.insert(or, count);
+    // A terminal OR (no branches) ends the application: one path.
+    let mut count = u64::from(n_branches == 0);
+    for k in 0..n_branches {
+        let below = sections
+            .branch_section(or, k)
+            .map_or(1, |b| count_from(g, sections, b, memo));
+        count = count.saturating_add(below);
+    }
+    if let Some(slot) = memo.get_mut(or.index()) {
+        *slot = Some(count);
+    }
     count
 }
 

@@ -87,8 +87,7 @@ fn check_adjacency(
 ) {
     let n = nodes.len();
     let me = NodeId(i as u32);
-    let mut seen_succs: Vec<NodeId> = Vec::new();
-    for &s in &node.succs {
+    for (j, &s) in node.succs.iter().enumerate() {
         if s.index() >= n {
             r.push(Diagnostic::new(
                 Code::Pas0002,
@@ -110,7 +109,8 @@ fn check_adjacency(
             *topo_safe = false;
             continue;
         }
-        if seen_succs.contains(&s) {
+        // An earlier equal entry is in range and no self loop either.
+        if node.succs.iter().take(j).any(|&e| e == s) {
             r.push(Diagnostic::new(
                 Code::Pas0005,
                 loc(src, i),
@@ -118,7 +118,6 @@ fn check_adjacency(
             ));
             *topo_safe = false;
         }
-        seen_succs.push(s);
         let other = nodes.get(s.index());
         if other.is_some_and(|o| !o.preds.contains(&me)) {
             r.push(Diagnostic::new(

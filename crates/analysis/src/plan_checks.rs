@@ -549,13 +549,8 @@ fn scheme_bounds(
             // average above the branch worst would *over*-claim remaining
             // work was observed; below the re-derived average it
             // undercuts the floor at that PMP.
-            let mut keys: Vec<_> = artifact.plan.branch_avg.keys().collect();
-            keys.sort();
-            for key in keys {
+            for (key, a) in &artifact.plan.branch_avg {
                 let (or, k) = *key;
-                let Some(a) = artifact.plan.branch_avg.get(key) else {
-                    continue;
-                };
                 if let Some(w) = artifact.plan.branch_worst.get(key) {
                     if *a > *w * (1.0 + REL_TOL) + REL_TOL {
                         r.push(Diagnostic::new(

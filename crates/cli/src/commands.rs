@@ -285,10 +285,8 @@ fn plan(args: &Args) -> Result<String, String> {
         let digest = artifact.digest().map_err(|e| format!("digesting: {e}"))?;
         let _ = writeln!(out, "  plan digest ({}) = sha256:{digest}", scheme.name());
     }
-    let mut pmps: Vec<_> = setup.plan.branch_worst.iter().collect();
-    pmps.sort_by_key(|((or, k), _)| (*or, *k));
     let _ = writeln!(out, "\nPMP statistics (per OR branch):");
-    for ((or, k), tw) in pmps {
+    for ((or, k), tw) in &setup.plan.branch_worst {
         let ta = setup.plan.branch_avg[&(*or, *k)];
         let _ = writeln!(
             out,

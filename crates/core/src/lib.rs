@@ -56,7 +56,7 @@ pub use artifact::{PlanArtifact, SchemeParams, PLAN_SCHEMA_VERSION};
 pub use digest::sha256_hex;
 pub use exhaustive::{optimal_assignment, AssignmentPolicy, OptimalAssignment};
 pub use harness::{pmp_reserve, Setup, SetupError};
-pub use offline::{CanonicalPlan, OfflineError, OfflinePlan, PlanError, MAX_PROCS};
+pub use offline::{BranchTable, CanonicalPlan, OfflineError, OfflinePlan, PlanError, MAX_PROCS};
 pub use oracle::OraclePolicy;
 pub use policies::{
     AsPolicy, EnergyFloorPolicy, GssPolicy, ProportionalPolicy, Scheme, SpmPolicy, Ss1Policy,

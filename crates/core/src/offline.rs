@@ -13,7 +13,6 @@ use andor_graph::{AndOrGraph, NodeId, SectionGraph, SectionId};
 use mp_sim::DispatchOrder;
 use pas_obs::profile;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Why the off-line phase rejected a problem instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,11 +103,11 @@ pub struct OfflinePlan {
     pub avg_total: f64,
     /// `Tw_k` per `(or, branch)`: worst remaining time from the PMP after
     /// the OR selects branch `k` to the end of the application.
-    /// Serialized as a sorted entry list (tuple keys are not JSON object
-    /// keys).
-    pub branch_worst: HashMap<(NodeId, usize), f64>,
+    /// Serialized as its `[[or, k], Tw_k]` entry list, sorted by
+    /// `(or, branch)` (tuple keys are not JSON object keys).
+    pub branch_worst: BranchTable,
     /// `Ta_k` per `(or, branch)`: average remaining time analogously.
-    pub branch_avg: HashMap<(NodeId, usize), f64>,
+    pub branch_avg: BranchTable,
     /// Canonical start time of each node *relative to its section start*
     /// in the worst-case canonical schedule, parallel to
     /// `dispatch.per_section` (for tooling: canonical Gantt rendering,
@@ -187,6 +186,78 @@ impl OfflinePlan {
     }
 }
 
+/// A per-`(or, branch)` table: entries sorted by key, found by binary
+/// search. It prints as the `[key, value]` list a `HashMap` of the same
+/// entries prints and reads entries in any order, the last of equal keys
+/// winning.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BranchTable(Vec<BranchEntry>);
+
+type BranchEntry = ((NodeId, usize), f64);
+
+impl BranchTable {
+    /// The value of branch `key = (or, k)`, if the table has one.
+    pub fn get(&self, key: &(NodeId, usize)) -> Option<&f64> {
+        let i = self.0.binary_search_by_key(key, |&(k, _)| k).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl Iterator<Item = &(NodeId, usize)> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl FromIterator<BranchEntry> for BranchTable {
+    fn from_iter<I: IntoIterator<Item = BranchEntry>>(iter: I) -> Self {
+        // Reversed, then sorted stably: `dedup` keeps the last of equal keys.
+        let mut entries: Vec<_> = iter.into_iter().collect();
+        entries.reverse();
+        entries.sort_by_key(|&(k, _)| k);
+        entries.dedup_by_key(|&mut (k, _)| k);
+        BranchTable(entries)
+    }
+}
+
+impl<'a> IntoIterator for &'a BranchTable {
+    type Item = (&'a (NodeId, usize), &'a f64);
+    type IntoIter =
+        std::iter::Map<std::slice::Iter<'a, BranchEntry>, fn(&'a BranchEntry) -> Self::Item>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+}
+
+impl std::ops::Index<&(NodeId, usize)> for BranchTable {
+    type Output = f64;
+    fn index(&self, key: &(NodeId, usize)) -> &f64 {
+        self.get(key).expect("no entry for the branch")
+    }
+}
+
+impl Serialize for BranchTable {
+    fn serialize<S: serde::Serializer>(&self, s: &mut S) {
+        // A `(key, value)` tuple prints as a map entry's `[key, value]`.
+        self.0.serialize(s);
+    }
+}
+
+impl Deserialize for BranchTable {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(serde::map_from_value(v)?.into_iter().collect())
+    }
+}
+
 /// The largest processor count the off-line phase accepts. The plan and
 /// the engine hold state per processor, so a count taken unchecked from a
 /// command line or a request (`u64::MAX`, `10^12`) would overflow the
@@ -219,8 +290,8 @@ pub struct CanonicalPlan {
     dispatch: DispatchOrder,
     worst_total: f64,
     avg_total: f64,
-    branch_worst: HashMap<(NodeId, usize), f64>,
-    branch_avg: HashMap<(NodeId, usize), f64>,
+    branch_worst: BranchTable,
+    branch_avg: BranchTable,
     canonical_start_rel: Vec<Vec<f64>>,
     section_worst_len: Vec<f64>,
     section_avg_len: Vec<f64>,
@@ -289,8 +360,8 @@ impl CanonicalPlan {
         let _remaining_span = profile::span(profile::names::OFFLINE_REMAINING);
         let mut worst_after = vec![0.0_f64; n_sections];
         let mut avg_after = vec![0.0_f64; n_sections];
-        let mut branch_worst = HashMap::new();
-        let mut branch_avg = HashMap::new();
+        let mut branch_worst = Vec::new();
+        let mut branch_avg = Vec::new();
         for sid in (0..n_sections).rev() {
             let section = sections.section(SectionId(sid as u32));
             let Some(or) = section.exit_or else {
@@ -309,8 +380,8 @@ impl CanonicalPlan {
                     .index();
                 let bw = section_worst_len[b] + worst_after[b];
                 let ba = section_avg_len[b] + avg_after[b];
-                branch_worst.insert((or, k), bw);
-                branch_avg.insert((or, k), ba);
+                branch_worst.push(((or, k), bw));
+                branch_avg.push(((or, k), ba));
                 w = w.max(bw);
                 a += p * ba;
             }
@@ -324,8 +395,8 @@ impl CanonicalPlan {
             dispatch: DispatchOrder { per_section },
             worst_total: section_worst_len[root] + worst_after[root],
             avg_total: section_avg_len[root] + avg_after[root],
-            branch_worst,
-            branch_avg,
+            branch_worst: branch_worst.into_iter().collect(),
+            branch_avg: branch_avg.into_iter().collect(),
             canonical_start_rel,
             section_worst_len,
             section_avg_len,

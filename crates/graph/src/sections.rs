@@ -23,7 +23,7 @@
 use crate::graph::{AndOrGraph, GraphError};
 use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// Index of a section within a [`SectionGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -88,8 +88,10 @@ pub struct SectionGraph {
     /// Per-node owning section (`None` for OR nodes, which sit between
     /// sections).
     node_section: Vec<Option<SectionId>>,
-    /// Branch `(or, k)` → the section it activates.
-    branch_section: HashMap<(NodeId, usize), SectionId>,
+    /// Per node: the section of branch 0 and the branch count. An OR
+    /// node's branch sections have consecutive ids, so branch `k`
+    /// activates section `first + k`; other nodes have no branches.
+    branches: Vec<(SectionId, u32)>,
 }
 
 impl SectionGraph {
@@ -119,9 +121,11 @@ impl SectionGraph {
         self.node_section[node.index()]
     }
 
-    /// The section activated when `or` selects branch `k`.
+    /// The section activated when `or` selects branch `k`; `None` when
+    /// `or` is not an OR node of this graph or has no branch `k`.
     pub fn branch_section(&self, or: NodeId, k: usize) -> Option<SectionId> {
-        self.branch_section.get(&(or, k)).copied()
+        let &(first, n) = self.branches.get(or.index())?;
+        (k < n as usize).then(|| SectionId(first.0 + k as u32))
     }
 
     /// True if `maybe_ancestor` is `section` itself or one of its
@@ -180,7 +184,7 @@ struct Builder<'g> {
     g: &'g AndOrGraph,
     sections: Vec<Section>,
     node_section: Vec<Option<SectionId>>,
-    branch_section: HashMap<(NodeId, usize), SectionId>,
+    branches: Vec<(SectionId, u32)>,
 }
 
 impl<'g> Builder<'g> {
@@ -189,7 +193,7 @@ impl<'g> Builder<'g> {
             g,
             sections: Vec::new(),
             node_section: vec![None; g.len()],
-            branch_section: HashMap::new(),
+            branches: vec![(SectionId(0), 0); g.len()],
         }
     }
 
@@ -214,7 +218,7 @@ impl<'g> Builder<'g> {
         Ok(SectionGraph {
             sections: self.sections,
             node_section: self.node_section,
-            branch_section: self.branch_section,
+            branches: self.branches,
         })
     }
 
@@ -228,7 +232,7 @@ impl<'g> Builder<'g> {
                 .iter()
                 .position(|&s| s == node)
                 .expect("adjacency is consistent");
-            self.branch_section[&(pred, k)]
+            SectionId(self.branches[pred.index()].0 .0 + k as u32)
         } else {
             self.node_section[pred.index()].expect("preds processed first (topo order)")
         }
@@ -265,14 +269,16 @@ impl<'g> Builder<'g> {
     }
 
     fn process_or(&mut self, id: NodeId) -> Result<(), GraphError> {
-        // Sections that drain into this OR node.
+        // Sections that drain into this OR node, ascending and distinct.
         let preds = &self.g.node(id).preds;
-        let exit_sections: BTreeSet<SectionId> = if preds.is_empty() {
+        let mut exit_sections: Vec<SectionId> = if preds.is_empty() {
             // A source OR: the (possibly empty) root section exits into it.
-            std::iter::once(SectionId(0)).collect()
+            vec![SectionId(0)]
         } else {
             preds.iter().map(|&p| self.pred_section(p, id)).collect()
         };
+        exit_sections.sort_unstable();
+        exit_sections.dedup();
         for &s in &exit_sections {
             match self.sections[s.index()].exit_or {
                 None => self.sections[s.index()].exit_or = Some(id),
@@ -303,8 +309,8 @@ impl<'g> Builder<'g> {
             .expect("at least one exit section")
             + 1;
         let n_branches = self.g.node(id).succs.len();
+        self.branches[id.index()] = (SectionId(self.sections.len() as u32), n_branches as u32);
         for k in 0..n_branches {
-            let sid = SectionId(self.sections.len() as u32);
             self.sections.push(Section {
                 entry: SectionEntry::Branch { or: id, branch: k },
                 nodes: Vec::new(),
@@ -313,32 +319,30 @@ impl<'g> Builder<'g> {
                 parent: Some(parent),
                 chain_len,
             });
-            self.branch_section.insert((id, k), sid);
         }
         Ok(())
     }
 }
 
 /// Deterministic topological order: repeatedly take the lowest-indexed
-/// ready node. (The graph's own `topo_order` uses a stack and is only
-/// "some" valid order; section construction wants determinism for stable
-/// error messages and section numbering.)
+/// ready node off a min-heap. (The graph's own `topo_order` uses a stack
+/// and is only "some" valid order; section construction wants
+/// determinism for stable error messages and section numbering.)
 fn topo_forward(g: &AndOrGraph) -> Vec<NodeId> {
     let mut indeg: Vec<usize> = g.nodes().iter().map(|n| n.preds.len()).collect();
-    let mut ready: BTreeSet<NodeId> = indeg
+    let mut ready: BinaryHeap<Reverse<NodeId>> = indeg
         .iter()
         .enumerate()
         .filter(|(_, d)| **d == 0)
-        .map(|(i, _)| NodeId(i as u32))
+        .map(|(i, _)| Reverse(NodeId(i as u32)))
         .collect();
     let mut order = Vec::with_capacity(g.len());
-    while let Some(&id) = ready.iter().next() {
-        ready.remove(&id);
+    while let Some(Reverse(id)) = ready.pop() {
         order.push(id);
         for &s in &g.node(id).succs {
             indeg[s.index()] -= 1;
             if indeg[s.index()] == 0 {
-                ready.insert(s);
+                ready.push(Reverse(s));
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::engine::{RunResult, RunScratch, Simulator};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultSet};
 use crate::policy::Policy;
 use crate::realization::{DrawTable, ExecTimeModel, Realization};
 use pas_stats::{ci95_half_width, Histogram, Summary};
@@ -274,11 +274,15 @@ where
                 .collect();
             let mut scratch = RunScratch::new();
             let mut real = Realization::default();
+            let mut fault_set = FaultSet::empty(0);
             for i in lo..hi {
                 let global = cfg.start_index + i as u64;
                 let mut rng = StdRng::seed_from_u64(seed(global));
                 draws.sample_into(&mut real, &mut rng);
-                let fs = faults.map(|plan| plan.realize(g, global));
+                let fs = faults.map(|plan| {
+                    plan.realize_into(g, global, &mut fault_set);
+                    &fault_set
+                });
                 let sampled =
                     cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
                 for (lane, cols) in lanes.iter_mut().zip(&mut out) {
@@ -288,7 +292,7 @@ where
                         lane.policy.as_mut(),
                         &real,
                         None,
-                        fs.as_ref().filter(|_| lane.faulted),
+                        fs.filter(|_| lane.faulted),
                         sampled.then_some(&mut counter as &mut dyn pas_obs::Observer),
                     )?;
                     cols.push(res, &scratch, sampled.then_some(counter.count));

@@ -120,33 +120,42 @@ impl FaultPlan {
     /// depend on dispatch order or on which other fault classes are
     /// enabled.
     pub fn realize(&self, g: &AndOrGraph, run_index: u64) -> FaultSet {
+        let mut set = FaultSet::empty(0);
+        self.realize_into(g, run_index, &mut set);
+        set
+    }
+
+    /// [`FaultPlan::realize`] into `set`, reusing its storage: the
+    /// result equals a fresh `realize` whatever `set` held before.
+    pub fn realize_into(&self, g: &AndOrGraph, run_index: u64, set: &mut FaultSet) {
         let mut rng = StdRng::seed_from_u64(
             self.seed
                 ^ run_index
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(1),
         );
+        // Every slot is overwritten below, so resizing is all the reset.
         let n = g.len();
-        let mut set = FaultSet {
-            overrun: Vec::with_capacity(n),
-            speed_fail: Vec::with_capacity(n),
-            stall: Vec::with_capacity(n),
-        };
-        for node in g.nodes() {
+        set.overrun.resize(n, None);
+        set.speed_fail.resize(n, false);
+        set.stall.resize(n, None);
+        let slots = set
+            .overrun
+            .iter_mut()
+            .zip(&mut set.speed_fail)
+            .zip(&mut set.stall);
+        for (node, ((overrun, speed_fail), stall)) in g.nodes().iter().zip(slots) {
             // Always consume three uniform draws per node, so toggling one
             // fault class never reshuffles the others.
             let u_over: f64 = rng.gen_range(0.0..1.0);
             let u_speed: f64 = rng.gen_range(0.0..1.0);
             let u_stall: f64 = rng.gen_range(0.0..1.0);
             let comp = node.kind.is_computation();
-            set.overrun
-                .push((comp && u_over < self.overrun_prob).then_some(self.overrun_factor));
-            set.speed_fail.push(comp && u_speed < self.speed_fail_prob);
-            set.stall.push(
-                (comp && u_stall < self.stall_prob && self.stall_ms > 0.0).then_some(self.stall_ms),
-            );
+            *overrun = (comp && u_over < self.overrun_prob).then_some(self.overrun_factor);
+            *speed_fail = comp && u_speed < self.speed_fail_prob;
+            *stall =
+                (comp && u_stall < self.stall_prob && self.stall_ms > 0.0).then_some(self.stall_ms);
         }
-        set
     }
 }
 
@@ -325,6 +334,42 @@ mod tests {
         assert_eq!(a, b);
         let c = plan.realize(&g, 8);
         assert_ne!(a, c, "different run index must draw different faults");
+    }
+
+    #[test]
+    fn realize_into_a_reused_set_equals_a_fresh_realize() {
+        let plan = FaultPlan {
+            overrun_prob: 0.9,
+            overrun_factor: 1.5,
+            speed_fail_prob: 0.9,
+            stall_prob: 0.9,
+            stall_ms: 2.0,
+            seed: 42,
+        };
+        // A fork of `n` tasks between two AND nodes, which never fault.
+        let fork = |n: usize| {
+            let mut b = GraphBuilder::new();
+            let (f, j) = (b.and("F"), b.and("J"));
+            for i in 0..n {
+                let t = b.task(format!("t{i}"), 10.0, 6.0);
+                b.edge(f, t).expect("fork edge is valid");
+                b.edge(t, j).expect("join edge is valid");
+            }
+            b.build().expect("fork builds")
+        };
+        let mut set = FaultSet::empty(0);
+        // Grow, shrink and grow again, over slots that switch between
+        // tasks and AND nodes, so stale entries would show.
+        for (g, run) in [
+            (chain(64), 7),
+            (fork(8), 8),
+            (chain(128), 9),
+            (chain(1), 10),
+            (fork(70), 7),
+        ] {
+            plan.realize_into(&g, run, &mut set);
+            assert_eq!(set, plan.realize(&g, run), "{} nodes, run {run}", g.len());
+        }
     }
 
     #[test]

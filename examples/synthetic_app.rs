@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  Tw = {:.1} ms, Ta = {:.1} ms, deadline = {:.1} ms",
         setup.plan.worst_total, setup.plan.avg_total, setup.plan.deadline
     );
-    let mut pmps: Vec<_> = setup.plan.branch_worst.iter().collect();
-    pmps.sort_by_key(|((or, k), _)| (*or, *k));
-    for ((or, k), tw) in pmps {
+    for ((or, k), tw) in &setup.plan.branch_worst {
         let ta = setup.plan.branch_avg[&(*or, *k)];
         println!(
             "  PMP at {} branch {k}: Tw_k = {tw:.1} ms, Ta_k = {ta:.1} ms",

@@ -13,11 +13,15 @@
 //!   against the reference run on its `to_value()` tree;
 //! - on plan artifacts of random chained graphs under all six schemes.
 //!
+//! A plan's `BranchTable` prints, with no sort, the bytes a `HashMap` of
+//! its entries prints.
+//!
 //! Maps print in the order their entries' `Value`s sort in; the
 //! reference order is the tree comparison the printer used before it
 //! stopped building trees.
 
-use pas_andor::core::{PlanArtifact, Scheme, Setup};
+use pas_andor::core::{BranchTable, PlanArtifact, Scheme, Setup};
+use pas_andor::graph::NodeId;
 use pas_andor::power::ProcessorModel;
 use pas_andor::workloads::RandomAppParams;
 use proptest::prelude::*;
@@ -634,5 +638,72 @@ proptest! {
         let want = Value::Array(want.into_iter().map(|(k, v)| Value::Array(vec![k, v])).collect());
         prop_assert_eq!(serde_json::to_string(&map).ok(), reference(&want, None));
         prop_assert_eq!(map.to_value(), want);
+    }
+}
+
+// ---- branch tables against hash maps ---------------------------------------
+
+/// `(or, branch)` keys from small pools, so they often collide. Branch
+/// indices stay below 2^53, where the printer's number order (by `f64`)
+/// is integer order.
+fn random_branch_key(rng: &mut StdRng) -> (NodeId, usize) {
+    let or = [0, 1, 2, 7, 1000, u32::MAX][rng.gen_range(0..6usize)];
+    let k = [0, 1, 2, 3, 1 << 40][rng.gen_range(0..5usize)];
+    (NodeId(or), k)
+}
+
+fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A `BranchTable` prints the bytes a `HashMap` of the same entries
+    /// prints, whatever order either was filled in; `from_json` takes
+    /// entries in any order, the last of equal keys winning, and the
+    /// table round-trips.
+    #[test]
+    fn branch_table_prints_as_a_hash_map(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..40);
+        let mut entries: Vec<((NodeId, usize), f64)> = (0..n)
+            .map(|_| (random_branch_key(&mut rng), random_float(&mut rng)))
+            .collect();
+        let map: HashMap<(NodeId, usize), f64> = entries.iter().copied().collect();
+        let table: BranchTable = entries.iter().copied().collect();
+        prop_assert_eq!(serde_json::to_string(&table).ok(), serde_json::to_string(&map).ok());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(&table).ok(),
+            serde_json::to_string_pretty(&map).ok()
+        );
+        prop_assert_eq!(table.len(), map.len());
+        for (key, v) in &map {
+            prop_assert_eq!(table.get(key).map(|x| x.to_bits()), Some(v.to_bits()));
+            prop_assert_eq!(table[key].to_bits(), v.to_bits());
+        }
+        for (key, v) in &table {
+            prop_assert_eq!(map.get(key), Some(v));
+        }
+        prop_assert!(table.keys().zip(table.keys().skip(1)).all(|(a, b)| a < b));
+
+        // A shuffled entry list with duplicates reads as the map a
+        // sequence of inserts in list order builds.
+        for i in 0..n / 4 {
+            entries.push((entries[i].0, random_float(&mut rng)));
+        }
+        shuffle(&mut entries, &mut rng);
+        let doc = serde_json::to_string(&entries).expect("entries print");
+        let read: BranchTable = serde_json::from_str(&doc).expect("entry list reads");
+        let inserted: HashMap<(NodeId, usize), f64> = entries.iter().copied().collect();
+        prop_assert_eq!(serde_json::to_string(&read).ok(), serde_json::to_string(&inserted).ok());
+        prop_assert_eq!(&read, &entries.iter().copied().collect::<BranchTable>());
+
+        let text = serde_json::to_string(&table).expect("table prints");
+        let back: BranchTable = serde_json::from_str(&text).expect("table reads");
+        prop_assert_eq!(serde_json::to_string(&back).ok(), Some(text));
+        prop_assert_eq!(&back, &table);
     }
 }
