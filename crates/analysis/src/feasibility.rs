@@ -30,7 +30,7 @@ use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios};
 use andor_graph::{AndOrGraph, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel};
-use pas_core::{CanonicalPlan, PlanError, MAX_PROCS};
+use pas_core::{CanonicalPlan, PlanError, Setup, SetupError, MAX_PROCS};
 
 pub use crate::enumeration::ENUMERATION_THRESHOLD;
 
@@ -42,6 +42,32 @@ pub enum DeadlineSpec {
     /// A system load `Tw / D` in `(0, 1]`; the deadline is derived as
     /// `worst_case / load` (the CLI's `--load` convention).
     Load(f64),
+}
+
+impl DeadlineSpec {
+    /// The spec a front end's optional deadline and load give: the
+    /// deadline when there is one, else the load, else load 0.5.
+    pub fn from_flags(deadline: Option<f64>, load: Option<f64>) -> Self {
+        match (deadline, load) {
+            (Some(d), _) => Self::Deadline(d),
+            (None, l) => Self::Load(l.unwrap_or(0.5)),
+        }
+    }
+
+    /// Runs the off-line phase for this spec with the paper's default
+    /// overheads: [`Setup::new`] for a deadline, [`Setup::for_load`] for
+    /// a load.
+    pub fn setup(
+        self,
+        graph: AndOrGraph,
+        model: ProcessorModel,
+        num_procs: usize,
+    ) -> Result<Setup, SetupError> {
+        match self {
+            Self::Deadline(d) => Setup::new(graph, model, num_procs, d),
+            Self::Load(l) => Setup::for_load(graph, model, num_procs, l),
+        }
+    }
 }
 
 /// The verifier's findings, returned alongside the diagnostics so the
@@ -408,5 +434,37 @@ mod tests {
         );
         assert!(!r.has_errors());
         assert!(r.diagnostics.iter().any(|d| d.code == Code::Pas0302));
+    }
+
+    #[test]
+    fn flags_pick_the_deadline_then_the_load_then_the_default() {
+        assert_eq!(
+            DeadlineSpec::from_flags(Some(40.0), None),
+            DeadlineSpec::Deadline(40.0)
+        );
+        assert_eq!(
+            DeadlineSpec::from_flags(None, Some(0.7)),
+            DeadlineSpec::Load(0.7)
+        );
+        assert_eq!(
+            DeadlineSpec::from_flags(None, None),
+            DeadlineSpec::Load(0.5)
+        );
+    }
+
+    #[test]
+    fn spec_setup_matches_the_setup_constructors() {
+        let model = ProcessorModel::xscale();
+        let by_load = DeadlineSpec::Load(0.5)
+            .setup(app(), model.clone(), 2)
+            .expect("feasible load");
+        let direct = Setup::for_load(app(), model.clone(), 2, 0.5).expect("feasible load");
+        let json = |s: &Setup| serde_json::to_string(&s.plan).expect("plan prints");
+        assert_eq!(json(&by_load), json(&direct));
+        let by_deadline = DeadlineSpec::Deadline(direct.plan.deadline)
+            .setup(app(), model.clone(), 2)
+            .expect("feasible deadline");
+        let direct = Setup::new(app(), model, 2, direct.plan.deadline).expect("feasible deadline");
+        assert_eq!(json(&by_deadline), json(&direct));
     }
 }

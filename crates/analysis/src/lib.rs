@@ -108,6 +108,20 @@ pub struct Analysis {
     pub feasibility: Option<Feasibility>,
 }
 
+/// The ingest checks every front end runs on a workload/platform pair
+/// before planning or simulating it: graph well-formedness, then the
+/// platform.
+pub fn check_inputs(
+    g: &AndOrGraph,
+    graph_src: &str,
+    model: &ProcessorModel,
+    model_src: &str,
+) -> Report {
+    let mut report = check_graph(g, graph_src);
+    report.merge(check_model(model, model_src));
+    report
+}
+
 /// Runs the complete static-analysis pipeline over one workload/platform
 /// pair: graph well-formedness, platform and parameter validity, then —
 /// only if everything structural is clean — the Theorem-1 feasibility
@@ -121,8 +135,7 @@ pub fn check_application(
     num_procs: usize,
     spec: DeadlineSpec,
 ) -> Analysis {
-    let mut report = check_graph(g, graph_src);
-    report.merge(check_model(model, model_src));
+    let mut report = check_inputs(g, graph_src, model, model_src);
     report.merge(check_overheads(&overheads, model_src));
     report.merge(check_run_params(
         num_procs,

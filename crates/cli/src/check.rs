@@ -31,22 +31,15 @@
 //! accordingly.
 
 use crate::args::Args;
+use crate::source::{classify, load_model, Source};
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
 use mp_sim::FaultPlan;
 use pas_analyze::{
-    analyze_bounds, check_application, check_fault_plan, BoundsAnalysis, BoundsConfig, Code,
-    DeadlineSpec, Diagnostic, FaultEnvelope, Loc, Report,
+    analyze_bounds, check_application, check_fault_plan, check_inputs, BoundsAnalysis,
+    BoundsConfig, Code, DeadlineSpec, Diagnostic, FaultEnvelope, Loc, Report,
 };
-use pas_core::{PlanArtifact, Setup};
-
-/// What one positional source turned out to be.
-enum Source {
-    Workload(String, AndOrGraph),
-    Platform(String, ProcessorModel),
-    Fault(String, FaultPlan),
-    Plan(String, Box<PlanArtifact>),
-}
+use pas_core::PlanArtifact;
 
 /// Runs `pas check <sources>`. Returns `Ok(report)` when the inputs are
 /// accepted and `Err(report)` when they are rejected (nonzero exit), so
@@ -69,7 +62,7 @@ pub fn check_cmd(args: &Args) -> Result<String, String> {
     for spec in &specs {
         match classify(spec, args)? {
             Source::Workload(label, g) => {
-                if !matches!(spec.as_str(), "synthetic" | "video" | "atr") {
+                if !workloads::BUILTIN_NAMES.contains(&spec.as_str()) {
                     fix_candidates.push((label.clone(), g.clone()));
                 }
                 workloads.push((label, g));
@@ -100,18 +93,13 @@ pub fn check_cmd(args: &Args) -> Result<String, String> {
     // Without an explicit platform source, workloads are checked against
     // the `--model` platform (the same one `run` would use).
     if platforms.is_empty() && !workloads.is_empty() {
-        match crate::source::load_model(&args.model) {
+        match load_model(&args.model) {
             Ok(m) => platforms.push((args.model.clone(), m)),
             Err(e) => report.push(Diagnostic::new(Code::Pas0101, Loc::whole(&args.model), e)),
         }
     }
 
-    let spec = match (args.deadline, args.load) {
-        (Some(d), None) => DeadlineSpec::Deadline(d),
-        (None, Some(l)) => DeadlineSpec::Load(l),
-        (None, None) => DeadlineSpec::Load(0.5),
-        (Some(_), Some(_)) => unreachable!("rejected at parse time"),
-    };
+    let spec = DeadlineSpec::from_flags(args.deadline, args.load);
 
     let mut summaries = Vec::new();
     let mut bounds_analyses: Vec<BoundsAnalysis> = Vec::new();
@@ -142,19 +130,7 @@ pub fn check_cmd(args: &Args) -> Result<String, String> {
             // Bounds need a buildable offline plan, so only pairs that
             // passed the structural checks are analyzed.
             if args.bounds && pair_sound {
-                let setup = match spec {
-                    DeadlineSpec::Deadline(d) => Setup::with_deadline_and_overheads(
-                        g.clone(),
-                        model.clone(),
-                        args.procs,
-                        d,
-                        Overheads::paper_defaults(),
-                    ),
-                    DeadlineSpec::Load(l) => {
-                        Setup::for_load(g.clone(), model.clone(), args.procs, l)
-                    }
-                };
-                match setup {
+                match spec.setup(g.clone(), model.clone(), args.procs) {
                     Ok(setup) => {
                         let cfg = BoundsConfig {
                             fault: fault_plans
@@ -224,7 +200,12 @@ pub fn check_cmd(args: &Args) -> Result<String, String> {
     // Plan artifacts: resolve the reference inputs, vet them, then run
     // the independent re-derivation verifier.
     for (p_label, artifact) in &plans {
-        let (g_label, g) = match ref_workloads.first() {
+        // A recorded label that names a source already read resolves to
+        // it; any other is classified afresh.
+        let known_workload = ref_workloads
+            .first()
+            .or_else(|| workloads.iter().find(|(l, _)| *l == artifact.workload));
+        let (g_label, g) = match known_workload {
             Some((l, g)) => (l.clone(), g.clone()),
             None => match classify(&artifact.workload, args)? {
                 Source::Workload(l, g) => (l, g),
@@ -237,17 +218,19 @@ pub fn check_cmd(args: &Args) -> Result<String, String> {
                 }
             },
         };
-        let (m_label, model) = match ref_platforms.first() {
+        let known_platform = ref_platforms
+            .first()
+            .or_else(|| platforms.iter().find(|(l, _)| *l == artifact.platform));
+        let (m_label, model) = match known_platform {
             Some((l, m)) => (l.clone(), m.clone()),
             None => match classify(&artifact.platform, args) {
                 Ok(Source::Platform(l, m)) => (l, m),
                 // The recorded platform label may be a path that no longer
                 // exists; fall back to the session's `--model`.
-                _ => (args.model.clone(), crate::source::load_model(&args.model)?),
+                _ => (args.model.clone(), load_model(&args.model)?),
             },
         };
-        let mut pre = pas_analyze::check_graph(&g, &g_label);
-        pre.merge(pas_analyze::check_model(&model, &m_label));
+        let pre = check_inputs(&g, &g_label, &model, &m_label);
         let pre_clean = !pre.has_errors();
         report.merge(pre);
         // Only verify against structurally sound references — otherwise
@@ -334,44 +317,5 @@ fn fixed_path(path: &str) -> String {
     match path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.fixed.json"),
         None => format!("{path}.fixed.json"),
-    }
-}
-
-/// Classifies one positional source, loading it without the eager
-/// validation the simulation paths apply (the checks themselves are the
-/// validation here).
-fn classify(spec: &str, args: &Args) -> Result<Source, String> {
-    if let Some(model) = ProcessorModel::from_spec(spec) {
-        return Ok(Source::Platform(spec.to_string(), model?));
-    }
-    if let Some(g) = workloads::builtin(spec, args.alpha, args.seed) {
-        return Ok(Source::Workload(spec.to_string(), g?));
-    }
-    let path = spec;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let value: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    if value.get("schema_version").is_some() {
-        let artifact =
-            PlanArtifact::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        Ok(Source::Plan(path.to_string(), Box::new(artifact)))
-    } else if value.get("nodes").is_some() {
-        let g: AndOrGraph =
-            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        Ok(Source::Workload(path.to_string(), g))
-    } else if value.get("overrun_prob").is_some() {
-        let p: FaultPlan =
-            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        Ok(Source::Fault(path.to_string(), p))
-    } else if value.get("kind").is_some() {
-        let m: ProcessorModel =
-            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        Ok(Source::Platform(path.to_string(), m))
-    } else {
-        Err(format!(
-            "{path}: cannot classify source (expected a plan artifact with \
-             \"schema_version\", a workload with \"nodes\", a fault plan with \
-             \"overrun_prob\", or a platform with \"kind\")"
-        ))
     }
 }

@@ -2,11 +2,14 @@
 //! the whole tool is unit-testable without spawning processes.
 
 use crate::args::{Args, Command, SchemeArg};
-use crate::source::{load_app, load_fault_plan, load_model};
-use andor_graph::{app_profile, to_dot, SectionGraph};
+use crate::source::{
+    classify, load_app, load_fault_plan, load_model, read_app, validate_app, Source,
+};
+use andor_graph::{app_profile, to_dot, AndOrGraph, SectionGraph};
 use dvfs_power::ProcessorModel;
 use mp_sim::trace::{lane_stats, power_profile, render_gantt, GanttOptions};
 use mp_sim::ExecTimeModel;
+use pas_analyze::DeadlineSpec;
 use pas_core::{Scheme, Setup, SetupError};
 use pas_stats::Summary;
 use rand::rngs::StdRng;
@@ -80,34 +83,27 @@ fn with_profile(
     Ok(out)
 }
 
-/// Cheap static checks run automatically before `run` and `trace`:
-/// graph well-formedness and platform validity. Errors abort with
-/// rendered diagnostics; warnings are ignored here (run `pas check` for
-/// the full report including feasibility).
-fn precheck(args: &Args) -> Result<(), String> {
-    let graph = crate::source::load_app_unvalidated(args)?;
+/// The setup of `run` and `trace`, behind cheap static checks: graph
+/// well-formedness and platform validity. Errors abort with rendered
+/// diagnostics; warnings are ignored here (run `pas check` for the full
+/// report including feasibility).
+fn prechecked_setup(args: &Args) -> Result<Setup, String> {
+    let graph = read_app(args)?;
     let model = load_model(&args.model)?;
-    let mut report = pas_analyze::check_graph(&graph, &args.app);
-    report.merge(pas_analyze::check_model(&model, &args.model));
+    let report = pas_analyze::check_inputs(&graph, &args.app, &model, &args.model);
     if report.has_errors() {
         return Err(format!(
             "pre-run check failed:\n{}",
             report.render_human().trim_end()
         ));
     }
-    Ok(())
+    setup(args, validate_app(args, &args.app, graph)?, model)
 }
 
-fn build_setup(args: &Args) -> Result<Setup, String> {
-    let graph = load_app(args)?;
-    let model = load_model(&args.model)?;
-    let result = match (args.deadline, args.load) {
-        (Some(d), None) => Setup::new(graph, model, args.procs, d),
-        (None, Some(l)) => Setup::for_load(graph, model, args.procs, l),
-        (None, None) => Setup::for_load(graph, model, args.procs, 0.5),
-        (Some(_), Some(_)) => unreachable!("rejected at parse time"),
-    };
-    result.map_err(|e| match e {
+/// Runs the off-line phase for `--deadline` or `--load`.
+fn setup(args: &Args, graph: AndOrGraph, model: ProcessorModel) -> Result<Setup, String> {
+    let spec = DeadlineSpec::from_flags(args.deadline, args.load);
+    spec.setup(graph, model, args.procs).map_err(|e| match e {
         SetupError::Offline(pas_core::OfflineError::Infeasible {
             worst_finish,
             deadline,
@@ -176,17 +172,6 @@ fn inspect(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
-/// True when a `plan` positional source names a platform rather than a
-/// workload: a builtin model spec, or a JSON file whose top level carries
-/// the `ProcessorModel` `"kind"` tag.
-fn is_platform_spec(spec: &str) -> bool {
-    ProcessorModel::from_spec(spec).is_some()
-        || std::fs::read_to_string(spec)
-            .ok()
-            .and_then(|text| serde_json::from_str::<serde::Value>(&text).ok())
-            .is_some_and(|v| v.get("kind").is_some() && v.get("nodes").is_none())
-}
-
 fn serve_cmd(args: &Args) -> Result<String, String> {
     use pas_obs::log;
     if let Some(dest) = &args.log {
@@ -227,15 +212,24 @@ fn plan(args: &Args) -> Result<String, String> {
     // documented invocation `pas plan workload.json xscale --out p.json`
     // works without flag spelling.
     let mut eff = args.clone();
+    let mut graph = None;
     for spec in &args.sources {
-        if is_platform_spec(spec) {
-            eff.model = spec.clone();
-        } else {
-            eff.app = spec.clone();
+        match classify(spec, args)? {
+            Source::Workload(label, g) => (eff.app, graph) = (label, Some(g)),
+            // The platform resolves by its spec below. A platform file
+            // names no spec, and its table is not validated on this path.
+            Source::Platform(label, _) => eff.model = label,
+            Source::Fault(..) | Source::Plan(..) => {
+                return Err(format!("{spec}: expected a workload or platform source"))
+            }
         }
     }
     let args = &eff;
-    let setup = build_setup(args)?;
+    let graph = match graph {
+        Some(g) => validate_app(args, &args.app, g)?,
+        None => load_app(args)?,
+    };
+    let setup = setup(args, graph, load_model(&args.model)?)?;
     if let Some(path) = &args.out {
         let scheme = match args.scheme {
             SchemeArg::Scheme(s) => s,
@@ -335,8 +329,7 @@ fn scheme_policy(setup: &Setup, scheme: SchemeArg) -> Box<dyn mp_sim::Policy + '
 }
 
 fn run_one(args: &Args) -> Result<String, String> {
-    precheck(args)?;
-    let setup = build_setup(args)?;
+    let setup = prechecked_setup(args)?;
     let mut rng = StdRng::seed_from_u64(args.seed);
     let real = setup.sample(&ExecTimeModel::paper_defaults(), &mut rng);
     let fault_plan = match &args.fault_plan {
@@ -461,7 +454,7 @@ fn run_one(args: &Args) -> Result<String, String> {
 /// distributions (quantiles and tails) reported next to the means.
 fn compare(args: &Args) -> Result<String, String> {
     use mp_sim::{batch::SLICE, realization_seed, run_paired, BatchConfig, BatchOutput, Lane};
-    let setup = build_setup(args)?;
+    let setup = setup(args, load_app(args)?, load_model(&args.model)?)?;
     let empty = setup
         .batch_distribution()
         .ok_or("degenerate histogram bounds")?;
@@ -627,7 +620,7 @@ fn compare(args: &Args) -> Result<String, String> {
 
 fn optimal(args: &Args) -> Result<String, String> {
     use pas_core::optimal_assignment;
-    let setup = build_setup(args)?;
+    let setup = setup(args, load_app(args)?, load_model(&args.model)?)?;
     let n_tasks = setup.graph.num_tasks();
     let opt = optimal_assignment(
         &setup.graph,
@@ -737,8 +730,7 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
         ),
         None => None,
     };
-    precheck(args)?;
-    let setup = build_setup(args)?;
+    let setup = prechecked_setup(args)?;
     let mut rng = StdRng::seed_from_u64(args.seed);
     let etm = ExecTimeModel::paper_defaults();
     if args.frames.is_some() && args.fault_plan.is_some() {
@@ -816,65 +808,35 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
         SchemeArg::Oracle => "Oracle".into(),
     };
     let (body, event_count): (String, u64) = match args.format.as_str() {
-        "jsonl" => {
-            if let Some(path) = &args.out {
-                // Incremental path: each event hits the buffered file
-                // writer the moment the engine emits it.
-                let file =
-                    std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-                let mut sink = Filtered::new(
-                    JsonlSink::new(std::io::BufWriter::new(file)),
-                    kind_filter,
-                    args.proc_filter,
-                );
+        // Streaming formats: each event hits the writer the moment the
+        // engine emits it, a buffered file with `--out`, memory without.
+        "jsonl" | "chrome" => {
+            let mut buf = Vec::new();
+            let mut file = None;
+            let w: &mut dyn std::io::Write = match &args.out {
+                Some(path) => file.insert(std::io::BufWriter::new(
+                    std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
+                )),
+                None => &mut buf,
+            };
+            let (passed, finished) = if args.format == "jsonl" {
+                let mut sink = Filtered::new(JsonlSink::new(w), kind_filter, args.proc_filter);
                 run_into(&mut sink)?;
-                let passed = sink.passed();
-                let mut w = sink
-                    .into_inner()
-                    .finish()
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                use std::io::Write as _;
-                w.flush().map_err(|e| format!("writing {path}: {e}"))?;
+                (sink.passed(), sink.into_inner().finish())
+            } else {
+                let name_of = |n: andor_graph::NodeId| setup.graph.node(n).name.clone();
+                let sink = ChromeSink::new(w, name_of);
+                let mut sink = Filtered::new(sink, kind_filter, args.proc_filter);
+                run_into(&mut sink)?;
+                (sink.passed(), sink.into_inner().finish())
+            };
+            let written = finished.and_then(|w| w.flush());
+            if let Some(path) = &args.out {
+                written.map_err(|e| format!("writing {path}: {e}"))?;
                 return Ok(format!("wrote {path} ({passed} events, streamed)\n"));
             }
-            let mut sink = Filtered::new(JsonlSink::new(Vec::new()), kind_filter, args.proc_filter);
-            run_into(&mut sink)?;
-            let passed = sink.passed();
-            let buf = sink.into_inner().finish().expect("in-memory sink");
-            (String::from_utf8(buf).expect("jsonl is utf-8"), passed)
-        }
-        "chrome" => {
-            let name_of = |n: andor_graph::NodeId| setup.graph.node(n).name.clone();
-            if let Some(path) = &args.out {
-                let file =
-                    std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-                let mut sink = Filtered::new(
-                    ChromeSink::new(std::io::BufWriter::new(file), name_of),
-                    kind_filter,
-                    args.proc_filter,
-                );
-                run_into(&mut sink)?;
-                let passed = sink.passed();
-                let mut w = sink
-                    .into_inner()
-                    .finish()
-                    .map_err(|e| format!("writing {path}: {e}"))?;
-                use std::io::Write as _;
-                w.flush().map_err(|e| format!("writing {path}: {e}"))?;
-                return Ok(format!("wrote {path} ({passed} events, streamed)\n"));
-            }
-            let mut sink = Filtered::new(
-                ChromeSink::new(Vec::new(), name_of),
-                kind_filter,
-                args.proc_filter,
-            );
-            run_into(&mut sink)?;
-            let passed = sink.passed();
-            let buf = sink.into_inner().finish().expect("in-memory sink");
-            (
-                String::from_utf8(buf).expect("chrome trace is utf-8"),
-                passed,
-            )
+            written.expect("in-memory sink");
+            (String::from_utf8(buf).expect("traces are utf-8"), passed)
         }
         "csv" => {
             let mut reg = MetricsRegistry::new();

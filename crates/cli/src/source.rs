@@ -1,46 +1,111 @@
-//! Resolving `--app` and `--model` specifications.
+//! Resolving sources: `--app`, `--model`, `--fault-plan` and the
+//! positional sources of `pas plan` and `pas check`. Each file is read
+//! and parsed once.
 
 use crate::args::Args;
 use andor_graph::AndOrGraph;
 use dvfs_power::ProcessorModel;
+use mp_sim::FaultPlan;
+use pas_core::PlanArtifact;
+use serde::Value;
 
-/// Builds the application graph for `--app` (with the optional `--alpha`
-/// override applied before lowering for the built-ins, or left as-is for
-/// JSON files).
+/// What one source spec turned out to be.
+pub enum Source {
+    Workload(String, AndOrGraph),
+    Platform(String, ProcessorModel),
+    Fault(String, FaultPlan),
+    Plan(String, Box<PlanArtifact>),
+}
+
+/// Classifies one source spec. Built-in workload names and platform specs
+/// are recognized directly; a JSON file is sniffed by its top-level keys
+/// (`schema_version` → plan artifact, `nodes` → workload, `overrun_prob`
+/// → fault plan, `kind` → platform). Nothing is validated here: `pas
+/// check` reports every problem, and [`validate_app`] stops at the first.
+pub fn classify(spec: &str, args: &Args) -> Result<Source, String> {
+    if let Some(model) = ProcessorModel::from_spec(spec) {
+        return Ok(Source::Platform(spec.to_string(), model?));
+    }
+    if let Some(g) = workloads::builtin(spec, args.alpha, args.seed) {
+        return Ok(Source::Workload(spec.to_string(), g?));
+    }
+    let path = spec;
+    let value = read_json(path)?;
+    let label = path.to_string();
+    if value.get("schema_version").is_some() {
+        PlanArtifact::from_value(&value)
+            .map(|a| Source::Plan(label, Box::new(a)))
+            .map_err(|e| format!("parsing {path}: {e}"))
+    } else if value.get("nodes").is_some() {
+        serde_json::from_value(&value)
+            .map(|g| Source::Workload(label, g))
+            .map_err(|e| format!("parsing {path}: {e}"))
+    } else if value.get("overrun_prob").is_some() {
+        serde_json::from_value(&value)
+            .map(|p| Source::Fault(label, p))
+            .map_err(|e| format!("parsing {path}: {e}"))
+    } else if value.get("kind").is_some() {
+        serde_json::from_value(&value)
+            .map(|m| Source::Platform(label, m))
+            .map_err(|e| format!("parsing {path}: {e}"))
+    } else {
+        Err(format!(
+            "{path}: cannot classify source (expected a plan artifact with \
+             \"schema_version\", a workload with \"nodes\", a fault plan with \
+             \"overrun_prob\", or a platform with \"kind\")"
+        ))
+    }
+}
+
+fn read_json(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// Builds the application graph for `--app`: a built-in with the
+/// optional `--alpha` override applied before lowering, or a JSON file,
+/// validated.
 pub fn load_app(args: &Args) -> Result<AndOrGraph, String> {
-    load_app_as(args, true)
+    validate_app(args, &args.app, read_app(args)?)
 }
 
-/// Like [`load_app`], but JSON workloads skip the eager `validate()` —
-/// for callers that run the full `pas-analyze` check suite instead
-/// (collecting *every* problem rather than failing on the first).
-pub fn load_app_unvalidated(args: &Args) -> Result<AndOrGraph, String> {
-    load_app_as(args, false)
-}
-
-fn load_app_as(args: &Args, validate: bool) -> Result<AndOrGraph, String> {
+/// Reads `--app` without validating it, for callers that run the
+/// `pas-analyze` checks on it first.
+pub fn read_app(args: &Args) -> Result<AndOrGraph, String> {
     if let Some(g) = workloads::builtin(&args.app, args.alpha, args.seed) {
         return g;
     }
-    let path = &args.app;
     if args.alpha.is_some() {
-        return Err("--alpha applies only to the built-in workloads".into());
+        return Err(NO_ALPHA.into());
     }
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let g: AndOrGraph = serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    if validate {
-        g.validate()
-            .map_err(|e| format!("validating {path}: {e}"))?;
+    let path = &args.app;
+    serde_json::from_value(&read_json(path)?).map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// `--alpha` rescales a built-in workload; a workload file carries its
+/// own execution times.
+const NO_ALPHA: &str = "--alpha applies only to the built-in workloads";
+
+/// Readies the workload `label` names for the simulation paths. The
+/// built-ins are valid by construction; a workload file takes no
+/// `--alpha` and gets the eager structural validation.
+pub fn validate_app(args: &Args, label: &str, g: AndOrGraph) -> Result<AndOrGraph, String> {
+    if workloads::BUILTIN_NAMES.contains(&label) {
+        return Ok(g);
     }
+    if args.alpha.is_some() {
+        return Err(NO_ALPHA.into());
+    }
+    g.validate()
+        .map_err(|e| format!("validating {label}: {e}"))?;
     Ok(g)
 }
 
 /// Loads and validates a fault plan from a JSON file (the serde form of
 /// [`mp_sim::FaultPlan`]).
-pub fn load_fault_plan(path: &str) -> Result<mp_sim::FaultPlan, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let plan: mp_sim::FaultPlan =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+pub fn load_fault_plan(path: &str) -> Result<FaultPlan, String> {
+    let plan: FaultPlan =
+        serde_json::from_value(&read_json(path)?).map_err(|e| format!("parsing {path}: {e}"))?;
     plan.validate()
         .map_err(|e| format!("validating {path}: {e}"))?;
     Ok(plan)
@@ -48,12 +113,7 @@ pub fn load_fault_plan(path: &str) -> Result<mp_sim::FaultPlan, String> {
 
 /// Resolves the `--model` specification.
 pub fn load_model(spec: &str) -> Result<ProcessorModel, String> {
-    ProcessorModel::from_spec(spec).unwrap_or_else(|| {
-        Err(format!(
-            "unknown platform '{spec}' ({})",
-            ProcessorModel::SPEC_GRAMMAR
-        ))
-    })
+    ProcessorModel::resolve(spec)
 }
 
 #[cfg(test)]

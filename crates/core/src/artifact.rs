@@ -182,6 +182,11 @@ impl PlanArtifact {
         serde_json::from_str(text).map_err(|e| format!("parsing plan: {e}"))
     }
 
+    /// [`PlanArtifact::from_json`] for JSON already parsed into a tree.
+    pub fn from_value(value: &serde::Value) -> Result<Self, String> {
+        serde_json::from_value(value).map_err(|e| format!("parsing plan: {e}"))
+    }
+
     /// The content digest of this artifact: SHA-256 over the canonical
     /// JSON serialization (workload and platform labels, scheme,
     /// overheads, derived parameters and the full offline plan).

@@ -284,28 +284,6 @@ impl Setup {
         })
     }
 
-    /// Replaces the overhead configuration and rebuilds the off-line plan
-    /// so its per-task reservation matches. Fails if the inflated worst
-    /// case no longer fits the (unchanged) deadline — use
-    /// [`Setup::for_load_with_overheads`] to rescale the deadline instead.
-    pub fn with_overheads(mut self, overheads: Overheads) -> Result<Self, SetupError> {
-        self.overheads = overheads;
-        self.plan = OfflinePlan::build_with_pmp_reserve(
-            &self.graph,
-            &self.sections,
-            self.plan.num_procs,
-            self.plan.deadline,
-            pmp_reserve(&self.model, overheads),
-        )?;
-        Ok(self)
-    }
-
-    /// Replaces the idle-power fraction.
-    pub fn with_idle_fraction(mut self, idle_fraction: f64) -> Self {
-        self.idle_fraction = idle_fraction;
-        self
-    }
-
     /// Enables the static-power extension: `fraction` of maximum power is
     /// drawn whenever a processor is active (see `dvfs_power::leakage`).
     pub fn with_static_power(mut self, fraction: f64) -> Self {
@@ -542,11 +520,15 @@ mod tests {
 
     #[test]
     fn builder_style_overrides() {
-        let s = Setup::new(app(), ProcessorModel::xscale(), 2, 40.0)
-            .expect("feasible deadline")
-            .with_overheads(Overheads::none())
-            .expect("overhead-free replan stays feasible")
-            .with_idle_fraction(0.1);
+        let mut s = Setup::with_deadline_and_overheads(
+            app(),
+            ProcessorModel::xscale(),
+            2,
+            40.0,
+            Overheads::none(),
+        )
+        .expect("feasible deadline");
+        s.idle_fraction = 0.1;
         assert_eq!(s.overheads, Overheads::none());
         assert_eq!(s.sim_config(false).idle_fraction, 0.1);
     }

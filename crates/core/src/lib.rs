@@ -59,6 +59,5 @@ pub use harness::{pmp_reserve, Setup, SetupError};
 pub use offline::{BranchTable, CanonicalPlan, OfflineError, OfflinePlan, PlanError, MAX_PROCS};
 pub use oracle::OraclePolicy;
 pub use policies::{
-    AsPolicy, EnergyFloorPolicy, GssPolicy, ProportionalPolicy, Scheme, SpmPolicy, Ss1Policy,
-    Ss2Policy,
+    AsPolicy, EnergyFloorPolicy, GssPolicy, Scheme, SpmPolicy, Ss1Policy, Ss2Policy,
 };

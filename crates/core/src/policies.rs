@@ -369,55 +369,6 @@ impl Policy for AsPolicy<'_> {
     }
 }
 
-/// Path-proportional slack distribution (PP): the uniprocessor scheme of
-/// Mossé et al. (the paper's \[14\]) lifted to the multiprocessor canonical
-/// schedule. Instead of letting the current task greedily claim *all*
-/// slack (GSS), every dispatch stretches the whole remaining canonical
-/// schedule uniformly over the time left:
-///
-/// `s_i = R_i / (D − t)` where `R_i = D − LST_i` is the canonical
-/// worst-case remaining time from task `i`'s start.
-///
-/// Uniform stretching keeps the remaining schedule feasible (the engine's
-/// timing scales exactly with a uniform slowdown), so PP shares GSS's
-/// guarantee; the implementation still floors at the GSS speed to stay
-/// safe under quantization and overhead reservations.
-///
-/// PP is not part of the paper's evaluation — it is the natural
-/// "distribute slack evenly" contrast to GSS's "grab it all now", included
-/// as an extension baseline.
-pub struct ProportionalPolicy<'a> {
-    guar: Guarantee<'a>,
-}
-
-impl<'a> ProportionalPolicy<'a> {
-    /// Creates the policy for a plan/platform pair.
-    pub fn new(plan: &'a OfflinePlan, model: &'a ProcessorModel, overheads: Overheads) -> Self {
-        Self {
-            guar: Guarantee::new(plan, model, overheads),
-        }
-    }
-}
-
-impl Policy for ProportionalPolicy<'_> {
-    fn name(&self) -> &str {
-        "PP"
-    }
-
-    fn speed_for(&mut self, task: NodeId, ctx: &DispatchCtx) -> SpeedDecision {
-        let lst = self.guar.plan.lst[task.index()]
-            .expect("dispatched computation nodes always carry an LST");
-        let remaining_worst = self.guar.plan.deadline - lst;
-        let time_left = (self.guar.plan.deadline - ctx.now).max(f64::MIN_POSITIVE);
-        let proportional = remaining_worst / time_left;
-        let desired = self.guar.gss_desired(task, ctx).max(proportional);
-        SpeedDecision {
-            point: self.guar.quantize(desired),
-            ran_pmp: true,
-        }
-    }
-}
-
 /// Wraps any policy with an energy-efficiency floor: the wrapped policy's
 /// speed is raised to at least `floor` (typically
 /// [`dvfs_power::efficient_floor`]). With non-negligible static power,
@@ -773,71 +724,6 @@ mod tests {
         let cont = ProcessorModel::continuous(0.2).unwrap();
         assert!((level_at_or_below(&cont, 0.5).unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(level_at_or_below(&cont, 0.1), None);
-    }
-
-    #[test]
-    fn proportional_spreads_slack_evenly() {
-        // Two tasks of 5 each, D = 20 (static slack 10): PP runs both at
-        // 0.5; GSS runs the first at 10/(10+5)... no — first LST=10, so
-        // GSS desired is 5/15 = 1/3 then the second at ~1.0·(5/(5+5))...
-        // The point: PP's two speeds are equal, GSS's are not.
-        let fx = fixture(
-            &chain(2, 5.0, 5.0),
-            1,
-            20.0,
-            ProcessorModel::continuous(0.05).unwrap(),
-        );
-        let cfg = SimConfig {
-            num_procs: 1,
-            deadline: 20.0,
-            idle_fraction: 0.05,
-            static_fraction: 0.0,
-            overheads: Overheads::none(),
-            record_trace: true,
-        };
-        let sim = Simulator::new(&fx.g, &fx.sg, &fx.plan.dispatch, &fx.model, cfg);
-        let scen = fx
-            .sg
-            .enumerate_scenarios(&fx.g)
-            .next()
-            .map(|(s, _)| s)
-            .unwrap();
-        let real = Realization::worst_case(&fx.g, scen);
-        let mut pp = ProportionalPolicy::new(&fx.plan, &fx.model, Overheads::none());
-        let res = sim.run(&mut pp, &real).expect("run succeeds");
-        assert!(!res.missed_deadline);
-        let tr = res.trace.as_ref().unwrap();
-        assert!((tr[0].speed - 0.5).abs() < 1e-9, "{}", tr[0].speed);
-        assert!((tr[1].speed - 0.5).abs() < 1e-9, "{}", tr[1].speed);
-        assert!((res.finish_time - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn proportional_meets_deadline_at_worst_case() {
-        let fx = fixture(&chain(4, 5.0, 2.0), 2, 25.0, ProcessorModel::xscale());
-        let cfg = SimConfig {
-            num_procs: 2,
-            deadline: 25.0,
-            idle_fraction: 0.05,
-            static_fraction: 0.0,
-            overheads: Overheads::paper_defaults(),
-            record_trace: false,
-        };
-        let sim = Simulator::new(&fx.g, &fx.sg, &fx.plan.dispatch, &fx.model, cfg);
-        let scen = fx
-            .sg
-            .enumerate_scenarios(&fx.g)
-            .next()
-            .map(|(s, _)| s)
-            .unwrap();
-        let real = Realization::worst_case(&fx.g, scen);
-        let mut pp = ProportionalPolicy::new(&fx.plan, &fx.model, Overheads::paper_defaults());
-        let res = sim.run(&mut pp, &real).expect("run succeeds");
-        assert!(
-            !res.missed_deadline,
-            "{} > {}",
-            res.finish_time, res.deadline
-        );
     }
 
     #[test]

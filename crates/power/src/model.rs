@@ -154,6 +154,17 @@ impl ProcessorModel {
         }
     }
 
+    /// Resolves a platform spec like [`ProcessorModel::from_spec`], naming
+    /// the grammar when `spec` is not in it.
+    pub fn resolve(spec: &str) -> Result<Self, String> {
+        Self::from_spec(spec).unwrap_or_else(|| {
+            Err(format!(
+                "unknown platform '{spec}' ({})",
+                Self::SPEC_GRAMMAR
+            ))
+        })
+    }
+
     /// Builds a model from an explicit level table.
     ///
     /// Returns `None` if the table is empty, has non-positive frequencies or
@@ -457,6 +468,22 @@ mod tests {
         for other in ["pentium", "Transmeta", "continuous", "graph.json"] {
             assert!(ProcessorModel::from_spec(other).is_none(), "{other}");
         }
+    }
+
+    #[test]
+    fn resolve_names_the_grammar() {
+        assert_eq!(
+            ProcessorModel::resolve("xscale").unwrap().num_levels(),
+            Some(5)
+        );
+        assert_eq!(
+            ProcessorModel::resolve("pentium").unwrap_err(),
+            "unknown platform 'pentium' (transmeta|xscale|continuous:<smin>)"
+        );
+        assert_eq!(
+            ProcessorModel::resolve("continuous:2").unwrap_err(),
+            "bad continuous smin '2': not in (0, 1]"
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::service::ServeConfig;
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
 use mp_sim::ExecTimeModel;
-use pas_analyze::{check_application, check_graph, check_model, Code, DeadlineSpec};
+use pas_analyze::{check_application, check_inputs, Code, DeadlineSpec};
 use pas_core::{PlanArtifact, Scheme, Setup};
 use pas_obs::profile::names;
 use pas_obs::{log, MetricsRegistry};
@@ -25,9 +25,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// Default load when a request names neither `load` nor `deadline_ms`.
-pub const DEFAULT_LOAD: f64 = 0.5;
 
 fn inc(metrics: &Mutex<MetricsRegistry>, name: &str) {
     metrics
@@ -79,9 +76,14 @@ fn resolve_graph(
             Ok((g, name.clone()))
         }
         WorkloadSpec::Inline(v) => {
-            let text = serde_json::to_string(v)
-                .map_err(|e| Rejection::bad_param(format!("inline graph: {e}")))?;
-            let g: AndOrGraph = serde_json::from_str(&text)
+            // A number literal past the f64 range (`1e999`) parses as an
+            // infinity, which is not JSON: the whole graph is refused.
+            if !finite(v) {
+                return Err(Rejection::bad_param(
+                    "inline graph: JSON cannot represent NaN or infinity",
+                ));
+            }
+            let g: AndOrGraph = serde_json::from_value(v)
                 .map_err(|e| Rejection::bad_param(format!("inline graph: {e}")))?;
             Ok((g, "<inline>".to_string()))
         }
@@ -94,36 +96,34 @@ fn resolve_graph(
     }
 }
 
-fn resolve_model(spec: &str) -> Result<ProcessorModel, Rejection> {
-    ProcessorModel::from_spec(spec)
-        .unwrap_or_else(|| {
-            Err(format!(
-                "unknown platform '{spec}' ({})",
-                ProcessorModel::SPEC_GRAMMAR
-            ))
-        })
-        .map_err(Rejection::bad_param)
-}
-
-/// The request's deadline spec, defaulting to `load = 0.5`.
-fn deadline_spec(req: &Request) -> DeadlineSpec {
-    match (req.load, req.deadline_ms) {
-        (_, Some(d)) => DeadlineSpec::Deadline(d),
-        (Some(l), None) => DeadlineSpec::Load(l),
-        (None, None) => DeadlineSpec::Load(DEFAULT_LOAD),
+/// True when every number in `v` is finite.
+fn finite(v: &Value) -> bool {
+    match v {
+        Value::Float(f) => f.is_finite(),
+        Value::Array(items) => items.iter().all(finite),
+        Value::Object(pairs) => pairs.iter().all(|(_, v)| finite(v)),
+        _ => true,
     }
 }
 
-/// Ingest validation: graph + platform structural checks. Errors become
-/// a `PAS0503` rejection carrying the full report.
-fn ingest_check(
-    g: &AndOrGraph,
-    graph_src: &str,
-    model: &ProcessorModel,
-    model_src: &str,
-) -> Result<(), Rejection> {
-    let mut report = check_graph(g, graph_src);
-    report.merge(check_model(model, model_src));
+/// Resolves the request's workload (plus its source label) and platform.
+fn resolve(
+    req: &Request,
+    metrics: &Mutex<MetricsRegistry>,
+) -> Result<(AndOrGraph, String, ProcessorModel), Rejection> {
+    let (g, graph_src) = resolve_graph(req, metrics)?;
+    let model = ProcessorModel::resolve(&req.platform).map_err(Rejection::bad_param)?;
+    Ok((g, graph_src, model))
+}
+
+/// [`resolve`] plus ingest validation: graph + platform structural
+/// checks. Errors become a `PAS0503` rejection carrying the full report.
+fn ingest(
+    req: &Request,
+    metrics: &Mutex<MetricsRegistry>,
+) -> Result<(AndOrGraph, String, ProcessorModel), Rejection> {
+    let (g, graph_src, model) = resolve(req, metrics)?;
+    let report = check_inputs(&g, &graph_src, &model, &req.platform);
     if report.has_errors() {
         let (errors, warnings, _) = report.counts();
         let mut rej = Rejection::bad_param(format!(
@@ -132,15 +132,14 @@ fn ingest_check(
         rej.diagnostics = Some(report);
         return Err(rej);
     }
-    Ok(())
+    Ok((g, graph_src, model))
 }
 
-fn build_setup(g: AndOrGraph, model: ProcessorModel, req: &Request) -> Result<Setup, Rejection> {
-    let res = match deadline_spec(req) {
-        DeadlineSpec::Deadline(d) => Setup::new(g, model, req.procs, d),
-        DeadlineSpec::Load(l) => Setup::for_load(g, model, req.procs, l),
-    };
-    res.map_err(|e| Rejection::new(Code::Pas0508, format!("offline planning failed: {e}")))
+/// Runs the off-line phase for the request.
+fn setup(g: AndOrGraph, model: ProcessorModel, req: &Request) -> Result<Setup, Rejection> {
+    DeadlineSpec::from_flags(req.deadline_ms, req.load)
+        .setup(g, model, req.procs)
+        .map_err(|e| Rejection::new(Code::Pas0508, format!("offline planning failed: {e}")))
 }
 
 /// Dispatches one parsed request to its handler. This is the closure the
@@ -179,16 +178,13 @@ fn handle_plan(
 ) -> Result<Value, Rejection> {
     let (g, graph_src, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
-        let (g, graph_src) = resolve_graph(req, metrics)?;
-        let model = resolve_model(&req.platform)?;
-        ingest_check(&g, &graph_src, &model, &req.platform)?;
-        (g, graph_src, model)
+        ingest(req, metrics)?
     };
     cancelled_check(&ctx.cancelled)?;
 
     let graph_json = serde_json::to_string(&g)
         .map_err(|e| Rejection::bad_param(format!("serializing graph: {e}")))?;
-    let (load, deadline_ms) = match deadline_spec(req) {
+    let (load, deadline_ms) = match DeadlineSpec::from_flags(req.deadline_ms, req.load) {
         DeadlineSpec::Load(l) => (Some(l), None),
         DeadlineSpec::Deadline(d) => (None, Some(d)),
     };
@@ -240,7 +236,7 @@ fn handle_plan(
         // trace joins directly against `pas plan --profile` output.
         let artifact = {
             let _b = ctx.span(names::OFFLINE_BUILD);
-            let setup = build_setup(g, model, req)?;
+            let setup = setup(g, model, req)?;
             PlanArtifact::from_setup(&setup, scheme, &graph_src, &req.platform)
         };
         let artifact_json = {
@@ -325,9 +321,7 @@ fn handle_check(
 ) -> Result<Value, Rejection> {
     let (g, graph_src, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
-        let (g, graph_src) = resolve_graph(req, metrics)?;
-        let model = resolve_model(&req.platform)?;
-        (g, graph_src, model)
+        resolve(req, metrics)?
     };
     cancelled_check(&ctx.cancelled)?;
     let analysis = check_application(
@@ -337,7 +331,7 @@ fn handle_check(
         &req.platform,
         Overheads::paper_defaults(),
         req.procs,
-        deadline_spec(req),
+        DeadlineSpec::from_flags(req.deadline_ms, req.load),
     );
     let (errors, warnings, _) = analysis.report.counts();
     let mut pairs = vec![
@@ -364,15 +358,12 @@ fn handle_run(
     ctx: &JobCtx,
     traced: bool,
 ) -> Result<Value, Rejection> {
-    let (g, model) = {
+    let (g, _, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
-        let (g, graph_src) = resolve_graph(req, metrics)?;
-        let model = resolve_model(&req.platform)?;
-        ingest_check(&g, &graph_src, &model, &req.platform)?;
-        (g, model)
+        ingest(req, metrics)?
     };
     cancelled_check(&ctx.cancelled)?;
-    let setup = build_setup(g, model, req)?;
+    let setup = setup(g, model, req)?;
     let etm = ExecTimeModel::paper_defaults();
     let mut rng = StdRng::seed_from_u64(req.seed);
     let real = setup.sample(&etm, &mut rng);
@@ -435,15 +426,12 @@ fn handle_montecarlo(
     ctx: &JobCtx,
 ) -> Result<Value, Rejection> {
     use mp_sim::{batch::SLICE, run_batch, BatchConfig};
-    let (g, model) = {
+    let (g, _, model) = {
         let _v = ctx.span(names::REQ_VALIDATE);
-        let (g, graph_src) = resolve_graph(req, metrics)?;
-        let model = resolve_model(&req.platform)?;
-        ingest_check(&g, &graph_src, &model, &req.platform)?;
-        (g, model)
+        ingest(req, metrics)?
     };
     cancelled_check(&ctx.cancelled)?;
-    let setup = build_setup(g, model, req)?;
+    let setup = setup(g, model, req)?;
     let etm = ExecTimeModel::paper_defaults();
     let sim = setup.simulator(false);
     let scheme: Scheme = req.scheme;
@@ -573,6 +561,23 @@ mod tests {
         let m = metrics.lock().expect("metrics");
         assert_eq!(m.counter("serve.cache.hits"), 1);
         assert_eq!(m.counter("serve.cache.misses"), 1);
+    }
+
+    #[test]
+    fn inline_graph_hits_the_builtin_cache_entry() {
+        let (cfg, cache, metrics) = ctx();
+        let builtin = r#"{"kind":"plan","workload":"synthetic","load":0.5}"#;
+        let first = run(&cfg, &cache, &metrics, builtin).expect("plans");
+        assert_eq!(first.get("cached"), Some(&Value::Bool(false)));
+        let g = workloads::builtin("synthetic", None, 42)
+            .expect("a built-in")
+            .expect("builds");
+        let graph = serde_json::to_string_pretty(&g).expect("graph prints");
+        let inline = format!(r#"{{"kind":"plan","graph":{graph},"load":0.5}}"#);
+        let second = run(&cfg, &cache, &metrics, &inline).expect("plans");
+        assert_eq!(second.get("cached"), Some(&Value::Bool(true)));
+        assert_eq!(second.get("cache_key"), first.get("cache_key"));
+        assert_eq!(second.get("digest"), first.get("digest"));
     }
 
     #[test]

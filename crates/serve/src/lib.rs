@@ -88,7 +88,7 @@ pub mod telemetry;
 pub use cache::{CachedPlan, PlanCache};
 pub use flight::{FlightEvent, FlightRecorder, CRASH_SCHEMA_VERSION};
 pub use net::{run_server, Endpoints};
-pub use pool::{Executor, Job, JobCtx, SubmitError, WorkerPool};
+pub use pool::{Job, JobCtx, SubmitError, WorkerPool};
 pub use proto::{parse_request, Rejection, ReqKind, Request, PROTO_VERSION};
 pub use queue::Bounded;
 pub use reqtrace::Timeline;

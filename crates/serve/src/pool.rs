@@ -81,14 +81,6 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-/// The dispatch seam: anything that accepts jobs. The production
-/// implementation is [`WorkerPool`]; tests substitute doubles to
-/// exercise the protocol layer without threads.
-pub trait Executor: Send + Sync {
-    /// Enqueues a job, returning the queue depth after the push.
-    fn submit(&self, job: Job) -> Result<usize, SubmitError>;
-}
-
 /// The handler a worker runs for each job. Returns the response body on
 /// success or a structured [`Rejection`]; panics are contained by the
 /// pool.
@@ -140,6 +132,14 @@ impl WorkerPool {
         }
     }
 
+    /// Enqueues a job, returning the queue depth after the push.
+    pub fn submit(&self, job: Job) -> Result<usize, SubmitError> {
+        self.queue.try_push(job).map_err(|e| match e {
+            PushError::Full(depth) => SubmitError::QueueFull { depth },
+            PushError::Closed => SubmitError::ShuttingDown,
+        })
+    }
+
     /// Current queue depth (the `serve.queue_depth` gauge).
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -176,15 +176,6 @@ impl WorkerPool {
             }
         }
         abandoned
-    }
-}
-
-impl Executor for WorkerPool {
-    fn submit(&self, job: Job) -> Result<usize, SubmitError> {
-        self.queue.try_push(job).map_err(|e| match e {
-            PushError::Full(depth) => SubmitError::QueueFull { depth },
-            PushError::Closed => SubmitError::ShuttingDown,
-        })
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::cache::PlanCache;
 use crate::flight::FlightRecorder;
 use crate::handlers;
-use crate::pool::{Executor, Job, JobCtx, SubmitError, WorkerPool};
+use crate::pool::{Job, JobCtx, SubmitError, WorkerPool};
 use crate::proto::{
     error_response, ok_response, parse_request, shed_response, timeout_response, Rejection, ReqKind,
 };

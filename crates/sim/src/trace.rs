@@ -2,7 +2,7 @@
 //!
 //! A [`RunResult`](crate::RunResult) with tracing enabled carries the full
 //! schedule. This module turns it into things humans and tests consume:
-//! per-processor utilization statistics, speed histograms, and an ASCII
+//! per-processor utilization statistics, a power profile, and an ASCII
 //! Gantt chart for terminal inspection (the `pas-cli` tool and the
 //! examples use it to *show* slack reclamation happening).
 
@@ -101,23 +101,6 @@ pub fn lane_stats(
             }
         })
         .collect())
-}
-
-/// Histogram of time spent at each distinct speed, sorted by speed.
-pub fn speed_histogram(trace: &[TraceEntry]) -> Vec<(f64, f64)> {
-    let mut buckets: Vec<(f64, f64)> = Vec::new();
-    for e in trace {
-        let dt = e.end - e.start;
-        match buckets
-            .iter_mut()
-            .find(|(s, _)| (*s - e.speed).abs() < 1e-9)
-        {
-            Some((_, t)) => *t += dt,
-            None => buckets.push((e.speed, dt)),
-        }
-    }
-    buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite speeds"));
-    buckets
 }
 
 /// Total dynamic power drawn by all processors over time, integrated into
@@ -306,24 +289,6 @@ mod tests {
         assert_eq!(stats[2].tasks, 0);
         assert_eq!(stats[2].mean_speed, 0.0);
         assert_eq!(stats[2].utilization, 0.0);
-    }
-
-    #[test]
-    fn speed_histogram_merges_equal_speeds() {
-        let mut t = trace2();
-        t.push(TraceEntry {
-            node: NodeId(0),
-            proc: 0,
-            start: 5.0,
-            end: 7.0,
-            speed: 1.0,
-        });
-        let h = speed_histogram(&t);
-        assert_eq!(h.len(), 2);
-        assert!((h[0].0 - 0.5).abs() < 1e-12);
-        assert!((h[0].1 - 12.0).abs() < 1e-12);
-        assert!((h[1].0 - 1.0).abs() < 1e-12);
-        assert!((h[1].1 - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -105,19 +105,6 @@ impl Histogram {
         }
         self.total += other.total;
     }
-
-    /// Renders a compact ASCII bar chart (one row per bin, `width`-char
-    /// bars scaled to the fullest bin).
-    pub fn to_ascii(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let bar = (c as usize * width) / max as usize;
-            let _ = writeln!(out, "{:>10.3} | {} {}", self.bin_lo(i), "#".repeat(bar), c);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,17 +183,5 @@ mod tests {
         let mut a = Histogram::new(0.0, 1.0, 2).unwrap();
         let b = Histogram::new(0.0, 2.0, 2).unwrap();
         a.merge(&b);
-    }
-
-    #[test]
-    fn ascii_render_contains_bars() {
-        let mut h = Histogram::new(0.0, 4.0, 4).unwrap();
-        for _ in 0..4 {
-            h.add(1.5);
-        }
-        h.add(3.5);
-        let art = h.to_ascii(8);
-        assert_eq!(art.lines().count(), 4);
-        assert!(art.contains("########"), "{art}");
     }
 }
