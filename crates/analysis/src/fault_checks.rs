@@ -1,48 +1,26 @@
 //! Fault-plan sanity checks (`PAS02xx`).
 //!
-//! The range checks mirror [`mp_sim::FaultPlan::validate`] (same
-//! wording, so CLI users see consistent messages from either path) but
-//! collect every violation, and add cross-checks against the workload the
-//! plan targets.
+//! The range rules are [`FaultPlan::errors`]'s, in `mp-sim`; this module
+//! names each with its code and field, and adds the lints: stalls that
+//! can never happen, a plan that injects nothing, and a plan aimed at a
+//! workload with no computation nodes.
 
 use crate::diag::{Code, Diagnostic, Loc, Report};
 use andor_graph::AndOrGraph;
-use mp_sim::FaultPlan;
+use mp_sim::{FaultPlan, FaultPlanError};
 
 /// Checks one fault plan. When the workload it will be applied to is
 /// known, pass it as `graph` to enable the target cross-checks
 /// (PAS0205).
 pub fn check_fault_plan(plan: &FaultPlan, graph: Option<&AndOrGraph>, src: &str) -> Report {
     let mut r = Report::new();
-    for (field, p) in [
-        ("overrun_prob", plan.overrun_prob),
-        ("speed_fail_prob", plan.speed_fail_prob),
-        ("stall_prob", plan.stall_prob),
-    ] {
-        if !(p.is_finite() && (0.0..=1.0).contains(&p)) {
-            r.push(Diagnostic::new(
-                Code::Pas0201,
-                Loc::at(src, field),
-                format!("{field} = {p} is not a probability in [0, 1]"),
-            ));
-        }
-    }
-    if !plan.overrun_factor.is_finite() || plan.overrun_factor < 1.0 {
-        r.push(Diagnostic::new(
-            Code::Pas0202,
-            Loc::at(src, "overrun_factor"),
-            format!(
-                "overrun_factor = {} must be finite and >= 1",
-                plan.overrun_factor
-            ),
-        ));
-    }
-    if !plan.stall_ms.is_finite() || plan.stall_ms < 0.0 {
-        r.push(Diagnostic::new(
-            Code::Pas0203,
-            Loc::at(src, "stall_ms"),
-            format!("stall_ms = {} must be finite and >= 0", plan.stall_ms),
-        ));
+    for e in plan.errors() {
+        let (code, field) = match e {
+            FaultPlanError::Probability(field, _) => (Code::Pas0201, field),
+            FaultPlanError::OverrunFactor(_) => (Code::Pas0202, "overrun_factor"),
+            FaultPlanError::StallMs(_) => (Code::Pas0203, "stall_ms"),
+        };
+        r.push(Diagnostic::new(code, Loc::at(src, field), e.to_string()));
     }
     if r.has_errors() {
         return r;

@@ -108,7 +108,7 @@ pub fn verify_feasibility(
     let canonical = match CanonicalPlan::build(g, sections, num_procs, reserve) {
         Ok(c) => c,
         Err(e) => {
-            push_plan_error(&mut r, e, src);
+            r.push(plan_error(e, src));
             return (r, None);
         }
     };
@@ -141,23 +141,15 @@ pub fn verify_feasibility(
     let deadline = match spec {
         DeadlineSpec::Deadline(d) => d,
         DeadlineSpec::Load(l) => {
-            if !(l.is_finite() && l > 0.0 && l <= 1.0) {
-                r.push(Diagnostic::new(
-                    Code::Pas0107,
-                    Loc::at(src, "load"),
-                    format!("load {l} must be in (0, 1]"),
-                ));
+            if let Err(e) = PlanError::check_load(l) {
+                r.push(plan_error(e, src));
                 return (r, None);
             }
             worst / l
         }
     };
-    if !(deadline.is_finite() && deadline > 0.0) {
-        r.push(Diagnostic::new(
-            Code::Pas0107,
-            Loc::at(src, "deadline"),
-            format!("deadline {deadline} ms must be finite and positive"),
-        ));
+    if let Err(e) = PlanError::check_deadline(deadline) {
+        r.push(plan_error(e, src));
         return (r, None);
     }
 
@@ -203,49 +195,52 @@ pub fn verify_feasibility(
     (r, Some(feas))
 }
 
-pub(crate) fn push_plan_error(r: &mut Report, e: PlanError, src: &str) {
+/// The code, location and message of a rejected run parameter or
+/// offline plan. The location names a top-level `procs`, `deadline` or
+/// `load` field; a caller whose source keeps them elsewhere overrides it.
+pub(crate) fn plan_error(e: PlanError, src: &str) -> Diagnostic {
     match e {
         PlanError::Infeasible {
             worst_finish,
             deadline,
-        } => r.push(Diagnostic::new(
+        } => Diagnostic::new(
             Code::Pas0301,
             Loc::whole(src),
             format!(
                 "statically infeasible: the worst case needs {worst_finish:.3} ms at f_max \
                  but the deadline is {deadline:.3} ms"
             ),
-        )),
-        PlanError::BadDeadline(d) => r.push(Diagnostic::new(
+        ),
+        PlanError::BadDeadline(d) => Diagnostic::new(
             Code::Pas0107,
             Loc::at(src, "deadline"),
             format!("deadline {d} ms must be finite and positive"),
-        )),
-        PlanError::BadLoad(l) => r.push(Diagnostic::new(
+        ),
+        PlanError::BadLoad(l) => Diagnostic::new(
             Code::Pas0107,
             Loc::at(src, "load"),
             format!("load {l} must be in (0, 1]"),
-        )),
-        PlanError::NoProcessors => r.push(Diagnostic::new(
+        ),
+        PlanError::NoProcessors => Diagnostic::new(
             Code::Pas0106,
             Loc::at(src, "procs"),
             "processor count must be positive",
-        )),
-        PlanError::TooManyProcessors(n) => r.push(Diagnostic::new(
+        ),
+        PlanError::TooManyProcessors(n) => Diagnostic::new(
             Code::Pas0106,
             Loc::at(src, "procs"),
             format!("processor count {n} exceeds the maximum of {MAX_PROCS}"),
-        )),
-        PlanError::MissingBranchSection { or, branch } => r.push(Diagnostic::new(
+        ),
+        PlanError::MissingBranchSection { or, branch } => Diagnostic::new(
             Code::Pas0011,
             Loc::whole(src),
             format!("OR node {or} branch {branch} has no program section"),
-        )),
-        PlanError::PlanGraphMismatch { detail } => r.push(Diagnostic::new(
+        ),
+        PlanError::PlanGraphMismatch { detail } => Diagnostic::new(
             Code::Pas0402,
             Loc::whole(src),
             format!("plan does not match the application: {detail}"),
-        )),
+        ),
     }
 }
 

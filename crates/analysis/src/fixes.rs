@@ -14,8 +14,7 @@
 //! is rebuilt through the same serde path `pas check` loads files with,
 //! so a "fixed" graph is exactly what re-reading the written file yields.
 
-use crate::graph_checks::OR_PROB_TOLERANCE;
-use andor_graph::{AndOrGraph, Node, NodeKind};
+use andor_graph::{AndOrGraph, Node, NodeKind, OR_PROB_TOLERANCE};
 use serde::Serialize;
 
 /// Applies the mechanical repairs to `g`. Returns the repaired graph and

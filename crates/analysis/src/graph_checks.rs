@@ -1,18 +1,12 @@
 //! Graph well-formedness checks (`PAS00xx`).
 //!
-//! These mirror `AndOrGraph::validate` and `SectionGraph::build` but
-//! differ in two ways that matter for a front-end: they *collect every
-//! problem* instead of failing on the first, and they operate defensively
-//! on the raw node array so that a graph deserialized from hostile JSON
-//! (serde bypasses validation) can be inspected without panicking.
+//! The rules are [`AndOrGraph::errors`]'s, in `andor-graph`; this module
+//! names each [`GraphError`] with its code, location and message, and
+//! adds the two lints that reject nothing: isolated nodes (PAS0013) and,
+//! once a cycle is found, nodes no source reaches (PAS0012).
 
 use crate::diag::{Code, Diagnostic, Loc, Report};
-use andor_graph::{AndOrGraph, Node, NodeId, NodeKind, SectionGraph};
-use std::collections::VecDeque;
-
-/// Relative tolerance for OR branch-probability sums (matches the
-/// validator in `andor-graph`).
-pub const OR_PROB_TOLERANCE: f64 = 1e-6;
+use andor_graph::{AndOrGraph, GraphError, Node, NodeId, NodeKind, OR_PROB_TOLERANCE};
 
 fn node_label(i: usize, node: &Node) -> String {
     format!("n{i} ('{}')", node.name)
@@ -25,26 +19,19 @@ fn loc(src: &str, i: usize) -> Loc {
 /// Runs every graph check against `g`, labelling diagnostics with `src`
 /// (a file path or builtin workload name).
 pub fn check_graph(g: &AndOrGraph, src: &str) -> Report {
-    let mut r = Report::new();
     let nodes = g.nodes();
-    let n = nodes.len();
-    if n == 0 {
-        r.push(Diagnostic::new(
-            Code::Pas0001,
-            Loc::whole(src),
-            "graph has no nodes",
-        ));
-        return r;
-    }
-
-    // Pass 1: per-node local checks. `topo_safe` stays true only while the
-    // adjacency lists are a consistent, loop-free edge set — the
-    // precondition for the topology passes below.
-    let mut topo_safe = true;
+    let mut r = Report::new();
+    let mut errors = g
+        .errors()
+        .into_iter()
+        .map(|e| diagnostic(&e, nodes, src))
+        .peekable();
+    // Each node's errors, then its lint; then the whole-graph errors.
     for (i, node) in nodes.iter().enumerate() {
-        check_adjacency(&mut r, src, nodes, i, node, &mut topo_safe);
-        check_kind(&mut r, src, i, node);
-        if n > 1 && node.preds.is_empty() && node.succs.is_empty() {
+        while let Some((_, d)) = errors.next_if(|(at, _)| *at == Some(i)) {
+            r.push(d);
+        }
+        if nodes.len() > 1 && node.preds.is_empty() && node.succs.is_empty() {
             r.push(Diagnostic::new(
                 Code::Pas0013,
                 loc(src, i),
@@ -55,237 +42,127 @@ pub fn check_graph(g: &AndOrGraph, src: &str) -> Report {
             ));
         }
     }
-
-    if topo_safe {
-        check_topology(&mut r, src, nodes);
-    }
-
-    // Section-structure consistency (the paper's OR-seriality restriction)
-    // is only meaningful once everything above is clean: `SectionGraph`
-    // assumes a validated graph.
-    if !r.has_errors() {
-        if let Err(e) = SectionGraph::build(g) {
-            r.push(Diagnostic::new(
-                Code::Pas0011,
-                Loc::whole(src),
-                e.to_string(),
-            ));
+    for (_, d) in errors {
+        let cycle = d.code == Code::Pas0010;
+        r.push(d);
+        if cycle {
+            unreachable_lints(&mut r, src, nodes);
         }
     }
     r
 }
 
-/// Dangling endpoints (PAS0002), asymmetric adjacency (PAS0003), self
-/// loops (PAS0004), duplicate edges (PAS0005).
-fn check_adjacency(
-    r: &mut Report,
-    src: &str,
-    nodes: &[Node],
-    i: usize,
-    node: &Node,
-    topo_safe: &mut bool,
-) {
+/// The diagnostic of one graph-rule violation, with the index of the
+/// node it is reported at (`None` for the whole graph).
+fn diagnostic(e: &GraphError, nodes: &[Node], src: &str) -> (Option<usize>, Diagnostic) {
     let n = nodes.len();
-    let me = NodeId(i as u32);
-    for (j, &s) in node.succs.iter().enumerate() {
-        if s.index() >= n {
-            r.push(Diagnostic::new(
-                Code::Pas0002,
-                loc(src, i),
-                format!(
-                    "node {} lists successor {s}, but the graph has only {n} nodes",
-                    node_label(i, node)
-                ),
-            ));
-            *topo_safe = false;
-            continue;
-        }
-        if s == me {
-            r.push(Diagnostic::new(
-                Code::Pas0004,
-                loc(src, i),
-                format!("self loop on {}", node_label(i, node)),
-            ));
-            *topo_safe = false;
-            continue;
-        }
-        // An earlier equal entry is in range and no self loop either.
-        if node.succs.iter().take(j).any(|&e| e == s) {
-            r.push(Diagnostic::new(
-                Code::Pas0005,
-                loc(src, i),
-                format!("duplicate edge {me} -> {s}"),
-            ));
-            *topo_safe = false;
-        }
-        let other = nodes.get(s.index());
-        if other.is_some_and(|o| !o.preds.contains(&me)) {
-            r.push(Diagnostic::new(
-                Code::Pas0003,
-                loc(src, i),
-                format!("edge {me} -> {s} is asymmetric: {s} does not list {me} as a predecessor"),
-            ));
-            *topo_safe = false;
-        }
-    }
-    for &p in &node.preds {
-        if p.index() >= n {
-            r.push(Diagnostic::new(
-                Code::Pas0002,
-                loc(src, i),
-                format!(
-                    "node {} lists predecessor {p}, but the graph has only {n} nodes",
-                    node_label(i, node)
-                ),
-            ));
-            *topo_safe = false;
-            continue;
-        }
-        let other = nodes.get(p.index());
-        if p != me && other.is_some_and(|o| !o.succs.contains(&me)) {
-            r.push(Diagnostic::new(
-                Code::Pas0003,
-                loc(src, i),
-                format!(
-                    "node {} lists predecessor {p}, but {p} does not list {me} as a successor",
-                    node_label(i, node)
-                ),
-            ));
-            *topo_safe = false;
-        }
-    }
-}
-
-/// Execution-time (PAS0006) and OR-probability (PAS0007/0008/0009) checks.
-fn check_kind(r: &mut Report, src: &str, i: usize, node: &Node) {
-    match &node.kind {
-        NodeKind::Computation { wcet, acet } => {
-            let ok = wcet.is_finite() && acet.is_finite() && *acet > 0.0 && *acet <= *wcet;
-            if !ok {
-                r.push(Diagnostic::new(
-                    Code::Pas0006,
-                    loc(src, i),
-                    format!(
-                        "node {}: execution times must satisfy 0 < acet <= wcet and be finite \
-                         (wcet = {wcet}, acet = {acet})",
-                        node_label(i, node)
-                    ),
-                ));
-            }
-        }
-        NodeKind::And => {}
-        NodeKind::Or { probs } => {
-            if probs.len() != node.succs.len() {
-                r.push(Diagnostic::new(
-                    Code::Pas0007,
-                    loc(src, i),
-                    format!(
-                        "OR node {} has {} branch probabilities for {} successors",
-                        node_label(i, node),
-                        probs.len(),
-                        node.succs.len()
-                    ),
-                ));
-            }
-            let mut all_in_range = true;
-            for (k, &p) in probs.iter().enumerate() {
-                if !(p.is_finite() && p > 0.0 && p <= 1.0) {
-                    all_in_range = false;
-                    r.push(Diagnostic::new(
-                        Code::Pas0008,
-                        loc(src, i),
-                        format!(
-                            "OR node {} branch {k}: probability {p} is outside (0, 1]",
-                            node_label(i, node)
-                        ),
-                    ));
-                }
-            }
-            if all_in_range && !probs.is_empty() {
-                let sum: f64 = probs.iter().sum();
-                if (sum - 1.0).abs() > OR_PROB_TOLERANCE {
-                    r.push(Diagnostic::new(
-                        Code::Pas0009,
-                        loc(src, i),
-                        format!(
-                            "OR node {}: branch probabilities sum to {sum:.6}, expected 1 \
-                             (tolerance {OR_PROB_TOLERANCE})",
-                            node_label(i, node)
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Cycle detection (PAS0010) and source-reachability (PAS0012) via Kahn's
-/// algorithm. Only called with consistent adjacency lists.
-fn check_topology(r: &mut Report, src: &str, nodes: &[Node]) {
-    let n = nodes.len();
-    let mut indeg: Vec<usize> = nodes.iter().map(|node| node.preds.len()).collect();
-    let mut queue: VecDeque<usize> = indeg
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| **d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut processed = vec![false; n];
-    let mut count = 0usize;
-    while let Some(i) = queue.pop_front() {
-        if let Some(p) = processed.get_mut(i) {
-            *p = true;
-        }
-        count += 1;
-        if let Some(node) = nodes.get(i) {
-            for &s in &node.succs {
-                if let Some(d) = indeg.get_mut(s.index()) {
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push_back(s.index());
-                    }
-                }
-            }
-        }
-    }
-    if count == n {
-        return;
-    }
-    let stuck = n - count;
-    let example = processed.iter().position(|&done| !done).unwrap_or(0);
-    let name = nodes.get(example).map(|n| n.name.as_str()).unwrap_or("?");
-    r.push(Diagnostic::new(
-        Code::Pas0010,
-        Loc::whole(src),
-        format!(
-            "graph contains a cycle ({stuck} node(s) cannot be topologically ordered, \
-             e.g. n{example} ('{name}'))"
+    let node = |id: &NodeId| nodes.get(id.index());
+    let label =
+        |id: &NodeId| node(id).map_or_else(|| id.to_string(), |x| node_label(id.index(), x));
+    let or_probs = |id: &NodeId| match node(id).map(|x| &x.kind) {
+        Some(NodeKind::Or { probs }) => &probs[..],
+        _ => &[],
+    };
+    let (code, at, message) = match e {
+        GraphError::Empty => (Code::Pas0001, None, "graph has no nodes".to_string()),
+        GraphError::UnknownNode(_) => (Code::Pas0002, None, e.to_string()),
+        GraphError::DanglingSuccessor(a, b) => (
+            Code::Pas0002,
+            Some(a),
+            format!(
+                "node {} lists successor {b}, but the graph has only {n} nodes",
+                label(a)
+            ),
         ),
-    ));
-    // Forward BFS from the true sources: cycle members with no path from
-    // any source are additionally unreachable (they would never become
-    // ready even if the cycle were broken downstream).
-    let mut reachable = vec![false; n];
-    let mut bfs: VecDeque<usize> = nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, node)| node.preds.is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    for &i in &bfs {
-        if let Some(x) = reachable.get_mut(i) {
-            *x = true;
+        GraphError::DanglingPredecessor(a, b) => (
+            Code::Pas0002,
+            Some(a),
+            format!(
+                "node {} lists predecessor {b}, but the graph has only {n} nodes",
+                label(a)
+            ),
+        ),
+        GraphError::AsymmetricSuccessor(a, b) => (
+            Code::Pas0003,
+            Some(a),
+            format!("edge {a} -> {b} is asymmetric: {b} does not list {a} as a predecessor"),
+        ),
+        GraphError::AsymmetricPredecessor(a, b) => (
+            Code::Pas0003,
+            Some(a),
+            format!(
+                "node {} lists predecessor {b}, but {b} does not list {a} as a successor",
+                label(a)
+            ),
+        ),
+        GraphError::SelfLoop(a) => (Code::Pas0004, Some(a), format!("self loop on {}", label(a))),
+        GraphError::DuplicateEdge(a, _) => (Code::Pas0005, Some(a), e.to_string()),
+        GraphError::BadExecutionTimes { node: a } => {
+            let (wcet, acet) =
+                node(a).map_or((f64::NAN, f64::NAN), |x| (x.kind.wcet(), x.kind.acet()));
+            let message = format!(
+                "node {}: execution times must satisfy 0 < acet <= wcet and be finite \
+                 (wcet = {wcet}, acet = {acet})",
+                label(a)
+            );
+            (Code::Pas0006, Some(a), message)
         }
-    }
-    while let Some(i) = bfs.pop_front() {
-        if let Some(node) = nodes.get(i) {
-            for &s in &node.succs {
-                if let Some(x) = reachable.get_mut(s.index()) {
-                    if !*x {
-                        *x = true;
-                        bfs.push_back(s.index());
-                    }
-                }
+        GraphError::OrArity(a) => {
+            let succs = node(a).map_or(0, |x| x.succs.len());
+            let message = format!(
+                "OR node {} has {} branch probabilities for {succs} successors",
+                label(a),
+                or_probs(a).len()
+            );
+            (Code::Pas0007, Some(a), message)
+        }
+        GraphError::BadOrProbabilities { node: a } => (Code::Pas0008, Some(a), e.to_string()),
+        GraphError::OrProbabilityRange(a, k) => {
+            let p = or_probs(a).get(*k).copied().unwrap_or(f64::NAN);
+            let message = format!(
+                "OR node {} branch {k}: probability {p} is outside (0, 1]",
+                label(a)
+            );
+            (Code::Pas0008, Some(a), message)
+        }
+        GraphError::OrProbabilitySum(a, sum) => (
+            Code::Pas0009,
+            Some(a),
+            format!(
+                "OR node {}: branch probabilities sum to {sum:.6}, expected 1 \
+                 (tolerance {OR_PROB_TOLERANCE})",
+                label(a)
+            ),
+        ),
+        GraphError::Cycle(stuck, example) => (
+            Code::Pas0010,
+            None,
+            format!(
+                "graph contains a cycle ({stuck} node(s) cannot be topologically ordered, \
+                 e.g. {})",
+                label(example)
+            ),
+        ),
+        GraphError::SectionStructure { .. } => (Code::Pas0011, None, e.to_string()),
+    };
+    let at = at.map(|id| id.index());
+    let loc = at.map_or_else(|| Loc::whole(src), |i| loc(src, i));
+    (at, Diagnostic::new(code, loc, message))
+}
+
+/// PAS0012: nodes no source reaches. Cycle members with no path from any
+/// source would never become ready even if the cycle were broken
+/// downstream.
+fn unreachable_lints(r: &mut Report, src: &str, nodes: &[Node]) {
+    let mut reachable: Vec<bool> = nodes.iter().map(|node| node.preds.is_empty()).collect();
+    let mut todo: Vec<usize> = (0..nodes.len())
+        .filter(|&i| reachable.get(i) == Some(&true))
+        .collect();
+    while let Some(i) = todo.pop() {
+        for s in nodes.get(i).map_or(&[][..], |node| &node.succs) {
+            if let Some(x) = reachable.get_mut(s.index()).filter(|x| !**x) {
+                *x = true;
+                todo.push(s.index());
             }
         }
     }

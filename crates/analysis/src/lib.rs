@@ -7,7 +7,11 @@
 //! The crate is a pure front-end: it never mutates its inputs and never
 //! perturbs the numeric simulation path. It turns the mid-simulation
 //! panics and `SimError`s a malformed input would cause into upfront
-//! [`Diagnostic`]s with stable `PAS0xxx` codes:
+//! [`Diagnostic`]s with stable `PAS0xxx` codes. The error rules of the
+//! first three ranges live once, in the crate that owns each input type
+//! (`AndOrGraph::errors`, `ProcessorModel::errors`, `Overheads::errors`,
+//! `PlanError::check_*`, `FaultPlan::errors`); this crate names them and
+//! adds its lints and cross-input passes:
 //!
 //! | range     | subject |
 //! |-----------|---------|

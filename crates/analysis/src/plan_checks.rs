@@ -35,7 +35,7 @@
 
 use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios, ENUMERATION_THRESHOLD};
-use crate::feasibility::push_plan_error;
+use crate::feasibility::plan_error;
 use andor_graph::{AndOrGraph, SectionGraph};
 use dvfs_power::ProcessorModel;
 use pas_core::{
@@ -101,32 +101,16 @@ pub fn check_plan(
         plan_src,
     ));
     let stored = &artifact.plan;
-    if stored.num_procs == 0 {
-        r.push(Diagnostic::new(
-            Code::Pas0106,
-            Loc::at(plan_src, "plan.num_procs"),
-            "processor count must be positive",
-        ));
-    } else if stored.num_procs > pas_core::MAX_PROCS {
-        r.push(Diagnostic::new(
-            Code::Pas0106,
-            Loc::at(plan_src, "plan.num_procs"),
-            format!(
-                "processor count {} exceeds the maximum of {}",
-                stored.num_procs,
-                pas_core::MAX_PROCS
-            ),
-        ));
-    }
-    if !(stored.deadline.is_finite() && stored.deadline > 0.0) {
-        r.push(Diagnostic::new(
-            Code::Pas0107,
-            Loc::at(plan_src, "plan.deadline"),
-            format!(
-                "deadline {} ms must be finite and positive",
-                stored.deadline
-            ),
-        ));
+    for (path, check) in [
+        ("plan.num_procs", PlanError::check_procs(stored.num_procs)),
+        ("plan.deadline", PlanError::check_deadline(stored.deadline)),
+    ] {
+        if let Err(e) = check {
+            r.push(Diagnostic {
+                loc: Loc::at(plan_src, path),
+                ..plan_error(e, plan_src)
+            });
+        }
     }
     if artifact.params.scheme() != artifact.scheme {
         r.push(Diagnostic::new(
@@ -189,7 +173,7 @@ pub fn check_plan(
             return r;
         }
         Err(e) => {
-            push_plan_error(&mut r, e, plan_src);
+            r.push(plan_error(e, plan_src));
             return r;
         }
     };

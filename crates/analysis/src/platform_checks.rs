@@ -1,78 +1,30 @@
 //! Platform and run-parameter checks (`PAS01xx`).
 
 use crate::diag::{Code, Diagnostic, Loc, Report};
-use dvfs_power::{Overheads, ProcessorModel};
+use crate::feasibility::plan_error;
+use dvfs_power::{ModelError, Overheads, ProcessorModel};
+use pas_core::PlanError;
 
-/// Checks a processor model: level-table validity (PAS0102), monotone
-/// ordering (PAS0103), and — when the model claims a published name —
-/// agreement with the built-in Transmeta/XScale tables (PAS0104).
+/// Checks a processor model: the level-table rules of
+/// [`ProcessorModel::errors`] (PAS0102/PAS0103) and — when the model
+/// claims a published name — agreement with the built-in
+/// Transmeta/XScale tables (PAS0104).
 ///
 /// Models built through [`ProcessorModel`]'s constructors always pass;
 /// the checks exist for models deserialized from JSON, which serde
 /// accepts unvalidated.
 pub fn check_model(model: &ProcessorModel, src: &str) -> Report {
     let mut r = Report::new();
-    match model.levels() {
-        Some(levels) => {
-            if levels.is_empty() {
-                r.push(Diagnostic::new(
-                    Code::Pas0102,
-                    Loc::whole(src),
-                    "discrete model has an empty speed-level table",
-                ));
-                return r;
-            }
-            for (i, l) in levels.iter().enumerate() {
-                let ok = l.freq_mhz.is_finite()
-                    && l.freq_mhz > 0.0
-                    && l.voltage.is_finite()
-                    && l.voltage > 0.0;
-                if !ok {
-                    r.push(Diagnostic::new(
-                        Code::Pas0102,
-                        Loc::at(src, format!("levels[{i}]")),
-                        format!(
-                            "level {i}: frequency and voltage must be finite and positive \
-                             (freq_mhz = {}, voltage = {})",
-                            l.freq_mhz, l.voltage
-                        ),
-                    ));
-                }
-            }
-            for (i, w) in levels.windows(2).enumerate() {
-                if let [a, b] = w {
-                    if a.freq_mhz >= b.freq_mhz || a.voltage > b.voltage {
-                        r.push(Diagnostic::new(
-                            Code::Pas0103,
-                            Loc::at(src, format!("levels[{i}]")),
-                            format!(
-                                "levels {i} -> {}: frequencies must strictly increase and \
-                                 voltages must not decrease \
-                                 ({} MHz @ {} V, then {} MHz @ {} V)",
-                                i + 1,
-                                a.freq_mhz,
-                                a.voltage,
-                                b.freq_mhz,
-                                b.voltage
-                            ),
-                        ));
-                    }
-                }
-            }
-            if !r.has_errors() {
-                check_published_table(model, src, &mut r);
-            }
-        }
-        None => {
-            let smin = model.min_speed();
-            if !(smin.is_finite() && smin > 0.0 && smin <= 1.0) {
-                r.push(Diagnostic::new(
-                    Code::Pas0102,
-                    Loc::whole(src),
-                    format!("continuous model: min_speed {smin} must be in (0, 1]"),
-                ));
-            }
-        }
+    for e in model.errors() {
+        let (code, loc) = match e {
+            ModelError::EmptyTable | ModelError::BadMinSpeed(_) => (Code::Pas0102, Loc::whole(src)),
+            ModelError::BadLevel(i, _) => (Code::Pas0102, Loc::at(src, format!("levels[{i}]"))),
+            ModelError::NotMonotone(i, ..) => (Code::Pas0103, Loc::at(src, format!("levels[{i}]"))),
+        };
+        r.push(Diagnostic::new(code, loc, e.to_string()));
+    }
+    if !r.has_errors() {
+        check_published_table(model, src, &mut r);
     }
     r
 }
@@ -105,51 +57,29 @@ fn check_published_table(model: &ProcessorModel, src: &str, r: &mut Report) {
     }
 }
 
-/// Checks overhead parameters (PAS0105).
+/// Checks overhead parameters: the rules of [`Overheads::errors`]
+/// (PAS0105).
 pub fn check_overheads(o: &Overheads, src: &str) -> Report {
     let mut r = Report::new();
-    for (field, v) in [
-        ("speed_compute_cycles", o.speed_compute_cycles),
-        ("transition_time_ms", o.transition_time_ms),
-    ] {
-        if !(v.is_finite() && v >= 0.0) {
-            r.push(Diagnostic::new(
-                Code::Pas0105,
-                Loc::at(src, field),
-                format!("{field} = {v} must be finite and non-negative"),
-            ));
-        }
+    for e in o.errors() {
+        r.push(Diagnostic::new(
+            Code::Pas0105,
+            Loc::at(src, e.field),
+            e.to_string(),
+        ));
     }
     r
 }
 
 /// Checks the processor count (PAS0106) and, when given explicitly, the
-/// deadline (PAS0107).
+/// deadline (PAS0107): the rules of [`PlanError::check_procs`] and
+/// [`PlanError::check_deadline`].
 pub fn check_run_params(num_procs: usize, deadline: Option<f64>, src: &str) -> Report {
     let mut r = Report::new();
-    if num_procs == 0 {
-        r.push(Diagnostic::new(
-            Code::Pas0106,
-            Loc::at(src, "procs"),
-            "processor count must be positive",
-        ));
-    } else if num_procs > pas_core::MAX_PROCS {
-        r.push(Diagnostic::new(
-            Code::Pas0106,
-            Loc::at(src, "procs"),
-            format!(
-                "processor count {num_procs} exceeds the maximum of {}",
-                pas_core::MAX_PROCS
-            ),
-        ));
-    }
-    if let Some(d) = deadline {
-        if !(d.is_finite() && d > 0.0) {
-            r.push(Diagnostic::new(
-                Code::Pas0107,
-                Loc::at(src, "deadline"),
-                format!("deadline {d} ms must be finite and positive"),
-            ));
+    let deadline = deadline.map_or(Ok(()), PlanError::check_deadline);
+    for e in [PlanError::check_procs(num_procs), deadline] {
+        if let Err(e) = e {
+            r.push(plan_error(e, src));
         }
     }
     r

@@ -197,7 +197,7 @@ impl Args {
                 }
                 "--load" => {
                     let l: f64 = parse_num(value("--load")?, "--load")?;
-                    if !(l > 0.0 && l <= 1.0) {
+                    if pas_core::PlanError::check_load(l).is_err() {
                         return Err("--load must be in (0, 1]".into());
                     }
                     parsed.load = Some(l);

@@ -2,9 +2,7 @@
 //! the whole tool is unit-testable without spawning processes.
 
 use crate::args::{Args, Command, SchemeArg};
-use crate::source::{
-    classify, load_app, load_fault_plan, load_model, read_app, validate_app, Source,
-};
+use crate::source::{classify, load_fault_plan, load_model, read_app, refuse_errors, Source};
 use andor_graph::{app_profile, to_dot, AndOrGraph, SectionGraph};
 use dvfs_power::ProcessorModel;
 use mp_sim::trace::{lane_stats, power_profile, render_gantt, GanttOptions};
@@ -83,21 +81,38 @@ fn with_profile(
     Ok(out)
 }
 
-/// The setup of `run` and `trace`, behind cheap static checks: graph
-/// well-formedness and platform validity. Errors abort with rendered
-/// diagnostics; warnings are ignored here (run `pas check` for the full
-/// report including feasibility).
-fn prechecked_setup(args: &Args) -> Result<Setup, String> {
-    let graph = read_app(args)?;
-    let model = load_model(&args.model)?;
-    let report = pas_analyze::check_inputs(&graph, &args.app, &model, &args.model);
-    if report.has_errors() {
-        return Err(format!(
-            "pre-run check failed:\n{}",
-            report.render_human().trim_end()
-        ));
-    }
-    setup(args, validate_app(args, &args.app, graph)?, model)
+/// A command's workload behind the graph rules and, given the platform
+/// it runs on, the platform rules: what `pas check` refuses, refused.
+fn prechecked(
+    args: &Args,
+    graph: AndOrGraph,
+    model: Option<&ProcessorModel>,
+) -> Result<AndOrGraph, String> {
+    refuse_errors(&match model {
+        Some(m) => pas_analyze::check_inputs(&graph, &args.app, m, &args.model),
+        None => pas_analyze::check_graph(&graph, &args.app),
+    })?;
+    Ok(graph)
+}
+
+/// The setup of `plan`, `run`, `trace`, `compare` and `optimal`: `--app`
+/// and `--model`, or the graph and platform `pas plan` classified from
+/// its sources, [`prechecked`].
+fn prechecked_setup(
+    args: &Args,
+    graph: Option<AndOrGraph>,
+    model: Option<ProcessorModel>,
+) -> Result<Setup, String> {
+    let graph = match graph {
+        Some(g) => g,
+        None => read_app(args)?,
+    };
+    let model = match model {
+        Some(m) => m,
+        None => load_model(&args.model)?,
+    };
+    let graph = prechecked(args, graph, Some(&model))?;
+    setup(args, graph, model)
 }
 
 /// Runs the off-line phase for `--deadline` or `--load`.
@@ -116,7 +131,7 @@ fn setup(args: &Args, graph: AndOrGraph, model: ProcessorModel) -> Result<Setup,
 }
 
 fn inspect(args: &Args) -> Result<String, String> {
-    let graph = load_app(args)?;
+    let graph = prechecked(args, read_app(args)?, None)?;
     let sections = SectionGraph::build(&graph).map_err(|e| format!("section structure: {e}"))?;
     let profile = app_profile(&graph, &sections);
     let mut out = String::new();
@@ -212,24 +227,18 @@ fn plan(args: &Args) -> Result<String, String> {
     // documented invocation `pas plan workload.json xscale --out p.json`
     // works without flag spelling.
     let mut eff = args.clone();
-    let mut graph = None;
+    let (mut graph, mut model) = (None, None);
     for spec in &args.sources {
         match classify(spec, args)? {
             Source::Workload(label, g) => (eff.app, graph) = (label, Some(g)),
-            // The platform resolves by its spec below. A platform file
-            // names no spec, and its table is not validated on this path.
-            Source::Platform(label, _) => eff.model = label,
+            Source::Platform(label, m) => (eff.model, model) = (label, Some(m)),
             Source::Fault(..) | Source::Plan(..) => {
                 return Err(format!("{spec}: expected a workload or platform source"))
             }
         }
     }
     let args = &eff;
-    let graph = match graph {
-        Some(g) => validate_app(args, &args.app, g)?,
-        None => load_app(args)?,
-    };
-    let setup = setup(args, graph, load_model(&args.model)?)?;
+    let setup = prechecked_setup(args, graph, model)?;
     if let Some(path) = &args.out {
         let scheme = match args.scheme {
             SchemeArg::Scheme(s) => s,
@@ -329,7 +338,7 @@ fn scheme_policy(setup: &Setup, scheme: SchemeArg) -> Box<dyn mp_sim::Policy + '
 }
 
 fn run_one(args: &Args) -> Result<String, String> {
-    let setup = prechecked_setup(args)?;
+    let setup = prechecked_setup(args, None, None)?;
     let mut rng = StdRng::seed_from_u64(args.seed);
     let real = setup.sample(&ExecTimeModel::paper_defaults(), &mut rng);
     let fault_plan = match &args.fault_plan {
@@ -454,7 +463,7 @@ fn run_one(args: &Args) -> Result<String, String> {
 /// distributions (quantiles and tails) reported next to the means.
 fn compare(args: &Args) -> Result<String, String> {
     use mp_sim::{batch::SLICE, realization_seed, run_paired, BatchConfig, BatchOutput, Lane};
-    let setup = setup(args, load_app(args)?, load_model(&args.model)?)?;
+    let setup = prechecked_setup(args, None, None)?;
     let empty = setup
         .batch_distribution()
         .ok_or("degenerate histogram bounds")?;
@@ -620,7 +629,7 @@ fn compare(args: &Args) -> Result<String, String> {
 
 fn optimal(args: &Args) -> Result<String, String> {
     use pas_core::optimal_assignment;
-    let setup = setup(args, load_app(args)?, load_model(&args.model)?)?;
+    let setup = prechecked_setup(args, None, None)?;
     let n_tasks = setup.graph.num_tasks();
     let opt = optimal_assignment(
         &setup.graph,
@@ -730,7 +739,7 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
         ),
         None => None,
     };
-    let setup = prechecked_setup(args)?;
+    let setup = prechecked_setup(args, None, None)?;
     let mut rng = StdRng::seed_from_u64(args.seed);
     let etm = ExecTimeModel::paper_defaults();
     if args.frames.is_some() && args.fault_plan.is_some() {
@@ -932,12 +941,12 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
 }
 
 fn dot(args: &Args) -> Result<String, String> {
-    let graph = load_app(args)?;
+    let graph = prechecked(args, read_app(args)?, None)?;
     Ok(to_dot(&graph, &args.app))
 }
 
 fn export(args: &Args) -> Result<String, String> {
-    let graph = load_app(args)?;
+    let graph = prechecked(args, read_app(args)?, None)?;
     let path = args.out.as_deref().ok_or("export needs --out FILE")?;
     let json = serde_json::to_string_pretty(&graph).map_err(|e| format!("serializing: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;

@@ -818,6 +818,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn fixture(path: &str) -> String {
+        format!("{}/../../tests/fixtures/{path}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn alpha_is_refused_on_a_workload_file_by_every_command() {
+        let tiny = fixture("valid/graph_tiny.json");
+        let want = "--alpha applies only to the built-in workloads";
+        for argv in [
+            vec!["check", &tiny, "--alpha", "0.3"],
+            vec!["check", &tiny, "xscale", "--alpha", "0.3"],
+            vec!["run", "--app", &tiny, "--alpha", "0.3"],
+            vec!["plan", &tiny, "--alpha", "0.3"],
+        ] {
+            assert_eq!(call(&argv).unwrap_err(), want, "{argv:?}");
+        }
+        // A built-in takes it.
+        assert!(call(&["check", "atr", "--alpha", "0.3"]).is_ok());
+    }
+
+    #[test]
+    fn plan_reads_a_platform_file() {
+        let tiny = fixture("valid/graph_tiny.json");
+        let without_digest = |out: String| -> String {
+            out.lines()
+                .filter(|l| !l.contains("plan digest"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let by_file = call(&["plan", &tiny, &fixture("valid/platform_xscale.json")]).unwrap();
+        let by_spec = call(&["plan", &tiny, "xscale"]).unwrap();
+        assert!(by_spec.contains("model Intel XScale"), "{by_spec}");
+        assert_eq!(without_digest(by_file), without_digest(by_spec));
+        let err = call(&["plan", &tiny, &fixture("invalid/platform_empty.json")]).unwrap_err();
+        assert!(
+            err.starts_with("pre-run check failed:\nerror[PAS0102]"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn plan_out_rejects_oracle() {
         let err = call(&["plan", "--scheme", "oracle", "--out", "/tmp/x.json"]).unwrap_err();

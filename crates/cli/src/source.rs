@@ -6,6 +6,7 @@ use crate::args::Args;
 use andor_graph::AndOrGraph;
 use dvfs_power::ProcessorModel;
 use mp_sim::FaultPlan;
+use pas_analyze::Report;
 use pas_core::PlanArtifact;
 use serde::Value;
 
@@ -20,8 +21,10 @@ pub enum Source {
 /// Classifies one source spec. Built-in workload names and platform specs
 /// are recognized directly; a JSON file is sniffed by its top-level keys
 /// (`schema_version` → plan artifact, `nodes` → workload, `overrun_prob`
-/// → fault plan, `kind` → platform). Nothing is validated here: `pas
-/// check` reports every problem, and [`validate_app`] stops at the first.
+/// → fault plan, `kind` → platform). Nothing is validated here beyond
+/// `--alpha`, which a workload file refuses: `pas check` reports every
+/// problem, and the other commands refuse an input whose report has an
+/// error.
 pub fn classify(spec: &str, args: &Args) -> Result<Source, String> {
     if let Some(model) = ProcessorModel::from_spec(spec) {
         return Ok(Source::Platform(spec.to_string(), model?));
@@ -37,6 +40,7 @@ pub fn classify(spec: &str, args: &Args) -> Result<Source, String> {
             .map(|a| Source::Plan(label, Box::new(a)))
             .map_err(|e| format!("parsing {path}: {e}"))
     } else if value.get("nodes").is_some() {
+        refuse_alpha(args)?;
         serde_json::from_value(&value)
             .map(|g| Source::Workload(label, g))
             .map_err(|e| format!("parsing {path}: {e}"))
@@ -62,53 +66,48 @@ fn read_json(path: &str) -> Result<Value, String> {
     serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-/// Builds the application graph for `--app`: a built-in with the
-/// optional `--alpha` override applied before lowering, or a JSON file,
-/// validated.
-pub fn load_app(args: &Args) -> Result<AndOrGraph, String> {
-    validate_app(args, &args.app, read_app(args)?)
-}
-
-/// Reads `--app` without validating it, for callers that run the
-/// `pas-analyze` checks on it first.
+/// Reads the workload `--app` names: a built-in with the optional
+/// `--alpha` override applied before lowering, or a JSON file. Nothing is
+/// validated here; the commands run the `pas-analyze` checks on it.
 pub fn read_app(args: &Args) -> Result<AndOrGraph, String> {
     if let Some(g) = workloads::builtin(&args.app, args.alpha, args.seed) {
         return g;
     }
-    if args.alpha.is_some() {
-        return Err(NO_ALPHA.into());
-    }
+    refuse_alpha(args)?;
     let path = &args.app;
     serde_json::from_value(&read_json(path)?).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 /// `--alpha` rescales a built-in workload; a workload file carries its
 /// own execution times.
-const NO_ALPHA: &str = "--alpha applies only to the built-in workloads";
-
-/// Readies the workload `label` names for the simulation paths. The
-/// built-ins are valid by construction; a workload file takes no
-/// `--alpha` and gets the eager structural validation.
-pub fn validate_app(args: &Args, label: &str, g: AndOrGraph) -> Result<AndOrGraph, String> {
-    if workloads::BUILTIN_NAMES.contains(&label) {
-        return Ok(g);
+fn refuse_alpha(args: &Args) -> Result<(), String> {
+    match args.alpha {
+        Some(_) => Err("--alpha applies only to the built-in workloads".into()),
+        None => Ok(()),
     }
-    if args.alpha.is_some() {
-        return Err(NO_ALPHA.into());
-    }
-    g.validate()
-        .map_err(|e| format!("validating {label}: {e}"))?;
-    Ok(g)
 }
 
-/// Loads and validates a fault plan from a JSON file (the serde form of
-/// [`mp_sim::FaultPlan`]).
+/// Loads a fault plan from a JSON file (the serde form of
+/// [`mp_sim::FaultPlan`]), refused with the rendered report when it
+/// breaks a range rule.
 pub fn load_fault_plan(path: &str) -> Result<FaultPlan, String> {
     let plan: FaultPlan =
         serde_json::from_value(&read_json(path)?).map_err(|e| format!("parsing {path}: {e}"))?;
-    plan.validate()
-        .map_err(|e| format!("validating {path}: {e}"))?;
+    refuse_errors(&pas_analyze::check_fault_plan(&plan, None, path))?;
     Ok(plan)
+}
+
+/// Refuses an input whose ingest report — the checks `pas check` runs —
+/// has an error, with the rendered report. Warnings are ignored here (run
+/// `pas check` for the full report including feasibility).
+pub fn refuse_errors(report: &Report) -> Result<(), String> {
+    if report.has_errors() {
+        return Err(format!(
+            "pre-run check failed:\n{}",
+            report.render_human().trim_end()
+        ));
+    }
+    Ok(())
 }
 
 /// Resolves the `--model` specification.
@@ -164,16 +163,16 @@ mod tests {
 
     #[test]
     fn loads_builtins() {
-        assert!(load_app(&base_args("synthetic")).is_ok());
-        assert!(load_app(&base_args("atr")).is_ok());
-        assert!(load_app(&base_args("video")).is_ok());
+        assert!(read_app(&base_args("synthetic")).is_ok());
+        assert!(read_app(&base_args("atr")).is_ok());
+        assert!(read_app(&base_args("video")).is_ok());
     }
 
     #[test]
     fn alpha_override_applies() {
         let mut a = base_args("synthetic");
         a.alpha = Some(0.4);
-        let g = load_app(&a).unwrap();
+        let g = read_app(&a).unwrap();
         for (_, n) in g.iter() {
             if n.kind.is_computation() {
                 assert!((n.kind.acet() - 0.4 * n.kind.wcet()).abs() < 1e-9);
@@ -183,7 +182,7 @@ mod tests {
 
     #[test]
     fn missing_file_errors() {
-        let err = load_app(&base_args("/nonexistent/x.json")).unwrap_err();
+        let err = read_app(&base_args("/nonexistent/x.json")).unwrap_err();
         assert!(err.contains("reading"), "{err}");
     }
 
@@ -193,7 +192,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("bad.json");
         std::fs::write(&path, "{not json").unwrap();
-        let err = load_app(&base_args(path.to_str().unwrap())).unwrap_err();
+        let err = read_app(&base_args(path.to_str().unwrap())).unwrap_err();
         assert!(err.contains("parsing"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
@@ -227,7 +226,7 @@ mod tests {
         .expect("write fixture");
         let err = load_fault_plan(invalid.to_str().expect("utf-8 path"))
             .expect_err("out-of-range probability is rejected");
-        assert!(err.contains("validating"), "{err}");
+        assert!(err.contains("error[PAS0201]"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

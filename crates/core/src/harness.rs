@@ -1,6 +1,6 @@
 //! One-stop experiment configuration: application + platform + plan.
 
-use crate::offline::{OfflineError, OfflinePlan};
+use crate::offline::{OfflineError, OfflinePlan, PlanError};
 use crate::policies::Scheme;
 use andor_graph::{AndOrGraph, GraphError, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel, DEFAULT_IDLE_FRACTION};
@@ -172,7 +172,7 @@ impl Setup {
     /// configuration. The deadline is derived from the overhead-inflated
     /// canonical worst case, so the load axis keeps its meaning across
     /// overhead sweeps. A load outside `(0, 1]` (or NaN) is
-    /// [`PlanError::BadLoad`](crate::PlanError::BadLoad).
+    /// [`PlanError::BadLoad`].
     pub fn for_load_with_overheads(
         graph: AndOrGraph,
         model: ProcessorModel,
@@ -216,15 +216,10 @@ impl Setup {
         overheads: Overheads,
     ) -> Result<Self, SetupError> {
         let sections = SectionGraph::build(&graph)?;
-        let mismatch = |detail: String| {
-            SetupError::Offline(crate::offline::PlanError::PlanGraphMismatch { detail })
-        };
-        crate::offline::check_procs(plan.num_procs)?;
-        if !(plan.deadline.is_finite() && plan.deadline > 0.0) {
-            return Err(SetupError::Offline(crate::offline::PlanError::BadDeadline(
-                plan.deadline,
-            )));
-        }
+        let mismatch =
+            |detail: String| SetupError::Offline(PlanError::PlanGraphMismatch { detail });
+        PlanError::check_procs(plan.num_procs)?;
+        PlanError::check_deadline(plan.deadline)?;
         if plan.lst.len() != graph.len() {
             return Err(mismatch(format!(
                 "plan has {} latest-start entries but the graph has {} nodes",

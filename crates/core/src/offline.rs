@@ -149,8 +149,8 @@ impl OfflinePlan {
         pmp_reserve_ms: f64,
     ) -> Result<Self, PlanError> {
         let _build_span = profile::span(profile::names::OFFLINE_BUILD);
-        check_procs(num_procs)?;
-        check_deadline(deadline)?;
+        PlanError::check_procs(num_procs)?;
+        PlanError::check_deadline(deadline)?;
         CanonicalPlan::build(g, sections, num_procs, pmp_reserve_ms)?.with_deadline(deadline)
     }
 
@@ -166,9 +166,7 @@ impl OfflinePlan {
         pmp_reserve_ms: f64,
     ) -> Result<Self, PlanError> {
         let _build_span = profile::span(profile::names::OFFLINE_BUILD);
-        if !(load > 0.0 && load <= 1.0) {
-            return Err(PlanError::BadLoad(load));
-        }
+        PlanError::check_load(load)?;
         let canonical = CanonicalPlan::build(g, sections, num_procs, pmp_reserve_ms)?;
         let deadline = canonical.worst_total / load;
         canonical.with_deadline(deadline)
@@ -264,19 +262,33 @@ impl Deserialize for BranchTable {
 /// allocation or exhaust memory, which aborts the process.
 pub const MAX_PROCS: usize = 4096;
 
-pub(crate) fn check_procs(num_procs: usize) -> Result<(), PlanError> {
-    match num_procs {
-        0 => Err(PlanError::NoProcessors),
-        n if n > MAX_PROCS => Err(PlanError::TooManyProcessors(n)),
-        _ => Ok(()),
+impl PlanError {
+    /// The processor-count rule (PAS0106): at least one processor and at
+    /// most [`MAX_PROCS`].
+    pub fn check_procs(num_procs: usize) -> Result<(), PlanError> {
+        match num_procs {
+            0 => Err(PlanError::NoProcessors),
+            n if n > MAX_PROCS => Err(PlanError::TooManyProcessors(n)),
+            _ => Ok(()),
+        }
     }
-}
 
-fn check_deadline(deadline: f64) -> Result<(), PlanError> {
-    if deadline.is_finite() && deadline > 0.0 {
-        Ok(())
-    } else {
-        Err(PlanError::BadDeadline(deadline))
+    /// The load rule (PAS0107): in `(0, 1]`.
+    pub fn check_load(load: f64) -> Result<(), PlanError> {
+        if load > 0.0 && load <= 1.0 {
+            Ok(())
+        } else {
+            Err(PlanError::BadLoad(load))
+        }
+    }
+
+    /// The deadline rule (PAS0107): finite and positive.
+    pub fn check_deadline(deadline: f64) -> Result<(), PlanError> {
+        if deadline.is_finite() && deadline > 0.0 {
+            Ok(())
+        } else {
+            Err(PlanError::BadDeadline(deadline))
+        }
     }
 }
 
@@ -312,7 +324,7 @@ impl CanonicalPlan {
         num_procs: usize,
         pmp_reserve_ms: f64,
     ) -> Result<Self, PlanError> {
-        check_procs(num_procs)?;
+        PlanError::check_procs(num_procs)?;
 
         // Round 1: canonical LTF schedule per section (WCET, full speed)
         // plus an average-case replay of the same order.
@@ -419,7 +431,7 @@ impl CanonicalPlan {
     /// misses, then Round 2 — shifts every section's canonical schedule
     /// into latest start times.
     pub fn with_deadline(self, deadline: f64) -> Result<OfflinePlan, PlanError> {
-        check_deadline(deadline)?;
+        PlanError::check_deadline(deadline)?;
         if self.worst_total > deadline * (1.0 + 1e-12) {
             return Err(PlanError::Infeasible {
                 worst_finish: self.worst_total,

@@ -3,31 +3,55 @@
 use crate::node::{Node, NodeId, NodeKind};
 use serde::{Deserialize, Serialize};
 
-/// Errors detected while building or validating an AND/OR graph.
+/// Relative tolerance of an OR node's branch-probability sum: the sum
+/// must lie within this distance of 1.
+pub const OR_PROB_TOLERANCE: f64 = 1e-6;
+
+/// Errors detected while building or validating an AND/OR graph: one
+/// variant per graph rule. A node pair `(a, b)` names the node whose list
+/// holds the entry first.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
     /// The graph has no nodes.
     Empty,
-    /// An edge endpoint does not exist.
+    /// A [`GraphBuilder`] edge names a node that does not exist.
     UnknownNode(NodeId),
+    /// `a` lists successor `b`, which is past the end of the node array.
+    DanglingSuccessor(NodeId, NodeId),
+    /// `a` lists predecessor `b`, which is past the end of the node array.
+    DanglingPredecessor(NodeId, NodeId),
+    /// `a` lists successor `b`, but `b` does not list `a` back.
+    AsymmetricSuccessor(NodeId, NodeId),
+    /// `a` lists predecessor `b`, but `b` does not list `a` back.
+    AsymmetricPredecessor(NodeId, NodeId),
+    /// A self-loop.
+    SelfLoop(NodeId),
+    /// A duplicate edge.
+    DuplicateEdge(NodeId, NodeId),
     /// A computation node violates `0 < acet <= wcet` (or is non-finite).
     BadExecutionTimes {
         /// Offending node.
         node: NodeId,
     },
-    /// An OR node's branch probabilities do not match its successors, are
-    /// out of `(0, 1]`, or do not sum to 1.
+    /// A [`GraphBuilder`] OR branch is misused: an out-of-range
+    /// probability, a plain edge out of an OR node, or a branch out of a
+    /// non-OR node.
     BadOrProbabilities {
-        /// Offending OR node.
+        /// Offending node.
         node: NodeId,
     },
+    /// An OR node's probability list is not as long as its successor list.
+    OrArity(NodeId),
+    /// An OR node's branch probability (node, branch index) lies outside
+    /// `(0, 1]`.
+    OrProbabilityRange(NodeId, usize),
+    /// An OR node's branch probabilities sum to this value, more than
+    /// [`OR_PROB_TOLERANCE`] away from 1.
+    OrProbabilitySum(NodeId, f64),
     /// The graph contains a cycle (the AND/OR model has no back edges;
-    /// loops must be expanded, §2.1).
-    Cycle,
-    /// A duplicate edge was added.
-    DuplicateEdge(NodeId, NodeId),
-    /// A self-loop was added.
-    SelfLoop(NodeId),
+    /// loops must be expanded, §2.1): this many nodes, the lowest-index
+    /// one given, cannot be topologically ordered.
+    Cycle(usize, NodeId),
     /// The graph violates the paper's OR-seriality restriction: a program
     /// section flows into more than one OR node, mixes application sinks
     /// with an OR exit, or a node has predecessors on sibling OR branches.
@@ -42,18 +66,25 @@ impl std::fmt::Display for GraphError {
         match self {
             GraphError::Empty => write!(f, "graph has no nodes"),
             GraphError::UnknownNode(n) => write!(f, "unknown node {n}"),
+            GraphError::DanglingSuccessor(a, b) => write!(f, "{a} lists missing successor {b}"),
+            GraphError::DanglingPredecessor(a, b) => write!(f, "{a} lists missing predecessor {b}"),
+            GraphError::AsymmetricSuccessor(a, b) => write!(f, "edge {a} -> {b} is asymmetric"),
+            GraphError::AsymmetricPredecessor(a, b) => write!(f, "edge {b} -> {a} is asymmetric"),
+            GraphError::SelfLoop(n) => write!(f, "self loop on {n}"),
+            GraphError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
             GraphError::BadExecutionTimes { node } => {
                 write!(
                     f,
                     "node {node}: execution times must satisfy 0 < acet <= wcet"
                 )
             }
-            GraphError::BadOrProbabilities { node } => {
+            GraphError::BadOrProbabilities { node }
+            | GraphError::OrArity(node)
+            | GraphError::OrProbabilityRange(node, _)
+            | GraphError::OrProbabilitySum(node, _) => {
                 write!(f, "OR node {node}: invalid branch probabilities")
             }
-            GraphError::Cycle => write!(f, "graph contains a cycle"),
-            GraphError::DuplicateEdge(a, b) => write!(f, "duplicate edge {a} -> {b}"),
-            GraphError::SelfLoop(n) => write!(f, "self loop on {n}"),
+            GraphError::Cycle(..) => write!(f, "graph contains a cycle"),
             GraphError::SectionStructure { detail } => {
                 write!(f, "OR-seriality violation: {detail}")
             }
@@ -119,12 +150,6 @@ impl AndOrGraph {
             .collect()
     }
 
-    /// A topological order of all nodes (Kahn). The graph is a DAG by
-    /// construction, so this always succeeds.
-    pub fn topo_order(&self) -> Vec<NodeId> {
-        topo_order(&self.nodes).expect("validated graph is acyclic")
-    }
-
     /// The OR branch list of `or`: `(successor, probability)` pairs.
     ///
     /// # Panics
@@ -162,12 +187,32 @@ impl AndOrGraph {
         self.nodes.iter().filter(|n| n.kind.is_or()).count()
     }
 
-    /// Re-runs full validation (used after deserialization, since serde
-    /// bypasses the builder).
+    /// Every graph rule this graph breaks, in check order: node by node
+    /// its adjacency, then its execution times or OR probabilities; then a
+    /// cycle; then, only when nothing above fired, the section structure.
+    /// Empty for a valid graph.
+    ///
+    /// Serde builds graphs without validating them, so this runs on the
+    /// raw node slice and never panics: it looks nodes up with `get`, runs
+    /// the cycle search only on consistent adjacency lists, and attempts
+    /// the section decomposition only on an otherwise clean graph.
+    pub fn errors(&self) -> Vec<GraphError> {
+        let mut errors = node_errors(&self.nodes);
+        if errors.is_empty() {
+            if let Err(e) = crate::sections::SectionGraph::build(self) {
+                errors.push(e);
+            }
+        }
+        errors
+    }
+
+    /// The first of [`AndOrGraph::errors`] (needed after deserialization,
+    /// since serde bypasses the builder).
     pub fn validate(&self) -> Result<(), GraphError> {
-        validate(&self.nodes)?;
-        // Section structure is validated by attempting the decomposition.
-        crate::sections::SectionGraph::build(self).map(|_| ())
+        match self.errors().into_iter().next() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
@@ -287,82 +332,123 @@ impl GraphBuilder {
         id.index() < self.nodes.len() && self.nodes[id.index()].kind.is_or()
     }
 
-    /// Finalizes and fully validates the graph (node invariants, acyclicity,
-    /// and the OR-seriality section structure).
+    /// Finalizes the graph and returns the first of its
+    /// [`AndOrGraph::errors`], if any.
     pub fn build(mut self) -> Result<AndOrGraph, GraphError> {
         // Install collected OR probabilities.
-        for (i, probs) in self.or_probs.iter().enumerate() {
-            if let NodeKind::Or { probs: p } = &mut self.nodes[i].kind {
-                *p = probs.clone();
+        for (node, probs) in self.nodes.iter_mut().zip(self.or_probs) {
+            if let NodeKind::Or { probs: p } = &mut node.kind {
+                *p = probs;
             }
         }
-        validate(&self.nodes)?;
         let g = AndOrGraph { nodes: self.nodes };
-        crate::sections::SectionGraph::build(&g)?;
+        g.validate()?;
         Ok(g)
     }
 }
 
-/// Node-local invariants plus acyclicity.
-fn validate(nodes: &[Node]) -> Result<(), GraphError> {
+/// The node rules and the cycle search of [`AndOrGraph::errors`].
+fn node_errors(nodes: &[Node]) -> Vec<GraphError> {
+    let mut errors = Vec::new();
     if nodes.is_empty() {
-        return Err(GraphError::Empty);
+        errors.push(GraphError::Empty);
+        return errors;
     }
-    for (i, n) in nodes.iter().enumerate() {
-        let id = NodeId(i as u32);
-        match &n.kind {
-            NodeKind::Computation { wcet, acet } => {
-                if !(acet.is_finite() && wcet.is_finite() && *acet > 0.0 && *acet <= *wcet) {
-                    return Err(GraphError::BadExecutionTimes { node: id });
-                }
-            }
-            NodeKind::Or { probs } => {
-                if probs.len() != n.succs.len() {
-                    return Err(GraphError::BadOrProbabilities { node: id });
-                }
-                if !n.succs.is_empty() {
-                    let sum: f64 = probs.iter().sum();
-                    if (sum - 1.0).abs() > 1e-6 || probs.iter().any(|p| !(*p > 0.0 && *p <= 1.0)) {
-                        return Err(GraphError::BadOrProbabilities { node: id });
-                    }
-                }
-            }
-            NodeKind::And => {}
-        }
-        // Adjacency consistency (defensive; cheap).
-        for &s in &n.succs {
-            if s.index() >= nodes.len() {
-                return Err(GraphError::UnknownNode(s));
-            }
-        }
+    // True while the adjacency lists are a consistent, loop-free edge set:
+    // the precondition of the cycle search.
+    let mut consistent = true;
+    for (i, node) in nodes.iter().enumerate() {
+        let me = NodeId(i as u32);
+        let before = errors.len();
+        adjacency_errors(nodes, me, node, &mut errors);
+        consistent &= errors.len() == before;
+        kind_errors(me, node, &mut errors);
     }
-    topo_order(nodes).map(|_| ())
+    if consistent {
+        errors.extend(cycle(nodes));
+    }
+    errors
 }
 
-/// Kahn's algorithm; `Err(Cycle)` if not a DAG.
-fn topo_order(nodes: &[Node]) -> Result<Vec<NodeId>, GraphError> {
-    let mut indeg: Vec<usize> = nodes.iter().map(|n| n.preds.len()).collect();
-    let mut queue: Vec<NodeId> = indeg
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| **d == 0)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect();
-    let mut order = Vec::with_capacity(nodes.len());
-    while let Some(id) = queue.pop() {
-        order.push(id);
-        for &s in &nodes[id.index()].succs {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                queue.push(s);
+/// Dangling entries, self loops, duplicate edges and adjacency lists that
+/// disagree.
+fn adjacency_errors(nodes: &[Node], me: NodeId, node: &Node, errors: &mut Vec<GraphError>) {
+    for (j, &succ) in node.succs.iter().enumerate() {
+        let Some(other) = nodes.get(succ.index()) else {
+            errors.push(GraphError::DanglingSuccessor(me, succ));
+            continue;
+        };
+        if succ == me {
+            errors.push(GraphError::SelfLoop(me));
+            continue;
+        }
+        if node.succs.iter().take(j).any(|&e| e == succ) {
+            errors.push(GraphError::DuplicateEdge(me, succ));
+        }
+        if !other.preds.contains(&me) {
+            errors.push(GraphError::AsymmetricSuccessor(me, succ));
+        }
+    }
+    for &pred in &node.preds {
+        let Some(other) = nodes.get(pred.index()) else {
+            errors.push(GraphError::DanglingPredecessor(me, pred));
+            continue;
+        };
+        if pred != me && !other.succs.contains(&me) {
+            errors.push(GraphError::AsymmetricPredecessor(me, pred));
+        }
+    }
+}
+
+/// Execution times of a computation node; arity, range and sum of an OR
+/// node's branch probabilities.
+fn kind_errors(me: NodeId, node: &Node, errors: &mut Vec<GraphError>) {
+    match &node.kind {
+        NodeKind::Computation { wcet, acet } => {
+            if !(wcet.is_finite() && acet.is_finite() && *acet > 0.0 && *acet <= *wcet) {
+                errors.push(GraphError::BadExecutionTimes { node: me });
+            }
+        }
+        NodeKind::And => {}
+        NodeKind::Or { probs } => {
+            if probs.len() != node.succs.len() {
+                errors.push(GraphError::OrArity(me));
+            }
+            let before = errors.len();
+            for (branch, &p) in probs.iter().enumerate() {
+                if !(p.is_finite() && p > 0.0 && p <= 1.0) {
+                    errors.push(GraphError::OrProbabilityRange(me, branch));
+                }
+            }
+            if errors.len() == before && !probs.is_empty() {
+                let sum: f64 = probs.iter().sum();
+                if (sum - 1.0).abs() > OR_PROB_TOLERANCE {
+                    errors.push(GraphError::OrProbabilitySum(me, sum));
+                }
             }
         }
     }
-    if order.len() == nodes.len() {
-        Ok(order)
-    } else {
-        Err(GraphError::Cycle)
+}
+
+/// Kahn's algorithm over consistent adjacency lists: `Some(Cycle)` when
+/// some node never becomes ready. A node was ordered exactly when its
+/// remaining in-degree reached zero.
+fn cycle(nodes: &[Node]) -> Option<GraphError> {
+    let mut indeg: Vec<usize> = nodes.iter().map(|n| n.preds.len()).collect();
+    let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| indeg[i] == 0).collect();
+    while let Some(i) = ready.pop() {
+        for s in nodes.get(i).map_or(&[][..], |n| &n.succs) {
+            if let Some(d) = indeg.get_mut(s.index()).filter(|d| **d > 0) {
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(s.index());
+                }
+            }
+        }
     }
+    let example = indeg.iter().position(|&d| d > 0)?;
+    let stuck = indeg.iter().filter(|&&d| d > 0).count();
+    Some(GraphError::Cycle(stuck, NodeId(example as u32)))
 }
 
 #[cfg(test)]
@@ -413,20 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn topo_order_respects_edges() {
-        let g = or_diamond();
-        let order = g.topo_order();
-        let pos: Vec<usize> = (0..g.len())
-            .map(|i| order.iter().position(|n| n.index() == i).unwrap())
-            .collect();
-        for (id, n) in g.iter() {
-            for &s in &n.succs {
-                assert!(pos[id.index()] < pos[s.index()]);
-            }
-        }
-    }
-
-    #[test]
     fn rejects_empty() {
         assert_eq!(GraphBuilder::new().build().unwrap_err(), GraphError::Empty);
     }
@@ -438,7 +510,7 @@ mod tests {
         let y = b.task("y", 1.0, 1.0);
         b.edge(x, y).unwrap();
         b.edge(y, x).unwrap();
-        assert_eq!(b.build().unwrap_err(), GraphError::Cycle);
+        assert_eq!(b.build().unwrap_err(), GraphError::Cycle(2, x));
     }
 
     #[test]
@@ -475,7 +547,7 @@ mod tests {
         b.or_branch(o, y, 0.3).unwrap(); // sums to 0.8
         assert!(matches!(
             b.build().unwrap_err(),
-            GraphError::BadOrProbabilities { .. }
+            GraphError::OrProbabilitySum(node, _) if node == o
         ));
     }
 
@@ -524,6 +596,123 @@ mod tests {
         let back: AndOrGraph = serde_json::from_str(&json).unwrap();
         back.validate().unwrap();
         assert_eq!(back.len(), g.len());
+    }
+
+    fn node(name: &str, kind: NodeKind, preds: &[u32], succs: &[u32]) -> Node {
+        Node {
+            name: name.into(),
+            kind,
+            preds: preds.iter().map(|&i| NodeId(i)).collect(),
+            succs: succs.iter().map(|&i| NodeId(i)).collect(),
+        }
+    }
+
+    #[test]
+    fn errors_collect_every_rule_in_node_order() {
+        let task = |w, a| NodeKind::Computation { wcet: w, acet: a };
+        let g = AndOrGraph {
+            nodes: vec![
+                // Dangling successor, duplicate edge to n1, bad times.
+                node("a", task(1.0, 2.0), &[], &[9, 1, 1]),
+                // Lists n2 as a predecessor that does not list it back.
+                node("b", NodeKind::And, &[0, 2], &[]),
+                // OR: two probabilities for one successor, one past 1;
+                // n0 does not list it as a predecessor.
+                node(
+                    "o",
+                    NodeKind::Or {
+                        probs: vec![0.5, 1.5],
+                    },
+                    &[],
+                    &[0],
+                ),
+            ],
+        };
+        let n = NodeId;
+        assert_eq!(
+            g.errors(),
+            vec![
+                GraphError::DanglingSuccessor(n(0), n(9)),
+                GraphError::DuplicateEdge(n(0), n(1)),
+                GraphError::BadExecutionTimes { node: n(0) },
+                GraphError::AsymmetricPredecessor(n(1), n(2)),
+                GraphError::AsymmetricSuccessor(n(2), n(0)),
+                GraphError::OrArity(n(2)),
+                GraphError::OrProbabilityRange(n(2), 1),
+            ]
+        );
+        assert_eq!(g.validate(), Err(g.errors()[0].clone()));
+    }
+
+    #[test]
+    fn cycle_search_counts_the_stuck_nodes() {
+        let task = NodeKind::Computation {
+            wcet: 1.0,
+            acet: 1.0,
+        };
+        let g = AndOrGraph {
+            nodes: vec![
+                node("a", task.clone(), &[], &[]),
+                node("b", task.clone(), &[2], &[2]),
+                node("c", task, &[1], &[1]),
+            ],
+        };
+        assert_eq!(g.errors(), vec![GraphError::Cycle(2, NodeId(1))]);
+    }
+
+    /// Serde builds graphs unchecked, so any node slice can reach
+    /// `errors`: seeded random slices with dangling, duplicate and
+    /// one-sided edges, self loops and non-finite numbers must come back
+    /// as errors, never as a panic, and `validate` must agree.
+    #[test]
+    fn hostile_node_slices_do_not_panic() {
+        struct Xorshift(u64);
+        impl Xorshift {
+            fn below(&mut self, bound: u64) -> u64 {
+                self.0 ^= self.0 << 13;
+                self.0 ^= self.0 >> 7;
+                self.0 ^= self.0 << 17;
+                self.0 % bound
+            }
+            fn number(&mut self) -> f64 {
+                let pool = [1.0, 0.5, 0.0, -1.0, 2.0, f64::NAN, f64::INFINITY];
+                pool[self.below(pool.len() as u64) as usize]
+            }
+            fn ids(&mut self) -> Vec<NodeId> {
+                (0..self.below(4))
+                    .map(|_| NodeId(self.below(9) as u32))
+                    .collect()
+            }
+        }
+        let mut rng = Xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut failing = 0;
+        for _ in 0..5000 {
+            let nodes: Vec<Node> = (0..rng.below(7))
+                .map(|i| {
+                    let kind = match rng.below(3) {
+                        0 => NodeKind::Computation {
+                            wcet: rng.number(),
+                            acet: rng.number(),
+                        },
+                        1 => NodeKind::And,
+                        _ => NodeKind::Or {
+                            probs: (0..rng.below(4)).map(|_| rng.number()).collect(),
+                        },
+                    };
+                    Node {
+                        name: format!("n{i}"),
+                        kind,
+                        preds: rng.ids(),
+                        succs: rng.ids(),
+                    }
+                })
+                .collect();
+            let g = AndOrGraph { nodes };
+            let errors = g.errors();
+            assert_eq!(g.validate().err(), errors.first().cloned());
+            failing += usize::from(!errors.is_empty());
+        }
+        assert!(failing > 4000, "{failing} of 5000 slices broke a rule");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod structure;
 
 pub use analysis::{app_profile, scenario_profile, AppProfile, ScenarioProfile};
 pub use dot::to_dot;
-pub use graph::{AndOrGraph, GraphBuilder, GraphError};
+pub use graph::{AndOrGraph, GraphBuilder, GraphError, OR_PROB_TOLERANCE};
 pub use node::{Node, NodeId, NodeKind};
 pub use scenario::{Scenario, ScenarioIter};
 pub use sections::{Section, SectionGraph, SectionId};

@@ -36,8 +36,8 @@ pub mod overhead;
 
 pub use energy::EnergyMeter;
 pub use leakage::{critical_speed_cubic, efficient_floor, energy_per_work};
-pub use model::{OperatingPoint, ProcessorModel, SpeedLevel};
-pub use overhead::Overheads;
+pub use model::{ModelError, OperatingPoint, ProcessorModel, SpeedLevel};
+pub use overhead::{BadOverhead, Overheads};
 
 /// Default idle power as a fraction of maximum power (paper §5: "an idle
 /// processor consumes 5% of the maximal power level").

@@ -31,6 +31,52 @@ pub struct OperatingPoint {
     pub power: f64,
 }
 
+/// One rule a processor model breaks. The message names the offending
+/// values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ModelError {
+    /// A discrete model with no levels.
+    EmptyTable,
+    /// A level (index, level) whose frequency or voltage is not finite
+    /// and positive.
+    BadLevel(usize, SpeedLevel),
+    /// Levels `i` and `i + 1` (given as `i`, then both levels) out of
+    /// order: frequencies must strictly increase and voltages must not
+    /// decrease.
+    NotMonotone(usize, SpeedLevel, SpeedLevel),
+    /// A continuous model's minimum speed outside `(0, 1]`.
+    BadMinSpeed(f64),
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::EmptyTable => write!(f, "discrete model has an empty speed-level table"),
+            ModelError::BadLevel(i, l) => write!(
+                f,
+                "level {i}: frequency and voltage must be finite and positive \
+                 (freq_mhz = {}, voltage = {})",
+                l.freq_mhz, l.voltage
+            ),
+            ModelError::NotMonotone(i, lo, hi) => write!(
+                f,
+                "levels {i} -> {}: frequencies must strictly increase and voltages must \
+                 not decrease ({} MHz @ {} V, then {} MHz @ {} V)",
+                i + 1,
+                lo.freq_mhz,
+                lo.voltage,
+                hi.freq_mhz,
+                hi.voltage
+            ),
+            ModelError::BadMinSpeed(s) => {
+                write!(f, "continuous model: min_speed {s} must be in (0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ModelError {}
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum ModelKind {
     /// Discrete voltage/frequency table, sorted ascending by frequency.
@@ -121,13 +167,11 @@ impl ProcessorModel {
     ///
     /// Returns `None` unless `0 < min_speed <= 1`.
     pub fn continuous(min_speed: f64) -> Option<Self> {
-        if !(min_speed > 0.0 && min_speed <= 1.0) {
-            return None;
-        }
-        Some(Self {
+        let m = Self {
             name: format!("Continuous(smin={min_speed})"),
             kind: ModelKind::Continuous { min_speed },
-        })
+        };
+        m.errors().is_empty().then_some(m)
     }
 
     /// The platform-spec grammar [`ProcessorModel::from_spec`] accepts.
@@ -167,26 +211,16 @@ impl ProcessorModel {
 
     /// Builds a model from an explicit level table.
     ///
-    /// Returns `None` if the table is empty, has non-positive frequencies or
-    /// voltages, or is not strictly increasing in both frequency and voltage
-    /// (a level that is faster but not more power-hungry would never be
-    /// skipped, and real tables are monotone).
+    /// Returns `None` if the table breaks a rule of
+    /// [`ProcessorModel::errors`]: it is empty, a frequency or voltage is
+    /// not finite and positive, or frequencies do not strictly increase
+    /// with non-decreasing voltages (real tables are monotone).
     pub fn from_levels(name: impl Into<String>, levels: Vec<SpeedLevel>) -> Option<Self> {
-        if levels.is_empty() {
-            return None;
-        }
-        for w in levels.windows(2) {
-            if w[0].freq_mhz >= w[1].freq_mhz || w[0].voltage > w[1].voltage {
-                return None;
-            }
-        }
-        if levels.iter().any(|l| l.freq_mhz <= 0.0 || l.voltage <= 0.0) {
-            return None;
-        }
-        Some(Self {
+        let m = Self {
             name: name.into(),
             kind: ModelKind::Discrete { levels },
-        })
+        };
+        m.errors().is_empty().then_some(m)
     }
 
     /// Synthetic evenly spaced table for the `S_min`/level-count ablations
@@ -264,6 +298,41 @@ impl ProcessorModel {
             ModelKind::Discrete { levels } => Some(levels.len()),
             ModelKind::Continuous { .. } => None,
         }
+    }
+
+    /// Every rule the model breaks (PAS0102/PAS0103); empty for a valid
+    /// model. A continuous model needs `0 < min_speed <= 1`; a level table
+    /// must be non-empty, each level finite and positive, and then each
+    /// pair ordered. The constructors only build valid models; serde
+    /// builds models unchecked, so a deserialized one needs this first.
+    pub fn errors(&self) -> Vec<ModelError> {
+        let levels = match &self.kind {
+            ModelKind::Continuous { min_speed } if *min_speed > 0.0 && *min_speed <= 1.0 => {
+                return Vec::new()
+            }
+            ModelKind::Continuous { min_speed } => {
+                return vec![ModelError::BadMinSpeed(*min_speed)]
+            }
+            ModelKind::Discrete { levels } if levels.is_empty() => {
+                return vec![ModelError::EmptyTable]
+            }
+            ModelKind::Discrete { levels } => levels,
+        };
+        let mut errors = Vec::new();
+        for (i, &l) in levels.iter().enumerate() {
+            let positive = |x: f64| x.is_finite() && x > 0.0;
+            if !(positive(l.freq_mhz) && positive(l.voltage)) {
+                errors.push(ModelError::BadLevel(i, l));
+            }
+        }
+        for (i, w) in levels.windows(2).enumerate() {
+            if let [lo, hi] = *w {
+                if lo.freq_mhz >= hi.freq_mhz || lo.voltage > hi.voltage {
+                    errors.push(ModelError::NotMonotone(i, lo, hi));
+                }
+            }
+        }
+        errors
     }
 
     /// The discrete level table, or `None` for the continuous model.
@@ -503,6 +572,42 @@ mod tests {
         .is_none());
         // Non-positive entries.
         assert!(ProcessorModel::from_levels("bad", vec![SpeedLevel::new(0.0, 1.0)]).is_none());
+    }
+
+    #[test]
+    fn from_levels_refuses_non_finite_levels() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            for level in [SpeedLevel::new(bad, 1.0), SpeedLevel::new(500.0, bad)] {
+                let table = vec![SpeedLevel::new(200.0, 0.9), level];
+                assert!(
+                    ProcessorModel::from_levels("bad", table).is_none(),
+                    "{level:?}"
+                );
+                assert!(ProcessorModel::from_levels("bad", vec![level]).is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn errors_name_every_broken_level_rule() {
+        let m = |json: &str| -> ProcessorModel { serde_json::from_str(json).expect("parses") };
+        assert!(ProcessorModel::transmeta5400().errors().is_empty());
+        assert!(ProcessorModel::xscale().errors().is_empty());
+        let empty = m(r#"{"name": "e", "kind": {"Discrete": {"levels": []}}}"#);
+        assert_eq!(empty.errors(), vec![ModelError::EmptyTable]);
+        let lo = SpeedLevel::new(400.0, -1.0);
+        let hi = SpeedLevel::new(300.0, 1.0);
+        let table = m(r#"{"name": "t", "kind": {"Discrete": {"levels": [
+            {"freq_mhz": 400.0, "voltage": -1.0}, {"freq_mhz": 300.0, "voltage": 1.0}]}}}"#);
+        assert_eq!(
+            table.errors(),
+            vec![
+                ModelError::BadLevel(0, lo),
+                ModelError::NotMonotone(0, lo, hi)
+            ]
+        );
+        let smin = m(r#"{"name": "c", "kind": {"Continuous": {"min_speed": 1.5}}}"#);
+        assert_eq!(smin.errors(), vec![ModelError::BadMinSpeed(1.5)]);
     }
 
     #[test]

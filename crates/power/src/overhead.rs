@@ -13,6 +13,24 @@
 
 use serde::{Deserialize, Serialize};
 
+/// An [`Overheads`] field that is negative or not finite.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BadOverhead {
+    /// The field's name.
+    pub field: &'static str,
+    /// Its value.
+    pub value: f64,
+}
+
+impl std::fmt::Display for BadOverhead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let BadOverhead { field, value } = self;
+        write!(f, "{field} = {value} must be finite and non-negative")
+    }
+}
+
+impl std::error::Error for BadOverhead {}
+
 /// Overhead parameters, in the workspace's canonical units
 /// (milliseconds / MHz).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,18 +62,24 @@ impl Overheads {
     /// Creates a custom overhead configuration. Returns `None` on negative
     /// or non-finite values.
     pub fn new(speed_compute_cycles: f64, transition_time_ms: f64) -> Option<Self> {
-        if speed_compute_cycles >= 0.0
-            && transition_time_ms >= 0.0
-            && speed_compute_cycles.is_finite()
-            && transition_time_ms.is_finite()
-        {
-            Some(Self {
-                speed_compute_cycles,
-                transition_time_ms,
-            })
-        } else {
-            None
-        }
+        let o = Self {
+            speed_compute_cycles,
+            transition_time_ms,
+        };
+        o.errors().is_empty().then_some(o)
+    }
+
+    /// Every field that is negative or not finite (PAS0105), in field
+    /// order; empty for valid overheads.
+    pub fn errors(&self) -> Vec<BadOverhead> {
+        [
+            ("speed_compute_cycles", self.speed_compute_cycles),
+            ("transition_time_ms", self.transition_time_ms),
+        ]
+        .into_iter()
+        .filter(|(_, value)| !(value.is_finite() && *value >= 0.0))
+        .map(|(field, value)| BadOverhead { field, value })
+        .collect()
     }
 
     /// Wall-clock time (ms) to run the speed-computation code at normalized

@@ -76,13 +76,6 @@ fn resolve_graph(
             Ok((g, name.clone()))
         }
         WorkloadSpec::Inline(v) => {
-            // A number literal past the f64 range (`1e999`) parses as an
-            // infinity, which is not JSON: the whole graph is refused.
-            if !finite(v) {
-                return Err(Rejection::bad_param(
-                    "inline graph: JSON cannot represent NaN or infinity",
-                ));
-            }
             let g: AndOrGraph = serde_json::from_value(v)
                 .map_err(|e| Rejection::bad_param(format!("inline graph: {e}")))?;
             Ok((g, "<inline>".to_string()))
@@ -93,16 +86,6 @@ fn resolve_graph(
                 .map_err(|e| Rejection::bad_param(format!("parsing {path}: {e}")))?;
             Ok((g, path.clone()))
         }
-    }
-}
-
-/// True when every number in `v` is finite.
-fn finite(v: &Value) -> bool {
-    match v {
-        Value::Float(f) => f.is_finite(),
-        Value::Array(items) => items.iter().all(finite),
-        Value::Object(pairs) => pairs.iter().all(|(_, v)| finite(v)),
-        _ => true,
     }
 }
 
@@ -613,6 +596,31 @@ mod tests {
         let rej = run(&cfg, &cache, &metrics, line).expect_err("rejected");
         assert_eq!(rej.code, Code::Pas0503);
         assert!(rej.diagnostics.is_some(), "carries the report");
+    }
+
+    /// An inline graph is read as a `workload` file is: a number past the
+    /// f64 range reaches the graph rules, and a field the graph ignores
+    /// is ignored.
+    #[test]
+    fn inline_graph_numbers_meet_the_graph_rules() {
+        let (cfg, cache, metrics) = ctx();
+        let graph = |wcet: &str, extra: &str| {
+            format!(
+                r#"{{"kind":"run","graph":{{"nodes":[
+                {{"name":"A","kind":{{"Computation":{{"wcet":{wcet},"acet":1.0}}}},
+                  "preds":[],"succs":[1]{extra}}},
+                {{"name":"B","kind":{{"Computation":{{"wcet":3.0,"acet":1.0}}}},
+                  "preds":[0],"succs":[]}}]}}}}"#
+            )
+        };
+        let rej = run(&cfg, &cache, &metrics, &graph("1e999", "")).expect_err("refused");
+        assert_eq!(rej.code, Code::Pas0503);
+        let report = rej.diagnostics.expect("carries the report");
+        let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code.as_str()).collect();
+        assert_eq!(codes, ["PAS0006"]);
+        assert!(report.diagnostics[0].message.contains("wcet = inf"));
+        let served = run(&cfg, &cache, &metrics, &graph("4.0", r#","note":1e999"#));
+        assert!(served.expect("runs").get("finish_ms").is_some());
     }
 
     #[test]

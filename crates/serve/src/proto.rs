@@ -258,10 +258,8 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         Some(p) => usize::try_from(p).map_err(|_| Rejection::bad_param("`procs` out of range"))?,
     };
     let load = f64_field(&v, "load")?;
-    if let Some(l) = load {
-        if !(l > 0.0 && l <= 1.0) {
-            return Err(Rejection::bad_param("`load` must be in (0, 1]"));
-        }
+    if load.is_some_and(|l| pas_core::PlanError::check_load(l).is_err()) {
+        return Err(Rejection::bad_param("`load` must be in (0, 1]"));
     }
     let deadline_ms = f64_field(&v, "deadline_ms")?;
     if load.is_some() && deadline_ms.is_some() {

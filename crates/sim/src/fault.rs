@@ -27,6 +27,34 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// One range a [`FaultPlan`] breaks. The message names the field and its
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultPlanError {
+    /// A fault probability (field name, value) outside `[0, 1]`.
+    Probability(&'static str, f64),
+    /// An overrun factor below 1 or not finite.
+    OverrunFactor(f64),
+    /// A negative or non-finite stall duration.
+    StallMs(f64),
+}
+
+impl std::fmt::Display for FaultPlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultPlanError::Probability(field, p) => {
+                write!(f, "{field} = {p} is not a probability in [0, 1]")
+            }
+            FaultPlanError::OverrunFactor(v) => {
+                write!(f, "overrun_factor = {v} must be finite and >= 1")
+            }
+            FaultPlanError::StallMs(v) => write!(f, "stall_ms = {v} must be finite and >= 0"),
+        }
+    }
+}
+
+impl std::error::Error for FaultPlanError {}
+
 /// Stochastic fault model: per-node probabilities plus a seed.
 ///
 /// All probabilities are independent per computation node; synchronization
@@ -84,32 +112,37 @@ impl FaultPlan {
         self.overrun_prob <= 0.0 && self.speed_fail_prob <= 0.0 && self.stall_prob <= 0.0
     }
 
-    /// Checks ranges: probabilities in `[0, 1]`, `overrun_factor >= 1`,
-    /// `stall_ms >= 0`, and everything finite.
-    pub fn validate(&self) -> Result<(), SimError> {
-        let bad = |detail: String| Err(SimError::BadFaultPlan { detail });
-        for (name, p) in [
+    /// Every range the plan breaks, in field order: probabilities in
+    /// `[0, 1]` (PAS0201), `overrun_factor >= 1` (PAS0202), `stall_ms >= 0`
+    /// (PAS0203), everything finite. Empty for a valid plan.
+    pub fn errors(&self) -> Vec<FaultPlanError> {
+        let mut errors = Vec::new();
+        for (field, p) in [
             ("overrun_prob", self.overrun_prob),
             ("speed_fail_prob", self.speed_fail_prob),
             ("stall_prob", self.stall_prob),
         ] {
             if !(0.0..=1.0).contains(&p) {
-                return bad(format!("{name} = {p} is not a probability in [0, 1]"));
+                errors.push(FaultPlanError::Probability(field, p));
             }
         }
         if !self.overrun_factor.is_finite() || self.overrun_factor < 1.0 {
-            return bad(format!(
-                "overrun_factor = {} must be finite and >= 1",
-                self.overrun_factor
-            ));
+            errors.push(FaultPlanError::OverrunFactor(self.overrun_factor));
         }
         if !self.stall_ms.is_finite() || self.stall_ms < 0.0 {
-            return bad(format!(
-                "stall_ms = {} must be finite and >= 0",
-                self.stall_ms
-            ));
+            errors.push(FaultPlanError::StallMs(self.stall_ms));
         }
-        Ok(())
+        errors
+    }
+
+    /// The first of [`FaultPlan::errors`], as a [`SimError`].
+    pub fn validate(&self) -> Result<(), SimError> {
+        match self.errors().first() {
+            Some(e) => Err(SimError::BadFaultPlan {
+                detail: e.to_string(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Draws the concrete faults for one run.

@@ -44,7 +44,7 @@ pub use batch::{
 };
 pub use engine::{DispatchOrder, RunResult, RunScratch, SimConfig, Simulator, TraceEntry};
 pub use error::SimError;
-pub use fault::{DeadlineStatus, FaultPlan, FaultReport, FaultSet};
+pub use fault::{DeadlineStatus, FaultPlan, FaultPlanError, FaultReport, FaultSet};
 pub use literal::{run_literal, LiteralResult};
 pub use policy::{DispatchCtx, MaxSpeed, Policy, SpeedDecision};
 pub use realization::{DrawTable, ExecDraw, ExecTimeModel, Realization};

@@ -90,9 +90,10 @@ mod tests {
     #[test]
     fn every_builtin_builds_and_validates() {
         for name in BUILTIN_NAMES {
-            build(name, None, 42)
-                .validate()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            for (alpha, seed) in [(None, 42), (Some(0.3), 7), (Some(1.0), 1)] {
+                let g = build(name, alpha, seed);
+                assert_eq!(g.errors(), Vec::new(), "{name} {alpha:?} {seed}");
+            }
         }
     }
 

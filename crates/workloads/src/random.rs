@@ -120,13 +120,23 @@ mod tests {
 
     #[test]
     fn generated_apps_always_lower_and_validate() {
-        let params = RandomAppParams::default();
-        for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let app = params.generate(&mut rng);
-            let g = app.lower().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            SectionGraph::build(&g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(g.num_tasks() >= 1);
+        let wide = RandomAppParams {
+            max_depth: 5,
+            max_seq_len: 6,
+            max_par_width: 5,
+            max_branch_arms: 4,
+            ..RandomAppParams::default()
+        };
+        for params in [RandomAppParams::default(), wide] {
+            for seed in 0..200 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let app = params.generate(&mut rng);
+                let g = app.lower().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                SectionGraph::build(&g).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+                // Every rule of the collect-all graph check holds.
+                assert_eq!(g.errors(), Vec::new(), "seed {seed}");
+                assert!(g.num_tasks() >= 1);
+            }
         }
     }
 
