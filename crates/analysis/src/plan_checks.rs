@@ -10,7 +10,9 @@
 //!
 //! * `PAS0401` — unsupported schema version;
 //! * `PAS0402` — the plan does not fit the workload at all (table lengths
-//!   disagree with the graph or its section decomposition);
+//!   disagree with the graph or its section decomposition, or the
+//!   dispatch order cannot run on it): `PlanError::check_fit`, the rule
+//!   `Setup::from_plan` refuses by;
 //! * `PAS0403` — the canonical schedule (dispatch order or canonical
 //!   start times) differs from re-derivation;
 //! * `PAS0404` — a latest start time differs from re-derivation;
@@ -138,12 +140,8 @@ pub fn check_plan(
             return r;
         }
     };
-    if let Err(detail) = shape_check(stored, g, &sections) {
-        r.push(Diagnostic::new(
-            Code::Pas0402,
-            Loc::whole(plan_src),
-            format!("plan does not fit workload {graph_src}: {detail}"),
-        ));
+    if let Err(e) = PlanError::check_fit(stored, g, &sections) {
+        r.push(plan_error(e, plan_src));
         return r;
     }
 
@@ -184,62 +182,6 @@ pub fn check_plan(
     compare_params(artifact, &rederived, model, plan_src, &mut r);
     scheme_bounds(artifact, &rederived, g, &sections, plan_src, &mut r);
     r
-}
-
-/// Structural fit of a plan to a graph; `Err(detail)` explains the first
-/// disagreement. Mirrors `Setup::from_plan` so the verifier and the
-/// runtime reject exactly the same artifacts.
-fn shape_check(plan: &OfflinePlan, g: &AndOrGraph, sections: &SectionGraph) -> Result<(), String> {
-    if plan.lst.len() != g.len() {
-        return Err(format!(
-            "{} latest-start entries vs {} graph nodes",
-            plan.lst.len(),
-            g.len()
-        ));
-    }
-    let n_sections = sections.len();
-    if plan.dispatch.per_section.len() != n_sections {
-        return Err(format!(
-            "{} dispatched section(s) vs {} in the decomposition",
-            plan.dispatch.per_section.len(),
-            n_sections
-        ));
-    }
-    for (name, len) in [
-        ("canonical_start_rel", plan.canonical_start_rel.len()),
-        ("section_worst_len", plan.section_worst_len.len()),
-        ("section_avg_len", plan.section_avg_len.len()),
-        ("worst_after", plan.worst_after.len()),
-    ] {
-        if len != n_sections {
-            return Err(format!(
-                "table '{name}' covers {len} section(s), expected {n_sections}"
-            ));
-        }
-    }
-    for (sid, (order, starts)) in plan
-        .dispatch
-        .per_section
-        .iter()
-        .zip(plan.canonical_start_rel.iter())
-        .enumerate()
-    {
-        if order.len() != starts.len() {
-            return Err(format!(
-                "section {sid} dispatches {} node(s) but records {} canonical start(s)",
-                order.len(),
-                starts.len()
-            ));
-        }
-        if let Some(bad) = order.iter().find(|n| n.index() >= g.len()) {
-            return Err(format!(
-                "section {sid} dispatch names node {} but the graph has {} nodes",
-                bad.index(),
-                g.len()
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// `PAS0403`: dispatch order and canonical start times.

@@ -668,12 +668,13 @@ fn optimal(args: &Args) -> Result<String, String> {
     );
     // Compare the on-line schemes' worst-case energy on the same instance.
     let _ = writeln!(out, "\nworst-case energy over the optimum:");
+    let sim = setup.simulator(false);
     for scheme in Scheme::ALL {
         let mut worst = 0.0_f64;
         for (s, _) in setup.sections.enumerate_scenarios(&setup.graph) {
             let real = mp_sim::Realization::worst_case(&setup.graph, s);
-            let energy = setup
-                .run(scheme, &real)
+            let energy = sim
+                .run(setup.policy(scheme).as_mut(), &real)
                 .map_err(|e| format!("simulation: {e}"))?
                 .total_energy();
             worst = worst.max(energy);
@@ -861,7 +862,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
             let mut ledger = SectionedLedger::new();
             let mut ring = RingLog::new(4096);
             let mut filt = Filtered::new(NullObserver, kind_filter, args.proc_filter);
-            let started = std::time::Instant::now();
             let digest = {
                 let mut fan = Fanout::new()
                     .with(&mut reg)
@@ -870,7 +870,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
                     .with(&mut filt);
                 run_into(&mut fan)?
             };
-            let wall = started.elapsed();
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -893,12 +892,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
                     let _ = writeln!(out, "  {:<16} {count}", kind.name());
                 }
             }
-            let _ = writeln!(
-                out,
-                "throughput: events_per_sec = {:.1} ({:.3} ms wall, observed)",
-                ring.seen() as f64 / wall.as_secs_f64().max(1e-9),
-                wall.as_secs_f64() * 1e3
-            );
             let _ = writeln!(
                 out,
                 "live window: peak_ring_occupancy = {} of {} events buffered (bounded ring)",

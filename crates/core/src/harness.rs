@@ -205,10 +205,10 @@ impl Setup {
 
     /// Rebuilds a setup around an *existing* plan — typically one
     /// deserialized from a `pas plan --out` artifact — without re-running
-    /// the off-line phase. The plan is shape-checked against the graph
-    /// (table lengths vs. node count and section count) so a plan built
-    /// for a different application is rejected up front rather than
-    /// failing inside the engine.
+    /// the off-line phase. The plan must pass [`PlanError::check_fit`]
+    /// (table lengths vs. node count and section count, a dispatch order
+    /// the engine can run), so a plan built for a different application
+    /// is rejected up front rather than failing inside the engine.
     pub fn from_plan(
         graph: AndOrGraph,
         model: ProcessorModel,
@@ -216,58 +216,9 @@ impl Setup {
         overheads: Overheads,
     ) -> Result<Self, SetupError> {
         let sections = SectionGraph::build(&graph)?;
-        let mismatch =
-            |detail: String| SetupError::Offline(PlanError::PlanGraphMismatch { detail });
         PlanError::check_procs(plan.num_procs)?;
         PlanError::check_deadline(plan.deadline)?;
-        if plan.lst.len() != graph.len() {
-            return Err(mismatch(format!(
-                "plan has {} latest-start entries but the graph has {} nodes",
-                plan.lst.len(),
-                graph.len()
-            )));
-        }
-        let n_sections = sections.len();
-        if plan.dispatch.per_section.len() != n_sections {
-            return Err(mismatch(format!(
-                "plan dispatches {} section(s) but the graph decomposes into {}",
-                plan.dispatch.per_section.len(),
-                n_sections
-            )));
-        }
-        for (name, len) in [
-            ("canonical_start_rel", plan.canonical_start_rel.len()),
-            ("section_worst_len", plan.section_worst_len.len()),
-            ("section_avg_len", plan.section_avg_len.len()),
-            ("worst_after", plan.worst_after.len()),
-        ] {
-            if len != n_sections {
-                return Err(mismatch(format!(
-                    "plan table '{name}' covers {len} section(s), expected {n_sections}"
-                )));
-            }
-        }
-        for (order, starts) in plan
-            .dispatch
-            .per_section
-            .iter()
-            .zip(plan.canonical_start_rel.iter())
-        {
-            if order.len() != starts.len() {
-                return Err(mismatch(format!(
-                    "a section dispatches {} node(s) but records {} canonical start(s)",
-                    order.len(),
-                    starts.len()
-                )));
-            }
-            if let Some(bad) = order.iter().find(|n| n.index() >= graph.len()) {
-                return Err(mismatch(format!(
-                    "dispatch order names node {} but the graph has {} nodes",
-                    bad.index(),
-                    graph.len()
-                )));
-            }
-        }
+        PlanError::check_fit(&plan, &graph, &sections)?;
         Ok(Self {
             graph,
             sections,
@@ -418,6 +369,30 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn from_plan_refuses_a_node_dispatched_twice() {
+        let s = Setup::for_load(app(), ProcessorModel::xscale(), 2, 0.5).expect("feasible load");
+        let root = s.sections.root().index();
+        let mut plan = s.plan.clone();
+        let first = plan.dispatch.per_section[root][0];
+        plan.dispatch.per_section[root].push(first);
+        plan.canonical_start_rel[root].push(0.0);
+        let err = Setup::from_plan(app(), ProcessorModel::xscale(), plan, s.overheads)
+            .expect_err("refused");
+        let SetupError::Offline(PlanError::PlanGraphMismatch { detail }) = err else {
+            panic!("expected a plan/graph mismatch, got {err}");
+        };
+        assert_eq!(
+            detail,
+            format!(
+                "invalid dispatch order: section {root} dispatches node '{}' a second time",
+                s.graph.node(first).name
+            )
+        );
+        Setup::from_plan(app(), ProcessorModel::xscale(), s.plan.clone(), s.overheads)
+            .expect("the plan as built fits");
     }
 
     #[test]

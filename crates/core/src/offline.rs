@@ -282,6 +282,62 @@ impl PlanError {
         }
     }
 
+    /// The plan-fits-application rule (PAS0402): a plan's tables cover
+    /// `g`'s nodes and the sections of its decomposition, and its
+    /// dispatch order keeps [`DispatchOrder::check`]. A deserialized plan
+    /// must pass it before it runs; `Err` is a
+    /// [`PlanError::PlanGraphMismatch`] naming the first disagreement.
+    pub fn check_fit(
+        plan: &OfflinePlan,
+        g: &AndOrGraph,
+        sections: &SectionGraph,
+    ) -> Result<(), PlanError> {
+        let mismatch = |detail: String| Err(PlanError::PlanGraphMismatch { detail });
+        if plan.lst.len() != g.len() {
+            return mismatch(format!(
+                "plan has {} latest-start entries but the graph has {} nodes",
+                plan.lst.len(),
+                g.len()
+            ));
+        }
+        let n_sections = sections.len();
+        if plan.dispatch.per_section.len() != n_sections {
+            return mismatch(format!(
+                "plan dispatches {} section(s) but the graph decomposes into {}",
+                plan.dispatch.per_section.len(),
+                n_sections
+            ));
+        }
+        for (name, len) in [
+            ("canonical_start_rel", plan.canonical_start_rel.len()),
+            ("section_worst_len", plan.section_worst_len.len()),
+            ("section_avg_len", plan.section_avg_len.len()),
+            ("worst_after", plan.worst_after.len()),
+        ] {
+            if len != n_sections {
+                return mismatch(format!(
+                    "plan table '{name}' covers {len} section(s), expected {n_sections}"
+                ));
+            }
+        }
+        for (sid, (order, starts)) in plan
+            .dispatch
+            .per_section
+            .iter()
+            .zip(&plan.canonical_start_rel)
+            .enumerate()
+        {
+            if order.len() != starts.len() {
+                return mismatch(format!(
+                    "section {sid} dispatches {} node(s) but records {} canonical start(s)",
+                    order.len(),
+                    starts.len()
+                ));
+            }
+        }
+        plan.dispatch.check(g).or_else(|e| mismatch(e.to_string()))
+    }
+
     /// The deadline rule (PAS0107): finite and positive.
     pub fn check_deadline(deadline: f64) -> Result<(), PlanError> {
         if deadline.is_finite() && deadline > 0.0 {

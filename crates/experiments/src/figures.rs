@@ -235,6 +235,7 @@ pub fn ablation_procs(platform: Platform, cfg: &ExperimentConfig) -> SweepOutput
 /// ([`dvfs_power::efficient_floor`]) recovers the loss. Series are
 /// normalized to NPM *at the same ρ*.
 pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
+    use mp_sim::{Policy, RunScratch};
     use pas_core::{AsPolicy, EnergyFloorPolicy, GssPolicy, Scheme};
     use rand::Rng;
 
@@ -250,32 +251,34 @@ pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
             .expect("feasible")
             .with_static_power(rho);
         let floor = setup.efficient_floor();
+        // One engine, scratch and policy set per rho, in `labels` order;
+        // the engine resets each policy at every run start.
+        let sim = setup.simulator(false);
+        let mut scratch = RunScratch::new();
+        let mut policies: Vec<Box<dyn Policy + '_>> =
+            [Scheme::Npm, Scheme::Spm, Scheme::Gss, Scheme::As]
+                .into_iter()
+                .map(|scheme| setup.policy(scheme))
+                .collect();
+        policies.push(Box::new(EnergyFloorPolicy::new(
+            GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
+            floor,
+            &setup.model,
+        )));
+        policies.push(Box::new(EnergyFloorPolicy::new(
+            AsPolicy::new(&setup.plan, &setup.model, setup.overheads),
+            floor,
+            &setup.model,
+        )));
         let mut totals = vec![0.0_f64; labels.len()];
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.base_seed);
         let draws = setup.draw_table(&cfg.etm);
         for _ in 0..cfg.replications {
             let real = draws.sample(&mut rng);
-            let sim = setup.simulator(false);
-            let runs: Vec<mp_sim::RunResult> = {
-                let mut out = Vec::new();
-                for scheme in [Scheme::Npm, Scheme::Spm, Scheme::Gss, Scheme::As] {
-                    out.push(setup.run(scheme, &real).expect("run succeeds"));
-                }
-                let mut gss_floor = EnergyFloorPolicy::new(
-                    GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
-                    floor,
-                    &setup.model,
-                );
-                out.push(sim.run(&mut gss_floor, &real).expect("run succeeds"));
-                let mut as_floor = EnergyFloorPolicy::new(
-                    AsPolicy::new(&setup.plan, &setup.model, setup.overheads),
-                    floor,
-                    &setup.model,
-                );
-                out.push(sim.run(&mut as_floor, &real).expect("run succeeds"));
-                out
-            };
-            for (i, r) in runs.iter().enumerate() {
+            for (i, policy) in policies.iter_mut().enumerate() {
+                let r = sim
+                    .run_into(&mut scratch, policy.as_mut(), &real, None, None, None)
+                    .expect("run succeeds");
                 assert!(!r.missed_deadline, "{} missed at rho={rho}", labels[i]);
                 totals[i] += r.total_energy();
             }
@@ -471,6 +474,7 @@ pub fn stream_carryover(platform: Platform, cfg: &ExperimentConfig) -> Table {
     let mut cold_changes = Vec::new();
     let mut warm_changes = Vec::new();
     let mut warm_over_cold_energy = Vec::new();
+    let sim = setup.simulator(false);
     for &scheme in &schemes {
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.base_seed);
         let (mut cold_c, mut warm_c, mut cold_e, mut warm_e) = (0.0, 0.0, 0.0, 0.0);
@@ -478,7 +482,6 @@ pub fn stream_carryover(platform: Platform, cfg: &ExperimentConfig) -> Table {
         for _ in 0..reps {
             let frames: Vec<mp_sim::Realization> =
                 (0..FRAMES).map(|_| draws.sample(&mut rng)).collect();
-            let sim = setup.simulator(false);
             let mut policy = setup.policy(scheme);
             let cold = mp_sim::run_stream(&sim, policy.as_mut(), &frames, false, None)
                 .expect("stream runs");

@@ -89,6 +89,136 @@ impl DispatchOrder {
                 .collect(),
         }
     }
+
+    /// The rule an order must keep to run on `g`: it names only
+    /// computation and AND nodes of `g` (an OR node fires when its
+    /// section drains; it is not dispatched), each at most once. The
+    /// engine keeps each section's drain and the run's finish time as
+    /// running maxima over the completions it records, which equal the
+    /// maxima over the nodes only when every node completes once.
+    /// `Err` names the first offending entry, in section order.
+    pub fn check(&self, g: &AndOrGraph) -> Result<(), SimError> {
+        let mut seen = vec![false; g.len()];
+        for (sid, order) in self.per_section.iter().enumerate() {
+            for &n in order {
+                let detail = if n.index() >= g.len() {
+                    format!(
+                        "section {sid} dispatches node {}, but the graph has {} nodes",
+                        n.index(),
+                        g.len()
+                    )
+                } else if g.node(n).kind.is_or() {
+                    format!(
+                        "section {sid} dispatches OR node '{}'; OR nodes fire when \
+                         their section drains",
+                        g.node(n).name
+                    )
+                } else if std::mem::replace(&mut seen[n.index()], true) {
+                    format!(
+                        "section {sid} dispatches node '{}' a second time",
+                        g.node(n).name
+                    )
+                } else {
+                    continue;
+                };
+                return Err(SimError::BadDispatchOrder { detail });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One entry of the compiled dispatch order: what the engine needs about
+/// a dispatched node, read from the graph once.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    node: NodeId,
+    /// `false` for an AND synchronization node (zero time, no processor).
+    computation: bool,
+    wcet: f64,
+    /// The node's predecessors, as a range of [`DispatchTable::preds`].
+    preds: (usize, usize),
+}
+
+/// The OR node a program section synchronizes into.
+#[derive(Debug, Clone, Copy)]
+struct Exit {
+    or: NodeId,
+    /// The OR's predecessors, as a range of [`DispatchTable::preds`].
+    preds: (usize, usize),
+    /// The OR has no successors: the application ends when it fires.
+    terminal: bool,
+}
+
+/// A program section's run of steps and its exit.
+#[derive(Debug, Clone, Copy)]
+struct SectionSteps {
+    /// The section's steps, as a range of [`DispatchTable::steps`].
+    steps: (usize, usize),
+    exit: Option<Exit>,
+}
+
+/// The dispatch order compiled against the graph and its sections: one
+/// flat step array, one flat predecessor array and one entry per
+/// section, built in O(nodes + edges) by [`Simulator::new`]. The run loop
+/// reads nothing else about the graph.
+#[derive(Debug)]
+struct DispatchTable {
+    steps: Vec<Step>,
+    preds: Vec<NodeId>,
+    sections: Vec<SectionSteps>,
+}
+
+impl DispatchTable {
+    fn compile(
+        g: &AndOrGraph,
+        sections: &SectionGraph,
+        order: &DispatchOrder,
+    ) -> Result<Self, SimError> {
+        order.check(g)?;
+        let n_steps: usize = order.per_section.iter().map(Vec::len).sum();
+        let exits = sections.sections().iter().filter_map(|s| s.exit_or);
+        let n_preds: usize = order
+            .per_section
+            .iter()
+            .flatten()
+            .copied()
+            .chain(exits)
+            .map(|n| g.node(n).preds.len())
+            .sum();
+        let mut table = Self {
+            steps: Vec::with_capacity(n_steps),
+            preds: Vec::with_capacity(n_preds),
+            sections: Vec::with_capacity(sections.len()),
+        };
+        for (section, nodes) in sections.sections().iter().zip(&order.per_section) {
+            let first = table.steps.len();
+            for &node in nodes {
+                let n = g.node(node);
+                let preds = table.push_preds(&n.preds);
+                table.steps.push(Step {
+                    node,
+                    computation: n.kind.is_computation(),
+                    wcet: n.kind.wcet(),
+                    preds,
+                });
+            }
+            let steps = (first, table.steps.len());
+            let exit = section.exit_or.map(|or| Exit {
+                or,
+                preds: table.push_preds(&g.node(or).preds),
+                terminal: g.node(or).succs.is_empty(),
+            });
+            table.sections.push(SectionSteps { steps, exit });
+        }
+        Ok(table)
+    }
+
+    fn push_preds(&mut self, preds: &[NodeId]) -> (usize, usize) {
+        let first = self.preds.len();
+        self.preds.extend_from_slice(preds);
+        (first, self.preds.len())
+    }
 }
 
 /// Engine configuration for one experiment setting.
@@ -259,20 +389,25 @@ impl RunScratch {
 
 /// The multi-processor execution engine.
 ///
-/// Holds everything invariant across Monte-Carlo iterations; call
+/// Holds everything invariant across Monte-Carlo iterations, the
+/// dispatch order compiled into a step table among it; call
 /// [`Simulator::run_into`] (or one of its two one-off forms,
 /// [`Simulator::run`] and [`Simulator::run_observed`]) once per
 /// `(policy, realization)` pair.
 pub struct Simulator<'a> {
     g: &'a AndOrGraph,
     sections: &'a SectionGraph,
-    order: &'a DispatchOrder,
     model: &'a ProcessorModel,
     cfg: SimConfig,
+    /// The compiled order, or why the order breaks
+    /// [`DispatchOrder::check`] (every run returns that error).
+    table: Result<DispatchTable, SimError>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates an engine over one application/platform configuration.
+    /// Creates an engine over one application/platform configuration and
+    /// compiles `order` into its step table: O(nodes + edges) time and
+    /// four allocations, whatever the section count.
     ///
     /// # Panics
     ///
@@ -280,11 +415,12 @@ impl<'a> Simulator<'a> {
     /// every section. These are construction-time programming errors, not
     /// data-dependent run failures, so they stay asserts; everything that
     /// depends on the realization or dispatch order contents surfaces as
-    /// [`SimError`] from [`Simulator::run_into`] instead.
+    /// [`SimError`] from [`Simulator::run_into`] instead (an order that
+    /// breaks [`DispatchOrder::check`] fails every run).
     pub fn new(
         g: &'a AndOrGraph,
         sections: &'a SectionGraph,
-        order: &'a DispatchOrder,
+        order: &DispatchOrder,
         model: &'a ProcessorModel,
         cfg: SimConfig,
     ) -> Self {
@@ -297,9 +433,9 @@ impl<'a> Simulator<'a> {
         Self {
             g,
             sections,
-            order,
             model,
             cfg,
+            table: DispatchTable::compile(g, sections, order),
         }
     }
 
@@ -368,6 +504,11 @@ impl<'a> Simulator<'a> {
     /// `observer` receives every schedule action as a typed [`SimEvent`]
     /// (see `pas-obs`). Event emission is purely additive: the schedule
     /// and energy numbers are bit-identical with and without an observer.
+    ///
+    /// The run reads the graph's structure only through the step table
+    /// [`Simulator::new`] compiled (node names only go into errors). In
+    /// release builds with no trace recording it allocates nothing once
+    /// the scratch has grown.
     pub fn run_into(
         &self,
         scratch: &mut RunScratch,
@@ -377,6 +518,7 @@ impl<'a> Simulator<'a> {
         faults: Option<&FaultSet>,
         observer: Option<&mut dyn Observer>,
     ) -> Result<RunResult, SimError> {
+        let table = self.table.as_ref().map_err(Clone::clone)?;
         let m = self.cfg.num_procs;
         scratch.prepare(
             self.g.len(),
@@ -412,16 +554,32 @@ impl<'a> Simulator<'a> {
             }
         }
 
+        // Running maxima of the completions recorded: the current
+        // section's drain and the application's finish time.
+        // `DispatchOrder::check` guarantees each node completes once.
+        let mut finish_time = 0.0_f64;
         let mut cur: SectionId = self.sections.root();
         loop {
-            for &node in &self.order.per_section[cur.index()] {
-                let ready = self.ready_time(node, finish)?;
-                if !self.g.node(node).kind.is_computation() {
+            let section = table.sections[cur.index()];
+            let mut drain = 0.0_f64;
+            for step in &table.steps[section.steps.0..section.steps.1] {
+                let node = step.node;
+                let mut ready = 0.0_f64;
+                for &p in &table.preds[step.preds.0..step.preds.1] {
+                    let f = finish[p.index()].ok_or_else(|| SimError::DependencyViolation {
+                        node: self.g.node(node).name.clone(),
+                        pred: self.g.node(p).name.clone(),
+                    })?;
+                    ready = ready.max(f);
+                }
+                if !step.computation {
                     // AND synchronization node: dummy, zero time, handled by
                     // whichever processor is cycling through the scheduler.
                     let t = ready.max(last_dispatch);
                     last_dispatch = t;
                     finish[node.index()] = Some(t);
+                    drain = drain.max(t);
+                    finish_time = finish_time.max(t);
                     continue;
                 }
                 // Earliest-available processor takes the next expected task.
@@ -436,7 +594,7 @@ impl<'a> Simulator<'a> {
                 let ctx = DispatchCtx {
                     now: start,
                     current_point: point[p],
-                    wcet: self.g.node(node).kind.wcet(),
+                    wcet: step.wcet,
                 };
                 let decision = policy.speed_for(node, &ctx);
                 let rho = self.cfg.static_fraction;
@@ -508,6 +666,8 @@ impl<'a> Simulator<'a> {
                 let end = t + exec;
                 avail[p] = end;
                 finish[node.index()] = Some(end);
+                drain = drain.max(end);
+                finish_time = finish_time.max(end);
                 // Overrun detection at task completion: the task ran past
                 // the worst-case budget the policy reserved at the speed it
                 // believed the processor was running. Covers injected WCET
@@ -630,27 +790,22 @@ impl<'a> Simulator<'a> {
 
             // Section drained: fire its exit OR (all processors synchronize
             // here), then continue with the selected branch's section.
-            let Some(or) = self.sections.section(cur).exit_or else {
+            let Some(exit) = section.exit else {
                 break;
             };
-            let drain = self.order.per_section[cur.index()]
-                .iter()
-                .filter_map(|n| finish[n.index()])
-                .fold(0.0_f64, f64::max);
-            let preds_done = self
-                .g
-                .node(or)
-                .preds
+            let or = exit.or;
+            let preds_done = table.preds[exit.preds.0..exit.preds.1]
                 .iter()
                 .filter_map(|p| finish[p.index()])
                 .fold(0.0_f64, f64::max);
             let fire = drain.max(preds_done);
             finish[or.index()] = Some(fire);
+            finish_time = finish_time.max(fire);
             // The section boundary re-synchronizes the schedule; containment
             // (if any) ends here and the policy resumes slack-claiming.
             contained = false;
 
-            if self.g.node(or).succs.is_empty() {
+            if exit.terminal {
                 break; // terminal OR: application ends at the sync point
             }
             let k = real
@@ -681,7 +836,6 @@ impl<'a> Simulator<'a> {
             })?;
         }
 
-        let finish_time = finish.iter().filter_map(|f| *f).fold(0.0_f64, f64::max);
         // Idle energy accrues until the deadline (the system stays powered
         // for the whole frame), or until the actual finish on an overrun.
         // Idle time already metered (transient stalls) is not re-charged.
@@ -730,18 +884,6 @@ impl<'a> Simulator<'a> {
             energy,
             trace,
         })
-    }
-
-    fn ready_time(&self, node: NodeId, finish: &[Option<f64>]) -> Result<f64, SimError> {
-        let mut t = 0.0_f64;
-        for &p in &self.g.node(node).preds {
-            let f = finish[p.index()].ok_or_else(|| SimError::DependencyViolation {
-                node: self.g.node(node).name.clone(),
-                pred: self.g.node(p).name.clone(),
-            })?;
-            t = t.max(f);
-        }
-        Ok(t)
     }
 }
 
@@ -999,6 +1141,130 @@ mod tests {
             .expect_err("must fail");
         assert!(matches!(err, SimError::DependencyViolation { .. }), "{err}");
         assert!(err.to_string().contains("'B'"), "{err}");
+    }
+
+    #[test]
+    fn or_fires_when_its_whole_section_drains() {
+        // Root section {A, X}: only A feeds the OR; X feeds B across it (an
+        // ancestor cross-edge). The OR still fires when X, the section's
+        // last node, completes.
+        let mut b = GraphBuilder::new();
+        let a = b.task("A", 2.0, 2.0);
+        let x = b.task("X", 5.0, 5.0);
+        let or = b.or("O");
+        let t_b = b.task("B", 1.0, 1.0);
+        b.edge(a, or).expect("edge is valid");
+        b.or_branch(or, t_b, 1.0).expect("branch is valid");
+        b.edge(x, t_b).expect("edge is valid");
+        let g = b.build().expect("graph builds");
+        let sg = SectionGraph::build(&g).expect("sections build");
+        let order = DispatchOrder::topological(&g, &sg);
+        let model = ProcessorModel::continuous(0.1).expect("continuous model");
+        let sim = Simulator::new(&g, &sg, &order, &model, cfg(2, 20.0));
+
+        /// Full speed, recording when each OR fires.
+        struct Fires(Vec<f64>);
+        impl Policy for Fires {
+            fn name(&self) -> &str {
+                "fires"
+            }
+            fn speed_for(&mut self, t: NodeId, c: &DispatchCtx) -> SpeedDecision {
+                MaxSpeed.speed_for(t, c)
+            }
+            fn on_or_fired(&mut self, _or: NodeId, _branch: usize, now: f64) {
+                self.0.push(now);
+            }
+        }
+        let mut fires = Fires(Vec::new());
+        let real = Realization::worst_case(
+            &g,
+            Scenario {
+                choices: vec![(or, 0)],
+            },
+        );
+        let res = sim.run(&mut fires, &real).expect("run succeeds");
+        assert_eq!(fires.0, [5.0]);
+        assert_eq!(res.finish_time, 6.0);
+    }
+
+    #[test]
+    fn orders_the_engine_cannot_run_are_refused_before_they_run() {
+        // A -> OR -> B: the OR fires when the root section drains.
+        let app = Segment::seq([
+            Segment::task("A", 2.0, 2.0),
+            Segment::branch([(1.0, Segment::task("B", 3.0, 3.0))]),
+        ]);
+        let g = app.lower().expect("app lowers");
+        let sg = SectionGraph::build(&g).expect("sections build");
+        let model = ProcessorModel::continuous(0.1).expect("continuous model");
+        let named = |name: &str| {
+            g.iter()
+                .find(|(_, n)| n.name == name)
+                .expect("fixture names its tasks")
+                .0
+        };
+        let (a, b) = (named("A"), named("B"));
+        let or = g
+            .iter()
+            .find(|(_, n)| n.kind.is_or() && !n.succs.is_empty())
+            .expect("fixture has a branching OR")
+            .0;
+        let real = Realization::worst_case(
+            &g,
+            Scenario {
+                choices: vec![(or, 0)],
+            },
+        );
+        let good = DispatchOrder::topological(&g, &sg);
+        assert_eq!(good.check(&g), Ok(()));
+        let root = sg.root().index();
+        let branch = 1 - root;
+        let edited = |edit: &dyn Fn(&mut Vec<Vec<NodeId>>)| {
+            let mut order = good.clone();
+            edit(&mut order.per_section);
+            order
+        };
+        for (order, detail) in [
+            // A node listed twice, in one section and across two.
+            (
+                edited(&|o| o[branch].push(b)),
+                format!("section {branch} dispatches node 'B' a second time"),
+            ),
+            (
+                edited(&|o| o[branch].insert(0, a)),
+                format!("section {branch} dispatches node 'A' a second time"),
+            ),
+            (
+                edited(&|o| o[branch].insert(0, or)),
+                format!(
+                    "section {branch} dispatches OR node '{}'; OR nodes fire when their \
+                     section drains",
+                    g.node(or).name
+                ),
+            ),
+            (
+                edited(&|o| o[root].push(NodeId(99))),
+                format!(
+                    "section {root} dispatches node 99, but the graph has {} nodes",
+                    g.len()
+                ),
+            ),
+        ] {
+            let want = SimError::BadDispatchOrder { detail };
+            assert_eq!(order.check(&g), Err(want.clone()));
+            let sim = Simulator::new(&g, &sg, &order, &model, cfg(1, 20.0));
+            let mut scratch = RunScratch::new();
+            for _ in 0..2 {
+                let err = sim
+                    .run_into(&mut scratch, &mut MaxSpeed, &real, None, None, None)
+                    .expect_err("refused");
+                assert_eq!(err, want);
+            }
+            assert!(scratch.meters().is_empty(), "nothing ran");
+        }
+        let sim = Simulator::new(&g, &sg, &good, &model, cfg(1, 20.0));
+        let res = sim.run(&mut MaxSpeed, &real).expect("run succeeds");
+        assert_eq!(res.finish_time, 5.0);
     }
 
     #[test]

@@ -19,6 +19,12 @@ pub enum SimError {
         /// The predecessor that had not finished.
         pred: String,
     },
+    /// The dispatch order breaks [`crate::DispatchOrder::check`]: it
+    /// names a node outside the graph, an OR node, or a node twice.
+    BadDispatchOrder {
+        /// The offending entry.
+        detail: String,
+    },
     /// A run was given the wrong number of `initial` operating points.
     InitialPointCount {
         /// One point per processor.
@@ -64,6 +70,7 @@ impl fmt::Display for SimError {
                 "dispatch order violates dependencies: '{node}' dispatched before \
                  predecessor '{pred}' finished"
             ),
+            SimError::BadDispatchOrder { detail } => write!(f, "invalid dispatch order: {detail}"),
             SimError::InitialPointCount { expected, got } => write!(
                 f,
                 "expected {expected} initial operating points (one per processor), got {got}"
