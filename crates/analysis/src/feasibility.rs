@@ -30,7 +30,7 @@ use crate::diag::{Code, Diagnostic, Loc, Report};
 use crate::enumeration::{self, count_scenarios};
 use andor_graph::{AndOrGraph, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel};
-use pas_core::{CanonicalPlan, PlanError, Setup, SetupError, MAX_PROCS};
+use pas_core::{CanonicalPlan, PlanError, SchemeParams, Setup, SetupError, MAX_PROCS};
 
 pub use crate::enumeration::ENUMERATION_THRESHOLD;
 
@@ -267,11 +267,11 @@ fn enumerate_worst(
     }
 }
 
-/// PAS0108: applies the real deadline to the canonical pass and
-/// recomputes SS(2)'s *unclamped* switch time `θ = (s₂·D − Tᵃ)/(s₂ − s₁)`.
-/// The policy clamps θ into `[0, D]`, so an out-of-range value is not
-/// unsafe — but it means the two-speed speculation degenerates to a single
-/// speed, which is worth a warning (the user probably wanted SS(1)).
+/// PAS0108: applies the real deadline to the canonical pass and takes
+/// SS(2)'s *unclamped* switch time from [`SchemeParams::ss2_switch`]. The
+/// policy clamps θ into `[0, D]`, so an out-of-range value is not unsafe —
+/// but it means the two-speed speculation degenerates to a single speed,
+/// which is worth a warning (the user probably wanted SS(1)).
 fn check_ss2_switch_time(
     canonical: CanonicalPlan,
     model: &ProcessorModel,
@@ -282,13 +282,9 @@ fn check_ss2_switch_time(
     let Ok(plan) = canonical.with_deadline(deadline) else {
         return;
     };
-    let ideal = (plan.avg_total / plan.deadline).min(1.0);
-    let high = model.quantize_up(ideal).speed;
-    let low = level_at_or_below(model, ideal).unwrap_or(high);
-    if (high - low).abs() < 1e-12 {
+    let (_, _, Some(theta)) = SchemeParams::ss2_switch(&plan, model) else {
         return;
-    }
-    let theta = (high * plan.deadline - plan.avg_total) / (high - low);
+    };
     if !(-1e-9..=plan.deadline + 1e-9).contains(&theta) {
         r.push(Diagnostic::new(
             Code::Pas0108,
@@ -300,21 +296,6 @@ fn check_ss2_switch_time(
             ),
         ));
     }
-}
-
-/// The highest discrete speed at or below `ideal` (the dual of
-/// `quantize_up`; `None` for continuous models or when every level is
-/// above the ideal).
-fn level_at_or_below(model: &ProcessorModel, ideal: f64) -> Option<f64> {
-    let f_max = model.max_freq_mhz();
-    let levels = model.levels()?;
-    levels
-        .iter()
-        .map(|l| l.freq_mhz / f_max)
-        .filter(|s| *s <= ideal + 1e-12)
-        .fold(None, |best: Option<f64>, s| {
-            Some(best.map_or(s, |b| b.max(s)))
-        })
 }
 
 #[cfg(test)]

@@ -355,15 +355,11 @@ fn run_one(args: &Args) -> Result<String, String> {
         .simulator(true)
         .run_observed(policy.as_mut(), &real, None, fault_set.as_ref(), None)
         .map_err(|e| format!("simulation: {e}"))?;
-    let scheme_name = match args.scheme {
-        SchemeArg::Scheme(s) => s.name().to_string(),
-        SchemeArg::Oracle => "Oracle".into(),
-    };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{} on {} ({} processors, seed {})",
-        scheme_name,
+        policy.name(),
         setup.model.name(),
         setup.plan.num_procs,
         args.seed
@@ -759,12 +755,13 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
     let fault_set = fault_plan
         .as_ref()
         .map(|p| p.realize(&setup.graph, args.seed));
+    let mut policy = scheme_policy(&setup, args.scheme);
+    let scheme_name = policy.name().to_string();
     // One run shape behind one entry point: everything downstream only
     // sees an observer fed incrementally.
-    let run_into = |observer: &mut dyn Observer| -> Result<RunDigest, String> {
+    let mut run_into = |observer: &mut dyn Observer| -> Result<RunDigest, String> {
         if let Some(fs) = &frames {
             let sim = setup.simulator(false);
-            let mut policy = scheme_policy(&setup, args.scheme);
             let res = mp_sim::run_stream(&sim, policy.as_mut(), fs, args.carry, Some(observer))
                 .map_err(|e| format!("simulation: {e}"))?;
             let last = res.frame_finish.last().copied().unwrap_or(0.0);
@@ -787,7 +784,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
             })
         } else {
             let real = single.as_ref().expect("single-run realization");
-            let mut policy = scheme_policy(&setup, args.scheme);
             let res = setup
                 .simulator(false)
                 .run_observed(
@@ -812,10 +808,6 @@ fn trace_cmd(args: &Args) -> Result<String, String> {
                 meter_speed_changes: res.energy.speed_changes(),
             })
         }
-    };
-    let scheme_name = match args.scheme {
-        SchemeArg::Scheme(s) => s.name().to_string(),
-        SchemeArg::Oracle => "Oracle".into(),
     };
     let (body, event_count): (String, u64) = match args.format.as_str() {
         // Streaming formats: each event hits the writer the moment the

@@ -17,7 +17,7 @@
 
 use crate::harness::{Setup, SetupError};
 use crate::offline::OfflinePlan;
-use crate::policies::{Scheme, SpmPolicy, Ss1Policy, Ss2Policy};
+use crate::policies::{Scheme, SchemeParams};
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
 use serde::{Deserialize, Serialize};
@@ -26,109 +26,6 @@ use serde::{Deserialize, Serialize};
 /// change to [`PlanArtifact`] or the types it embeds; `pas check` rejects
 /// other versions with `PAS0401`.
 pub const PLAN_SCHEMA_VERSION: u32 = 1;
-
-/// The scheme-specific parameters the on-line phase derives from a plan —
-/// the quantities Theorem 1's "never below the GSS speed" argument and the
-/// SS(2) switch-window condition are stated over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SchemeParams {
-    /// NPM carries no parameters (always full speed).
-    Npm,
-    /// SPM: the single static operating speed `Tw / (D − t_trans)`,
-    /// quantized up.
-    Spm {
-        /// Normalized static speed every task runs at.
-        static_speed: f64,
-    },
-    /// GSS derives everything per dispatch from the latest start times.
-    Gss,
-    /// SS(1): the single speculative floor `Ta / D`, quantized up.
-    Ss1 {
-        /// Normalized speculative speed floor.
-        spec_speed: f64,
-    },
-    /// SS(2): the level pair bracketing `Ta / D` and the switch time
-    /// `θ = (s₂·D − Tᵃ) / (s₂ − s₁)`, clamped into `[0, D]`.
-    Ss2 {
-        /// The lower level `s₁`.
-        low: f64,
-        /// The upper level `s₂`.
-        high: f64,
-        /// The switch time θ in ms.
-        switch_time: f64,
-    },
-    /// AS: the initial (unquantized) speculation `Ta / D`; the per-OR
-    /// re-speculation table is the plan's `branch_avg`.
-    As {
-        /// Initial speculative speed before any OR fires.
-        initial_spec: f64,
-    },
-}
-
-impl SchemeParams {
-    /// Derives the parameters a scheme's policy would compute from
-    /// `plan` on `model` under `overheads` — the independent
-    /// re-derivation `pas check` compares a stored artifact against.
-    pub fn derive(
-        scheme: Scheme,
-        plan: &OfflinePlan,
-        model: &ProcessorModel,
-        overheads: Overheads,
-    ) -> Self {
-        let _span = pas_obs::profile::span_with(pas_obs::profile::names::ARTIFACT_SPEEDS, || {
-            scheme.name().to_string()
-        });
-        match scheme {
-            Scheme::Npm => SchemeParams::Npm,
-            Scheme::Gss => SchemeParams::Gss,
-            Scheme::Spm => SchemeParams::Spm {
-                static_speed: SpmPolicy::new(plan, model, overheads).point().speed,
-            },
-            Scheme::Ss1 => SchemeParams::Ss1 {
-                spec_speed: Ss1Policy::new(plan, model, overheads).spec_speed(),
-            },
-            Scheme::Ss2 => {
-                let (low, high, switch_time) = Ss2Policy::new(plan, model, overheads).parameters();
-                SchemeParams::Ss2 {
-                    low,
-                    high,
-                    switch_time,
-                }
-            }
-            Scheme::As => SchemeParams::As {
-                initial_spec: plan.avg_total / plan.deadline,
-            },
-        }
-    }
-
-    /// The lowest normalized speed any task can execute at under these
-    /// parameters: the scheme's speculative/static floor, or the
-    /// platform's `S_min` for the purely dynamic schemes. Every operating
-    /// point the on-line phase selects is at least this fast (quantization
-    /// only rounds *up*), so static analyses may divide by it to bound
-    /// execution times from above.
-    pub fn speed_floor(&self, model: &ProcessorModel) -> f64 {
-        match self {
-            SchemeParams::Npm => 1.0,
-            SchemeParams::Spm { static_speed } => *static_speed,
-            SchemeParams::Gss | SchemeParams::As { .. } => model.min_speed(),
-            SchemeParams::Ss1 { spec_speed } => spec_speed.max(model.min_speed()),
-            SchemeParams::Ss2 { low, .. } => low.max(model.min_speed()),
-        }
-    }
-
-    /// The scheme these parameters belong to.
-    pub fn scheme(&self) -> Scheme {
-        match self {
-            SchemeParams::Npm => Scheme::Npm,
-            SchemeParams::Spm { .. } => Scheme::Spm,
-            SchemeParams::Gss => Scheme::Gss,
-            SchemeParams::Ss1 { .. } => Scheme::Ss1,
-            SchemeParams::Ss2 { .. } => Scheme::Ss2,
-            SchemeParams::As { .. } => Scheme::As,
-        }
-    }
-}
 
 /// The complete serialized offline artifact for one
 /// (workload, platform, scheme) triple: everything the on-line phase
@@ -157,13 +54,20 @@ pub struct PlanArtifact {
 impl PlanArtifact {
     /// Builds the artifact for one scheme from a prepared [`Setup`].
     pub fn from_setup(setup: &Setup, scheme: Scheme, workload: &str, platform: &str) -> Self {
+        let params = {
+            let _span =
+                pas_obs::profile::span_with(pas_obs::profile::names::ARTIFACT_SPEEDS, || {
+                    scheme.name().to_string()
+                });
+            SchemeParams::derive(scheme, &setup.plan, &setup.model, setup.overheads)
+        };
         PlanArtifact {
             schema_version: PLAN_SCHEMA_VERSION,
             workload: workload.to_string(),
             platform: platform.to_string(),
             scheme,
             overheads: setup.overheads,
-            params: SchemeParams::derive(scheme, &setup.plan, &setup.model, setup.overheads),
+            params,
             plan: setup.plan.clone(),
         }
     }
@@ -250,33 +154,6 @@ mod tests {
                 "{}",
                 scheme.name()
             );
-        }
-    }
-
-    #[test]
-    fn params_match_policies() {
-        let s = setup();
-        let spm = SpmPolicy::new(&s.plan, &s.model, s.overheads);
-        match SchemeParams::derive(Scheme::Spm, &s.plan, &s.model, s.overheads) {
-            SchemeParams::Spm { static_speed } => {
-                assert!((static_speed - spm.point().speed).abs() < 1e-15)
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        let ss2 = Ss2Policy::new(&s.plan, &s.model, s.overheads);
-        match SchemeParams::derive(Scheme::Ss2, &s.plan, &s.model, s.overheads) {
-            SchemeParams::Ss2 {
-                low,
-                high,
-                switch_time,
-            } => {
-                assert_eq!((low, high, switch_time), ss2.parameters());
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        for scheme in Scheme::ALL {
-            let p = SchemeParams::derive(scheme, &s.plan, &s.model, s.overheads);
-            assert_eq!(p.scheme(), scheme);
         }
     }
 

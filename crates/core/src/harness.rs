@@ -1,7 +1,7 @@
 //! One-stop experiment configuration: application + platform + plan.
 
 use crate::offline::{OfflineError, OfflinePlan, PlanError};
-use crate::policies::Scheme;
+use crate::policies::{Scheme, SchemePolicy};
 use andor_graph::{AndOrGraph, GraphError, SectionGraph};
 use dvfs_power::{Overheads, ProcessorModel, DEFAULT_IDLE_FRACTION};
 use mp_sim::{
@@ -279,7 +279,12 @@ impl Setup {
         let _span = pas_obs::profile::span_with(pas_obs::profile::names::OFFLINE_POLICIES, || {
             scheme.name().to_string()
         });
-        scheme.build(&self.plan, &self.model, self.overheads)
+        Box::new(SchemePolicy::new(
+            scheme,
+            &self.plan,
+            &self.model,
+            self.overheads,
+        ))
     }
 
     /// Draws a realization (OR choices + actual execution times).

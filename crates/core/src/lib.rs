@@ -23,8 +23,9 @@
 //! If the worst path cannot meet the deadline the phase fails
 //! ([`PlanError::Infeasible`]).
 //!
-//! **On-line phase** ([`policies`]): six speed-selection schemes behind the
-//! engine's [`mp_sim::Policy`] trait:
+//! **On-line phase** ([`policies`]): six speed-selection schemes, each
+//! defined by its [`SchemeParams`] and run by one [`SchemePolicy`] behind
+//! the engine's [`mp_sim::Policy`] trait:
 //!
 //! | scheme | description |
 //! |--------|-------------|
@@ -52,12 +53,10 @@ pub mod offline;
 pub mod oracle;
 pub mod policies;
 
-pub use artifact::{PlanArtifact, SchemeParams, PLAN_SCHEMA_VERSION};
+pub use artifact::{PlanArtifact, PLAN_SCHEMA_VERSION};
 pub use digest::sha256_hex;
 pub use exhaustive::{optimal_assignment, AssignmentPolicy, OptimalAssignment};
 pub use harness::{pmp_reserve, Setup, SetupError};
 pub use offline::{BranchTable, CanonicalPlan, OfflineError, OfflinePlan, PlanError, MAX_PROCS};
 pub use oracle::OraclePolicy;
-pub use policies::{
-    AsPolicy, EnergyFloorPolicy, GssPolicy, Scheme, SpmPolicy, Ss1Policy, Ss2Policy,
-};
+pub use policies::{EnergyFloorPolicy, Scheme, SchemeParams, SchemePolicy};

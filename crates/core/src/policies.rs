@@ -81,29 +81,142 @@ impl Scheme {
             _ => return None,
         })
     }
-
-    /// Instantiates the scheme's policy against a plan and platform.
-    pub fn build<'a>(
-        self,
-        plan: &'a OfflinePlan,
-        model: &'a ProcessorModel,
-        overheads: Overheads,
-    ) -> Box<dyn Policy + 'a> {
-        match self {
-            Scheme::Npm => Box::new(MaxSpeed),
-            Scheme::Spm => Box::new(SpmPolicy::new(plan, model, overheads)),
-            Scheme::Gss => Box::new(GssPolicy::new(plan, model, overheads)),
-            Scheme::Ss1 => Box::new(Ss1Policy::new(plan, model, overheads)),
-            Scheme::Ss2 => Box::new(Ss2Policy::new(plan, model, overheads)),
-            Scheme::As => Box::new(AsPolicy::new(plan, model, overheads)),
-        }
-    }
 }
 
 impl std::fmt::Display for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
+}
+
+/// The scheme-specific parameters the on-line phase derives from a plan —
+/// the quantities Theorem 1's "never below the GSS speed" argument and the
+/// SS(2) switch-window condition are stated over. [`SchemeParams::derive`]
+/// is the one place each scheme's formulas are written; [`SchemePolicy`]
+/// runs them.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SchemeParams {
+    /// NPM carries no parameters (always full speed).
+    Npm,
+    /// SPM: the single static operating speed `Tw / (D − t_trans)`,
+    /// quantized up.
+    Spm {
+        /// Normalized static speed every task runs at.
+        static_speed: f64,
+    },
+    /// GSS derives everything per dispatch from the latest start times.
+    Gss,
+    /// SS(1): the single speculative floor `Ta / D`, quantized up.
+    Ss1 {
+        /// Normalized speculative speed floor.
+        spec_speed: f64,
+    },
+    /// SS(2): the level pair bracketing `Ta / D` and the switch time
+    /// `θ = (s₂·D − Tᵃ) / (s₂ − s₁)`, clamped into `[0, D]`.
+    Ss2 {
+        /// The lower level `s₁`.
+        low: f64,
+        /// The upper level `s₂`.
+        high: f64,
+        /// The switch time θ in ms.
+        switch_time: f64,
+    },
+    /// AS: the initial (unquantized) speculation `Ta / D`; the per-OR
+    /// re-speculation table is the plan's `branch_avg`.
+    As {
+        /// Initial speculative speed before any OR fires.
+        initial_spec: f64,
+    },
+}
+
+impl SchemeParams {
+    /// Derives a scheme's parameters from `plan` on `model` under
+    /// `overheads`: what its policy runs with, and the independent
+    /// re-derivation `pas check` compares a stored artifact against.
+    pub fn derive(
+        scheme: Scheme,
+        plan: &OfflinePlan,
+        model: &ProcessorModel,
+        overheads: Overheads,
+    ) -> Self {
+        match scheme {
+            Scheme::Npm => SchemeParams::Npm,
+            Scheme::Gss => SchemeParams::Gss,
+            Scheme::Spm => {
+                // One voltage transition (to enter the static speed) is
+                // reserved out of the deadline.
+                let effective =
+                    (plan.deadline - overheads.transition_time_ms).max(f64::MIN_POSITIVE);
+                SchemeParams::Spm {
+                    static_speed: model.quantize_up(plan.worst_total / effective).speed,
+                }
+            }
+            Scheme::Ss1 => SchemeParams::Ss1 {
+                spec_speed: model.quantize_up(average_speed(plan)).speed,
+            },
+            Scheme::Ss2 => {
+                let (low, high, theta) = Self::ss2_switch(plan, model);
+                SchemeParams::Ss2 {
+                    low,
+                    high,
+                    switch_time: theta.unwrap_or(0.0).clamp(0.0, plan.deadline),
+                }
+            }
+            Scheme::As => SchemeParams::As {
+                initial_spec: average_speed(plan),
+            },
+        }
+    }
+
+    /// SS(2)'s level pair `(s₁, s₂)` around `min(Tᵃ/D, 1)` and its
+    /// *unclamped* switch time `θ = (s₂·D − Tᵃ) / (s₂ − s₁)`, at which
+    /// the average-case work completes exactly at the deadline
+    /// (`θ·s₁ + (D − θ)·s₂ = Tᵃ`); `None` when the levels coincide.
+    /// [`SchemeParams::derive`] clamps θ into `[0, D]`; `pas check` warns
+    /// when it falls outside (PAS0108).
+    pub fn ss2_switch(plan: &OfflinePlan, model: &ProcessorModel) -> (f64, f64, Option<f64>) {
+        let ideal = average_speed(plan).min(1.0);
+        let high = model.quantize_up(ideal).speed;
+        let low = level_at_or_below(model, ideal).unwrap_or(high);
+        // Average work measured in full-speed ms.
+        let theta = ((high - low).abs() >= 1e-12)
+            .then(|| (high * plan.deadline - plan.avg_total) / (high - low));
+        (low, high, theta)
+    }
+
+    /// The lowest normalized speed any task can execute at under these
+    /// parameters: the scheme's speculative/static floor, or the
+    /// platform's `S_min` for the purely dynamic schemes. Every operating
+    /// point the on-line phase selects is at least this fast (quantization
+    /// only rounds *up*), so static analyses may divide by it to bound
+    /// execution times from above.
+    pub fn speed_floor(&self, model: &ProcessorModel) -> f64 {
+        match self {
+            SchemeParams::Npm => 1.0,
+            SchemeParams::Spm { static_speed } => *static_speed,
+            SchemeParams::Gss | SchemeParams::As { .. } => model.min_speed(),
+            SchemeParams::Ss1 { spec_speed } => spec_speed.max(model.min_speed()),
+            SchemeParams::Ss2 { low, .. } => low.max(model.min_speed()),
+        }
+    }
+
+    /// The scheme these parameters belong to.
+    pub fn scheme(&self) -> Scheme {
+        match self {
+            SchemeParams::Npm => Scheme::Npm,
+            SchemeParams::Spm { .. } => Scheme::Spm,
+            SchemeParams::Gss => Scheme::Gss,
+            SchemeParams::Ss1 { .. } => Scheme::Ss1,
+            SchemeParams::Ss2 { .. } => Scheme::Ss2,
+            SchemeParams::As { .. } => Scheme::As,
+        }
+    }
+}
+
+/// `Tᵃ / D`: the single speed at which the average-case work ends exactly
+/// at the deadline.
+fn average_speed(plan: &OfflinePlan) -> f64 {
+    plan.avg_total / plan.deadline
 }
 
 /// Shared deadline-guarantee computation (the GSS speed).
@@ -162,225 +275,105 @@ impl<'a> Guarantee<'a> {
     }
 }
 
-/// Greedy slack sharing (GSS): each task claims all slack available up to
-/// its latest start time. Slack sharing across processors is implicit in
-/// the engine's global dispatch order — exactly as in the paper's Figure 2.
-pub struct GssPolicy<'a> {
-    guar: Guarantee<'a>,
-}
-
-impl<'a> GssPolicy<'a> {
-    /// Creates the policy for a plan/platform pair.
-    pub fn new(plan: &'a OfflinePlan, model: &'a ProcessorModel, overheads: Overheads) -> Self {
-        Self {
-            guar: Guarantee::new(plan, model, overheads),
-        }
-    }
-}
-
-impl Policy for GssPolicy<'_> {
-    fn name(&self) -> &str {
-        "GSS"
-    }
-
-    fn speed_for(&mut self, task: NodeId, ctx: &DispatchCtx) -> SpeedDecision {
-        let desired = self.guar.gss_desired(task, ctx);
-        SpeedDecision {
-            point: self.guar.quantize(desired),
-            ran_pmp: true,
-        }
-    }
-}
-
-/// Static power management (SPM): a single speed decided before the
-/// application starts, using only static slack (`s = Tʷ / D`). Pays no
-/// per-task PMP cost and never changes speed at run time.
-pub struct SpmPolicy {
-    point: OperatingPoint,
-}
-
-impl SpmPolicy {
-    /// Computes the static operating point. One voltage transition (to
-    /// enter the static speed) is reserved out of the deadline.
-    pub fn new(plan: &OfflinePlan, model: &ProcessorModel, overheads: Overheads) -> Self {
-        let effective = (plan.deadline - overheads.transition_time_ms).max(f64::MIN_POSITIVE);
-        let desired = plan.worst_total / effective;
-        Self {
-            point: model.quantize_up(desired),
-        }
-    }
-
-    /// The static operating point every task runs at.
-    pub fn point(&self) -> OperatingPoint {
-        self.point
-    }
-}
-
-impl Policy for SpmPolicy {
-    fn name(&self) -> &str {
-        "SPM"
-    }
-
-    fn speed_for(&mut self, _task: NodeId, _ctx: &DispatchCtx) -> SpeedDecision {
-        SpeedDecision {
-            point: self.point,
-            ran_pmp: false,
-        }
-    }
-}
-
-/// Static speculation with a single speed (SS(1)): speculate
-/// `s = Tᵃ / D` once, then floor every task at `max(s_spec, s_GSS)`.
-pub struct Ss1Policy<'a> {
-    guar: Guarantee<'a>,
-    spec_speed: f64,
-}
-
-impl<'a> Ss1Policy<'a> {
-    /// Builds the policy; the speculative speed is the level at or above
-    /// the ideal `Tᵃ / D`.
-    pub fn new(plan: &'a OfflinePlan, model: &'a ProcessorModel, overheads: Overheads) -> Self {
-        let ideal = plan.avg_total / plan.deadline;
-        let spec_speed = model.quantize_up(ideal).speed;
-        Self {
-            guar: Guarantee::new(plan, model, overheads),
-            spec_speed,
-        }
-    }
-
-    /// The speculative speed (normalized).
-    pub fn spec_speed(&self) -> f64 {
-        self.spec_speed
-    }
-}
-
-impl Policy for Ss1Policy<'_> {
-    fn name(&self) -> &str {
-        "SS(1)"
-    }
-
-    fn speed_for(&mut self, task: NodeId, ctx: &DispatchCtx) -> SpeedDecision {
-        let desired = self.guar.gss_desired(task, ctx).max(self.spec_speed);
-        SpeedDecision {
-            point: self.guar.quantize(desired),
-            ran_pmp: true,
-        }
-    }
-
-    fn speculation(&self) -> Option<f64> {
-        Some(self.spec_speed)
-    }
-}
-
-/// Static speculation with two speeds (SS(2)): when levels are coarse, run
-/// at the level *below* the ideal speculative speed until the switch time
-/// `θ`, then at the level above, such that the average-case work completes
-/// exactly at the deadline:
+/// Every scheme's policy: the parameters [`SchemeParams::derive`] wrote,
+/// run by one rule.
 ///
-/// `θ·s₁ + (D − θ)·s₂ = Tᵃ  ⇒  θ = (s₂·D − Tᵃ) / (s₂ − s₁)`.
-pub struct Ss2Policy<'a> {
+/// - NPM runs at full speed ([`MaxSpeed`]).
+/// - SPM runs every task at its static point and pays no per-task PMP
+///   cost.
+/// - GSS (the paper's extended Figure-2 algorithm) gives each task all
+///   the slack up to its latest start time. Slack sharing across
+///   processors is implicit in the engine's global dispatch order.
+/// - SS(1), SS(2) and AS raise the GSS speed to a speculative one: SS(1)'s
+///   single speed; SS(2)'s `s₁` before the switch time θ and `s₂` after;
+///   AS's `Tᵃ_rem / (D − t)`, re-speculated after every OR node from the
+///   statistical remaining work of the chosen branch.
+pub struct SchemePolicy<'a> {
     guar: Guarantee<'a>,
-    low: f64,
-    high: f64,
-    switch_time: f64,
+    params: SchemeParams,
+    /// SPM's static operating point; unread by the other schemes.
+    static_point: OperatingPoint,
+    /// AS's current (unquantized) speculative speed.
+    spec: f64,
 }
 
-impl<'a> Ss2Policy<'a> {
-    /// Builds the policy, selecting the level pair bracketing `Tᵃ / D`.
-    pub fn new(plan: &'a OfflinePlan, model: &'a ProcessorModel, overheads: Overheads) -> Self {
-        let ideal = (plan.avg_total / plan.deadline).min(1.0);
-        let high = model.quantize_up(ideal).speed;
-        let low = level_at_or_below(model, ideal).unwrap_or(high);
-        let switch_time = if (high - low).abs() < 1e-12 {
-            0.0
-        } else {
-            // Average work measured in full-speed ms.
-            (high * plan.deadline - plan.avg_total) / (high - low)
+impl<'a> SchemePolicy<'a> {
+    /// Builds `scheme`'s policy for a plan/platform pair.
+    pub fn new(
+        scheme: Scheme,
+        plan: &'a OfflinePlan,
+        model: &'a ProcessorModel,
+        overheads: Overheads,
+    ) -> Self {
+        let guar = Guarantee::new(plan, model, overheads);
+        let params = SchemeParams::derive(scheme, plan, model, overheads);
+        let (static_point, spec) = match params {
+            SchemeParams::Spm { static_speed } => (guar.quantize(static_speed), 0.0),
+            SchemeParams::As { initial_spec } => (model.max_point(), initial_spec),
+            _ => (model.max_point(), 0.0),
         };
         Self {
-            guar: Guarantee::new(plan, model, overheads),
-            low,
-            high,
-            switch_time: switch_time.clamp(0.0, plan.deadline),
+            guar,
+            params,
+            static_point,
+            spec,
         }
-    }
-
-    /// The `(s₁, s₂, θ)` triple the policy operates with.
-    pub fn parameters(&self) -> (f64, f64, f64) {
-        (self.low, self.high, self.switch_time)
     }
 }
 
-impl Policy for Ss2Policy<'_> {
+impl Policy for SchemePolicy<'_> {
     fn name(&self) -> &str {
-        "SS(2)"
-    }
-
-    fn speed_for(&mut self, task: NodeId, ctx: &DispatchCtx) -> SpeedDecision {
-        let spec = if ctx.now < self.switch_time {
-            self.low
-        } else {
-            self.high
-        };
-        let desired = self.guar.gss_desired(task, ctx).max(spec);
-        SpeedDecision {
-            point: self.guar.quantize(desired),
-            ran_pmp: true,
-        }
-    }
-}
-
-/// Adaptive speculation (AS): re-speculates after every OR synchronization
-/// node from the statistical remaining work of the chosen branch:
-/// `s_spec = Tᵃ_rem / (D − t)`.
-pub struct AsPolicy<'a> {
-    guar: Guarantee<'a>,
-    spec_desired: f64,
-}
-
-impl<'a> AsPolicy<'a> {
-    /// Builds the policy; the initial speculation uses the whole
-    /// application's `Tᵃ`.
-    pub fn new(plan: &'a OfflinePlan, model: &'a ProcessorModel, overheads: Overheads) -> Self {
-        let spec_desired = plan.avg_total / plan.deadline;
-        Self {
-            guar: Guarantee::new(plan, model, overheads),
-            spec_desired,
-        }
-    }
-
-    /// The current (unquantized) speculative speed.
-    pub fn spec_desired(&self) -> f64 {
-        self.spec_desired
-    }
-}
-
-impl Policy for AsPolicy<'_> {
-    fn name(&self) -> &str {
-        "AS"
+        self.params.scheme().name()
     }
 
     fn begin_run(&mut self) {
-        self.spec_desired = self.guar.plan.avg_total / self.guar.plan.deadline;
+        if let SchemeParams::As { initial_spec } = self.params {
+            self.spec = initial_spec;
+        }
     }
 
     fn on_or_fired(&mut self, or: NodeId, branch: usize, now: f64) {
-        if let Some(&ta_rem) = self.guar.plan.branch_avg.get(&(or, branch)) {
-            let remaining = (self.guar.plan.deadline - now).max(f64::MIN_POSITIVE);
-            self.spec_desired = ta_rem / remaining;
+        if !matches!(self.params, SchemeParams::As { .. }) {
+            return;
+        }
+        let plan = self.guar.plan;
+        if let Some(&ta_rem) = plan.branch_avg.get(&(or, branch)) {
+            let remaining = (plan.deadline - now).max(f64::MIN_POSITIVE);
+            self.spec = ta_rem / remaining;
         }
     }
 
     fn speed_for(&mut self, task: NodeId, ctx: &DispatchCtx) -> SpeedDecision {
-        let desired = self.guar.gss_desired(task, ctx).max(self.spec_desired);
+        let spec = match self.params {
+            SchemeParams::Npm => return MaxSpeed.speed_for(task, ctx),
+            SchemeParams::Spm { .. } => {
+                return SpeedDecision {
+                    point: self.static_point,
+                    ran_pmp: false,
+                }
+            }
+            SchemeParams::Gss => None,
+            SchemeParams::Ss1 { spec_speed } => Some(spec_speed),
+            SchemeParams::Ss2 {
+                low,
+                high,
+                switch_time,
+            } => Some(if ctx.now < switch_time { low } else { high }),
+            SchemeParams::As { .. } => Some(self.spec),
+        };
+        let gss = self.guar.gss_desired(task, ctx);
         SpeedDecision {
-            point: self.guar.quantize(desired),
+            point: self.guar.quantize(spec.map_or(gss, |s| gss.max(s))),
             ran_pmp: true,
         }
     }
 
     fn speculation(&self) -> Option<f64> {
-        Some(self.spec_desired)
+        match self.params {
+            SchemeParams::Ss1 { spec_speed } => Some(spec_speed),
+            SchemeParams::As { .. } => Some(self.spec),
+            _ => None,
+        }
     }
 }
 
@@ -576,7 +569,7 @@ mod tests {
             record_trace: true,
         };
         let sim = Simulator::new(&fx.g, &fx.sg, &fx.plan.dispatch, &fx.model, cfg);
-        let mut policy = scheme.build(&fx.plan, &fx.model, overheads);
+        let mut policy = SchemePolicy::new(scheme, &fx.plan, &fx.model, overheads);
         let real = Realization::worst_case(
             &fx.g,
             fx.sg
@@ -585,7 +578,7 @@ mod tests {
                 .map(|(s, _)| s)
                 .unwrap(),
         );
-        sim.run(policy.as_mut(), &real).expect("run succeeds")
+        sim.run(&mut policy, &real).expect("run succeeds")
     }
 
     #[test]
@@ -639,9 +632,12 @@ mod tests {
             20.0,
             ProcessorModel::continuous(0.05).unwrap(),
         );
-        let mut spm = SpmPolicy::new(&fx.plan, &fx.model, Overheads::none());
         // Tw = 10, D = 20 → static speed 0.5 regardless of task behavior.
-        assert!((spm.point().speed - 0.5).abs() < 1e-12);
+        assert_eq!(
+            SchemeParams::derive(Scheme::Spm, &fx.plan, &fx.model, Overheads::none()),
+            SchemeParams::Spm { static_speed: 0.5 }
+        );
+        let mut spm = SchemePolicy::new(Scheme::Spm, &fx.plan, &fx.model, Overheads::none());
         let ctx = DispatchCtx {
             now: 3.0,
             current_point: fx.model.max_point(),
@@ -662,8 +658,8 @@ mod tests {
             20.0,
             ProcessorModel::continuous(0.05).unwrap(),
         );
-        let ss1 = Ss1Policy::new(&fx.plan, &fx.model, Overheads::none());
-        assert!((ss1.spec_speed() - 0.2).abs() < 1e-12);
+        let ss1 = SchemePolicy::new(Scheme::Ss1, &fx.plan, &fx.model, Overheads::none());
+        assert!((ss1.speculation().unwrap() - 0.2).abs() < 1e-12);
         let res = run_worst(&fx, Scheme::Ss1, Overheads::none());
         assert!(!res.missed_deadline);
         let tr = res.trace.as_ref().unwrap();
@@ -696,9 +692,22 @@ mod tests {
         // GSS's first task is slower than SS(1)'s (greedy takes all slack).
         assert!(gss_speeds[0] <= ss1_speeds[0] + 1e-12);
         // SS(1) speeds never drop below its speculative floor.
-        let spec = Ss1Policy::new(&fx.plan, &fx.model, Overheads::none()).spec_speed();
+        let spec = SchemePolicy::new(Scheme::Ss1, &fx.plan, &fx.model, Overheads::none())
+            .speculation()
+            .unwrap();
         for s in &ss1_speeds {
             assert!(*s >= spec - 1e-12);
+        }
+    }
+
+    fn ss2_parameters(fx: &Fixture) -> (f64, f64, f64) {
+        match SchemeParams::derive(Scheme::Ss2, &fx.plan, &fx.model, Overheads::none()) {
+            SchemeParams::Ss2 {
+                low,
+                high,
+                switch_time,
+            } => (low, high, switch_time),
+            other => panic!("wrong variant: {other:?}"),
         }
     }
 
@@ -707,8 +716,7 @@ mod tests {
         // Ta = 18, D = 40 → ideal 0.45 on XScale: s1 = 0.4, s2 = 0.6,
         // θ = (0.6·40 − 18)/(0.6 − 0.4) = 30.
         let fx = fixture(&chain(4, 5.0, 4.5), 1, 40.0, ProcessorModel::xscale());
-        let ss2 = Ss2Policy::new(&fx.plan, &fx.model, Overheads::none());
-        let (s1, s2, theta) = ss2.parameters();
+        let (s1, s2, theta) = ss2_parameters(&fx);
         assert!((s1 - 0.4).abs() < 1e-12, "s1={s1}");
         assert!((s2 - 0.6).abs() < 1e-12, "s2={s2}");
         assert!((theta - 30.0).abs() < 1e-9, "theta={theta}");
@@ -720,8 +728,7 @@ mod tests {
     fn ss2_degenerates_to_single_speed_on_level_match() {
         // Ideal exactly at a level: Ta/D = 0.6 → s1 = s2 = 0.6, θ = 0.
         let fx = fixture(&chain(4, 5.0, 3.0), 1, 20.0, ProcessorModel::xscale());
-        let ss2 = Ss2Policy::new(&fx.plan, &fx.model, Overheads::none());
-        let (s1, s2, theta) = ss2.parameters();
+        let (s1, s2, theta) = ss2_parameters(&fx);
         assert!((s1 - 0.6).abs() < 1e-12);
         assert!((s2 - 0.6).abs() < 1e-12);
         assert_eq!(theta, 0.0);
@@ -737,9 +744,9 @@ mod tests {
             ]),
         ]);
         let fx = fixture(&app, 1, 24.0, ProcessorModel::continuous(0.05).unwrap());
-        let mut as_pol = AsPolicy::new(&fx.plan, &fx.model, Overheads::none());
+        let mut as_pol = SchemePolicy::new(Scheme::As, &fx.plan, &fx.model, Overheads::none());
         as_pol.begin_run();
-        let initial = as_pol.spec_desired();
+        let initial = as_pol.speculation().unwrap();
         assert!((initial - fx.plan.avg_total / 24.0).abs() < 1e-12);
         let or =
             fx.g.iter()
@@ -748,9 +755,9 @@ mod tests {
                 .0;
         as_pol.on_or_fired(or, 0, 10.0);
         // Remaining avg for branch 0 is 6 (B's acet), 14 ms left.
-        assert!((as_pol.spec_desired() - 6.0 / 14.0).abs() < 1e-12);
+        assert!((as_pol.speculation().unwrap() - 6.0 / 14.0).abs() < 1e-12);
         as_pol.begin_run();
-        assert!((as_pol.spec_desired() - initial).abs() < 1e-12);
+        assert!((as_pol.speculation().unwrap() - initial).abs() < 1e-12);
     }
 
     #[test]
@@ -802,7 +809,7 @@ mod tests {
             ProcessorModel::continuous(0.05).unwrap(),
         );
         // GSS alone would pick 10/40 = 0.25; floor it at 0.5.
-        let inner = GssPolicy::new(&fx.plan, &fx.model, Overheads::none());
+        let inner = SchemePolicy::new(Scheme::Gss, &fx.plan, &fx.model, Overheads::none());
         let mut floored = EnergyFloorPolicy::new(inner, 0.5, &fx.model);
         assert_eq!(floored.name(), "GSS+floor");
         assert_eq!(floored.floor(), 0.5);
@@ -829,7 +836,7 @@ mod tests {
         let fx = fixture(&chain(3, 5.0, 2.0), 2, 30.0, ProcessorModel::xscale());
         let floor = dvfs_power::efficient_floor(&fx.model, 0.3);
         assert!(floor > fx.model.min_speed(), "leakage raises the floor");
-        let inner = GssPolicy::new(&fx.plan, &fx.model, Overheads::none());
+        let inner = SchemePolicy::new(Scheme::Gss, &fx.plan, &fx.model, Overheads::none());
         let mut policy = EnergyFloorPolicy::new(inner, floor, &fx.model);
         let cfg = SimConfig {
             num_procs: 2,
@@ -850,6 +857,62 @@ mod tests {
             .run(&mut policy, &Realization::worst_case(&fx.g, scen))
             .expect("run succeeds");
         assert!(!res.missed_deadline);
+    }
+
+    #[test]
+    fn params_and_policies_name_their_scheme() {
+        let app = Segment::seq([
+            Segment::task("A", 6.0, 3.0),
+            Segment::branch([
+                (0.4, Segment::task("D", 9.0, 4.0)),
+                (0.6, Segment::task("E", 3.0, 2.0)),
+            ]),
+        ]);
+        for model in [
+            ProcessorModel::transmeta5400(),
+            ProcessorModel::xscale(),
+            ProcessorModel::continuous(0.2).unwrap(),
+        ] {
+            let fx = fixture(&app, 2, 30.0, model);
+            let overheads = Overheads::paper_defaults();
+            for scheme in Scheme::ALL {
+                let params = SchemeParams::derive(scheme, &fx.plan, &fx.model, overheads);
+                assert_eq!(params.scheme(), scheme);
+                let policy = SchemePolicy::new(scheme, &fx.plan, &fx.model, overheads);
+                assert_eq!(policy.name(), scheme.name());
+            }
+        }
+    }
+
+    #[test]
+    fn spm_point_is_the_models_quantized_static_speed() {
+        // SPM keeps only its speed; the point it runs at is re-quantized
+        // from it, bit for bit the point `quantize_up` gave.
+        let ctx = |model: &ProcessorModel| DispatchCtx {
+            now: 0.0,
+            current_point: model.max_point(),
+            wcet: 1.0,
+        };
+        for model in [
+            ProcessorModel::transmeta5400(),
+            ProcessorModel::xscale(),
+            ProcessorModel::continuous(0.2).unwrap(),
+        ] {
+            for d in [10.5, 11.0, 12.5, 14.0, 17.0, 20.0, 33.0, 100.0] {
+                let fx = fixture(&chain(2, 5.0, 2.0), 1, d, model.clone());
+                let overheads = Overheads::paper_defaults();
+                let mut spm = SchemePolicy::new(Scheme::Spm, &fx.plan, &fx.model, overheads);
+                let effective = fx.plan.deadline - overheads.transition_time_ms;
+                let want = model.quantize_up(fx.plan.worst_total / effective);
+                let got = spm.speed_for(NodeId(0), &ctx(&model)).point;
+                assert_eq!(
+                    (got.speed.to_bits(), got.power.to_bits()),
+                    (want.speed.to_bits(), want.power.to_bits()),
+                    "{} at D = {d}",
+                    model.name()
+                );
+            }
+        }
     }
 
     #[test]

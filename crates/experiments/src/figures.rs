@@ -236,7 +236,7 @@ pub fn ablation_procs(platform: Platform, cfg: &ExperimentConfig) -> SweepOutput
 /// normalized to NPM *at the same ρ*.
 pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
     use mp_sim::{Policy, RunScratch};
-    use pas_core::{AsPolicy, EnergyFloorPolicy, GssPolicy, Scheme};
+    use pas_core::{EnergyFloorPolicy, Scheme, SchemePolicy};
     use rand::Rng;
 
     let rhos: Vec<f64> = vec![0.0, 0.05, 0.1, 0.2, 0.3, 0.4];
@@ -260,16 +260,13 @@ pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
                 .into_iter()
                 .map(|scheme| setup.policy(scheme))
                 .collect();
-        policies.push(Box::new(EnergyFloorPolicy::new(
-            GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
-            floor,
-            &setup.model,
-        )));
-        policies.push(Box::new(EnergyFloorPolicy::new(
-            AsPolicy::new(&setup.plan, &setup.model, setup.overheads),
-            floor,
-            &setup.model,
-        )));
+        for scheme in [Scheme::Gss, Scheme::As] {
+            policies.push(Box::new(EnergyFloorPolicy::new(
+                SchemePolicy::new(scheme, &setup.plan, &setup.model, setup.overheads),
+                floor,
+                &setup.model,
+            )));
+        }
         let mut totals = vec![0.0_f64; labels.len()];
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.base_seed);
         let draws = setup.draw_table(&cfg.etm);

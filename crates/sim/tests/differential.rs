@@ -3,7 +3,7 @@
 //! finish times, same energies, same dispatch order and processor
 //! assignment — on random applications, platforms and policies.
 
-use andor_graph::{AndOrGraph, NodeId, SectionGraph, Segment};
+use andor_graph::{AndOrGraph, GraphBuilder, NodeId, Scenario, SectionGraph, Segment};
 use dvfs_power::{Overheads, ProcessorModel};
 use mp_sim::literal::run_literal;
 use mp_sim::{
@@ -171,5 +171,46 @@ proptest! {
             Overheads::paper_defaults(),
             &model,
         )?;
+    }
+}
+
+/// An OR fires when its whole section drains, not when its own
+/// predecessors finish: the root section is {A, X}, only A feeds the OR,
+/// and X feeds branch B across it. Branch C waits on X only through the
+/// drain, so it pins the drain term on both engines.
+#[test]
+fn engines_agree_when_an_or_waits_for_its_section_to_drain() {
+    let mut b = GraphBuilder::new();
+    let a = b.task("A", 2.0, 2.0);
+    let x = b.task("X", 5.0, 5.0);
+    let or = b.or("O");
+    let t_b = b.task("B", 1.0, 1.0);
+    let t_c = b.task("C", 3.0, 3.0);
+    b.edge(a, or).expect("edge is valid");
+    b.or_branch(or, t_b, 0.5).expect("branch is valid");
+    b.or_branch(or, t_c, 0.5).expect("branch is valid");
+    b.edge(x, t_b).expect("edge is valid");
+    let g = b.build().expect("graph builds");
+    let sg = SectionGraph::build(&g).expect("sections build");
+    let model = ProcessorModel::xscale();
+    for branch in 0..2 {
+        let real = Realization::worst_case(
+            &g,
+            Scenario {
+                choices: vec![(or, branch)],
+            },
+        );
+        for procs in 1..=3 {
+            check(
+                &g,
+                &sg,
+                procs,
+                &mut MaxSpeed,
+                &real,
+                Overheads::none(),
+                &model,
+            )
+            .unwrap_or_else(|e| panic!("branch {branch}, {procs} processors: {e}"));
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example custom_policy`
 
-use pas_andor::core::{GssPolicy, Scheme, Setup};
+use pas_andor::core::{Scheme, SchemePolicy, Setup};
 use pas_andor::graph::NodeId;
 use pas_andor::power::ProcessorModel;
 use pas_andor::sim::{DispatchCtx, ExecTimeModel, Policy, SpeedDecision};
@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 /// Runs every other task flat-out and the rest at the guaranteed minimum.
 struct RaceToSleep<'a> {
     /// Deadline safety comes from composing with the GSS policy.
-    guarantee: GssPolicy<'a>,
+    guarantee: SchemePolicy<'a>,
     model: &'a ProcessorModel,
     rng: StdRng,
 }
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let setup = Setup::for_load(graph, ProcessorModel::xscale(), 2, 0.6)?;
 
     let mut custom = RaceToSleep {
-        guarantee: GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
+        guarantee: SchemePolicy::new(Scheme::Gss, &setup.plan, &setup.model, setup.overheads),
         model: &setup.model,
         rng: StdRng::seed_from_u64(0),
     };

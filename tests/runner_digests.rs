@@ -5,8 +5,9 @@
 //! bit patterns of every `SchemeStats` field (every `Summary`'s count,
 //! mean, variance, min and max, the miss count and the whole fault
 //! report) and of the oracle's energy summary. The cases cross the
-//! synthetic and ATR setups with a fault-free run and an overrun+stall
-//! plan, each with and without the clairvoyant oracle. Any change to how
+//! synthetic, ATR and video (on the continuous model) setups with a
+//! fault-free run and an overrun+stall plan, each with and without the
+//! clairvoyant oracle. Any change to how
 //! the runner draws, seeds, runs or folds its replications changes a
 //! digest here.
 
@@ -22,7 +23,7 @@ const REPS: usize = 64;
 
 /// One digest per (setup, fault plan, oracle) case, in the loop order of
 /// [`runner_results_are_pinned`].
-const PINNED: [&str; 8] = [
+const PINNED: [&str; 12] = [
     "fcd81e724864c7ebbc195c33c730be1775a17ec637c98d0884da945d3196138d",
     "58347ba2b100a3bb8a47dceefd1b7791ff761d07221def9fc25ae95160a8b912",
     "e7455a0b85e5d1c465fe78a646d4ca3dcb78e4e59dfc9fecd5cb2c4dcecff961",
@@ -31,6 +32,10 @@ const PINNED: [&str; 8] = [
     "73d0c1b30348163b8281b2b3d41c53b5485a54543ee3a3c25ed71b25c4177b76",
     "ace286914f0660fd09b67206620e20d99bab0c81a8afe7354e001ba94c355cb8",
     "55c6c1374140866ac1b0f38d84ff4e44349b83bb7ebcc98bfc3b9878c9a98582",
+    "0c967de1e7dc3cef508a79ef41f5225767bbab267b19464ee090d8f62daed2be",
+    "9cf0cdc6bd027228c978577b4bf53367ed8eb27298be88b5d8b99801a65f02c3",
+    "6808197c681b89f596d483fe727fd40667b50073fdfc1968d2945c18934fc163",
+    "6f6790d6b507e39ab8264416625e93f3e2a0215c50a6e0a3c301252a6009aa3f",
 ];
 
 fn summary(out: &mut String, s: &Summary) {
@@ -93,6 +98,18 @@ fn runner_results_are_pinned() {
         (
             "atr",
             Setup::for_load(atr_app(), ProcessorModel::xscale(), 6, 0.6).expect("feasible"),
+        ),
+        (
+            "video",
+            Setup::for_load(
+                pas_andor::workloads::builtin("video", None, 0)
+                    .expect("built-in")
+                    .expect("builds"),
+                ProcessorModel::resolve("continuous:0.2").expect("continuous model"),
+                3,
+                0.7,
+            )
+            .expect("feasible"),
         ),
     ];
     let plan = FaultPlan {
