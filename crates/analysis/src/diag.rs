@@ -50,7 +50,7 @@ impl fmt::Display for Severity {
 /// code keeps its meaning forever (tests snapshot them), and retired
 /// checks leave holes rather than renumbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-#[allow(missing_docs)] // Each variant is documented by `description()`.
+#[allow(missing_docs)] // Each variant is documented in docs/diagnostics.md.
 pub enum Code {
     Pas0001,
     Pas0002,
@@ -277,71 +277,6 @@ impl Code {
             Code::Pas0206 | Code::Pas0303 | Code::Pas0602 | Code::Pas0603 | Code::Pas0604 => Info,
         }
     }
-
-    /// One-line description of what the check verifies (the catalog
-    /// entry; see DESIGN.md §3e).
-    pub fn description(self) -> &'static str {
-        match self {
-            Code::Pas0001 => "graph has no nodes",
-            Code::Pas0002 => "edge endpoint references a node that does not exist",
-            Code::Pas0003 => "successor/predecessor adjacency lists disagree",
-            Code::Pas0004 => "self loop",
-            Code::Pas0005 => "duplicate edge",
-            Code::Pas0006 => "execution times must satisfy 0 < acet <= wcet and be finite",
-            Code::Pas0007 => "OR branch-probability count differs from successor count",
-            Code::Pas0008 => "OR branch probability outside (0, 1]",
-            Code::Pas0009 => "OR branch probabilities do not sum to 1",
-            Code::Pas0010 => "graph contains a cycle",
-            Code::Pas0011 => "OR-seriality / program-section structure violation",
-            Code::Pas0012 => "node unreachable from any source",
-            Code::Pas0013 => "isolated node (no predecessors or successors)",
-            Code::Pas0101 => "unknown platform specification",
-            Code::Pas0102 => "invalid speed-level table",
-            Code::Pas0103 => "speed levels not monotone (frequency up, voltage non-decreasing)",
-            Code::Pas0104 => "level table deviates from the published table of the same name",
-            Code::Pas0105 => "overhead parameters must be finite and non-negative",
-            Code::Pas0106 => "processor count must lie in [1, 4096] (`MAX_PROCS`)",
-            Code::Pas0107 => "deadline must be finite and positive",
-            Code::Pas0108 => "SS(2) switch time falls outside [0, D]",
-            Code::Pas0201 => "fault probability outside [0, 1]",
-            Code::Pas0202 => "overrun factor must be finite and >= 1",
-            Code::Pas0203 => "stall duration must be finite and non-negative",
-            Code::Pas0204 => "positive stall probability with zero stall duration",
-            Code::Pas0205 => "fault plan targets a graph with no computation nodes",
-            Code::Pas0206 => "fault plan injects nothing",
-            Code::Pas0301 => "statically infeasible: worst-case path misses the deadline at f_max",
-            Code::Pas0302 => "zero static slack: the worst case finishes exactly at the deadline",
-            Code::Pas0303 => {
-                "OR-path count exceeds the enumeration threshold; conservative bound used"
-            }
-            Code::Pas0401 => "plan artifact has an unsupported schema version",
-            Code::Pas0402 => "plan artifact does not fit the workload (shape mismatch)",
-            Code::Pas0403 => "plan canonical schedule differs from independent re-derivation",
-            Code::Pas0404 => "plan latest start time differs from independent re-derivation",
-            Code::Pas0405 => "plan timing statistics differ from independent re-derivation",
-            Code::Pas0406 => "plan scheme parameters differ from independent re-derivation",
-            Code::Pas0407 => "SS(2) switch time violates the valid switch window",
-            Code::Pas0408 => "speculative speed undercuts the GSS-guaranteed floor",
-            Code::Pas0409 => "plan deadline is infeasible for the workload",
-            Code::Pas0501 => "service request is not valid JSON",
-            Code::Pas0502 => "service request has an unknown kind",
-            Code::Pas0503 => "service request is missing a field or has an invalid parameter",
-            Code::Pas0504 => "service queue is full; request shed with a retry-after hint",
-            Code::Pas0505 => "service request exceeded its deadline and was cancelled",
-            Code::Pas0506 => "service request handler panicked; the worker recovered",
-            Code::Pas0507 => "service served a stale cached plan after re-derivation failed",
-            Code::Pas0508 => "service request failed during planning or simulation",
-            Code::Pas0601 => "symbolic bounds derivation failed its internal soundness self-check",
-            Code::Pas0602 => {
-                "OR-path count exceeds the enumeration threshold; bounds use the DAG fallback"
-            }
-            Code::Pas0603 => "symbolic energy/makespan interval for one scheme (with witnesses)",
-            Code::Pas0604 => "optimality gap: scheme worst case vs. the theoretical minimum energy",
-            Code::Pas0605 => {
-                "under the fault envelope the worst-case makespan exceeds the deadline"
-            }
-        }
-    }
 }
 
 impl fmt::Display for Code {
@@ -560,9 +495,8 @@ mod tests {
                 pair[1]
             );
         }
-        // Every code has a nonempty description and a severity.
+        // Every code has a severity.
         for c in Code::ALL {
-            assert!(!c.description().is_empty(), "{c}");
             let _ = c.severity();
         }
     }

@@ -1,19 +1,6 @@
 //! Extension E3: the static-power (leakage) ablation — how much energy the
 //! critical-speed floor recovers as leakage grows.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::ablation_leakage;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let t = ablation_leakage(platform, &opts.cfg);
-        if opts.markdown {
-            print!("{}", t.to_markdown());
-        } else {
-            print!("{}", t.to_text());
-        }
-        println!();
-    }
+    pas_experiments::cli::main("ablation_leakage");
 }

@@ -1,10 +1,6 @@
 //! Ablation A2 (the paper's stated future work): the effect of the number
 //! of discrete speed levels between S_min and S_max.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::ablation_levels;
-
 fn main() {
-    let opts = Options::from_env();
-    opts.emit(&ablation_levels(&opts.cfg));
+    pas_experiments::cli::main("ablation_levels");
 }

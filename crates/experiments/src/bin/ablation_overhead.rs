@@ -1,13 +1,5 @@
 //! Ablation A3: sweep of the voltage/speed transition overhead.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::ablation_overhead;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        opts.emit(&ablation_overhead(platform, &opts.cfg));
-        println!();
-    }
+    pas_experiments::cli::main("ablation_overhead");
 }

@@ -1,13 +1,5 @@
 //! Ablation A4: processor-count sweep at fixed load.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::ablation_procs;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        opts.emit(&ablation_procs(platform, &opts.cfg));
-        println!();
-    }
+    pas_experiments::cli::main("ablation_procs");
 }

@@ -1,10 +1,6 @@
 //! Ablation A1 (the paper's stated future work): the effect of the
 //! minimum-speed ratio S_min/S_max on each scheme's energy.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::ablation_smin;
-
 fn main() {
-    let opts = Options::from_env();
-    opts.emit(&ablation_smin(&opts.cfg));
+    pas_experiments::cli::main("ablation_smin");
 }

@@ -1,121 +1,28 @@
 //! Regenerates the complete evaluation — every paper table/figure, every
 //! ablation, every extension — writing one markdown file per artifact into
-//! `--outdir` (default `results/`).
+//! `--outdir` (default `results/`). Each `<name>.md` holds exactly what
+//! `<name> --markdown` prints.
 //!
 //! `cargo run --release -p pas-experiments --bin all -- --reps 1000`
 
-use dvfs_power::ProcessorModel;
-use pas_experiments::cli::Options;
-use pas_experiments::figures::{
-    ablation_leakage, ablation_levels, ablation_overhead, ablation_procs, ablation_smin,
-    energy_breakdown, fault_sweep, fig_energy_vs_alpha, fig_energy_vs_load, level_table,
-    oracle_gap_vs_load, stream_carryover, SweepOutput,
-};
-use pas_experiments::Platform;
+use pas_experiments::cli::{exit_on_error, render, Options, ARTIFACTS};
 
 fn main() {
-    // Accept the common flags plus an --outdir by pre-filtering argv.
-    let mut raw: Vec<String> = std::env::args().collect();
-    let mut outdir = "results".to_string();
-    if let Some(i) = raw.iter().position(|a| a == "--outdir") {
-        raw.remove(i);
-        if i < raw.len() {
-            outdir = raw.remove(i);
-        }
-    }
-    let opts = match Options::parse(raw) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    std::fs::create_dir_all(&outdir).expect("create output directory");
-    let write = |name: &str, content: String| {
-        let path = format!("{outdir}/{name}.md");
-        std::fs::write(&path, content).expect("write artifact");
-        println!("wrote {path}");
-    };
-    let sweep_md = |out: &SweepOutput| {
-        assert_eq!(out.total_misses, 0, "deadline misses detected!");
-        format!(
-            "{}{}",
-            out.energy.to_markdown(),
-            out.speed_changes.to_markdown()
-        )
-    };
-
-    write(
-        "table1",
-        level_table(&ProcessorModel::transmeta5400()).to_markdown(),
-    );
-    write(
-        "table2",
-        level_table(&ProcessorModel::xscale()).to_markdown(),
-    );
-    for (tag, procs) in [("fig4", 2), ("fig5", 6)] {
-        let mut md = String::new();
-        for platform in [Platform::Transmeta, Platform::XScale] {
-            md.push_str(&sweep_md(&fig_energy_vs_load(platform, procs, &opts.cfg)));
-        }
-        write(tag, md);
-    }
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&sweep_md(&fig_energy_vs_alpha(platform, &opts.cfg)));
-    }
-    write("fig6", md);
-    write("ablation_smin", sweep_md(&ablation_smin(&opts.cfg)));
-    write("ablation_levels", sweep_md(&ablation_levels(&opts.cfg)));
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&sweep_md(&ablation_overhead(platform, &opts.cfg)));
-        md.push('\n');
-    }
-    write("ablation_overhead", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&sweep_md(&ablation_procs(platform, &opts.cfg)));
-        md.push('\n');
-    }
-    write("ablation_procs", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&ablation_leakage(platform, &opts.cfg).to_markdown());
-        md.push('\n');
-    }
-    write("ablation_leakage", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&oracle_gap_vs_load(platform, 2, &opts.cfg).to_markdown());
-        md.push('\n');
-    }
-    write("oracle_gap", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        for load in [0.3, 0.7] {
-            md.push_str(&energy_breakdown(platform, 2, load, &opts.cfg).to_markdown());
-            md.push('\n');
-        }
-    }
-    write("breakdown", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        md.push_str(&stream_carryover(platform, &opts.cfg).to_markdown());
-        md.push('\n');
-    }
-    write("stream", md);
-    let mut md = String::new();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let out = fault_sweep(platform, 1.5, &[0.0, 0.01, 0.02, 0.05, 0.1, 0.2], &opts.cfg)
-            .expect("fault sweep runs");
-        md.push_str(&out.miss_rate.to_markdown());
-        md.push_str(&out.energy.to_markdown());
-        md.push_str(&out.recovery_energy.to_markdown());
-        md.push('\n');
-    }
-    write("fault_sweep", md);
-    // With --emit-trace DIR, also drop per-scheme reference Chrome traces.
-    opts.emit_reference_traces(&[Platform::Transmeta, Platform::XScale]);
+    let mut opts = Options::from_env("all");
+    opts.markdown = true;
+    let outdir = opts.outdir.clone().unwrap_or_else(|| "results".into());
+    exit_on_error(write_all(&opts, &outdir));
     println!("done: the full evaluation is in {outdir}/");
+}
+
+fn write_all(opts: &Options, outdir: &str) -> Result<(), String> {
+    std::fs::create_dir_all(outdir).map_err(|e| format!("failed to create {outdir}: {e}"))?;
+    for name in ARTIFACTS {
+        let path = format!("{outdir}/{name}.md");
+        std::fs::write(&path, render(name, opts)?)
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
+    // With --emit-trace DIR, also drop per-scheme reference Chrome traces.
+    opts.emit_reference_traces()
 }

@@ -7,66 +7,6 @@
 //! Accepts the common flags plus `--factors F1,F2,...` (overrun factors,
 //! default `1.25,1.5,2.0`).
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::fault_sweep;
-use pas_experiments::Platform;
-
 fn main() {
-    // Accept the common flags plus --factors by pre-filtering argv.
-    let mut raw: Vec<String> = std::env::args().collect();
-    let mut factors = vec![1.25, 1.5, 2.0];
-    if let Some(i) = raw.iter().position(|a| a == "--factors") {
-        raw.remove(i);
-        if i >= raw.len() {
-            eprintln!("--factors needs a comma-separated list of values");
-            std::process::exit(2);
-        }
-        let spec = raw.remove(i);
-        match spec
-            .split(',')
-            .map(|t| t.trim().parse::<f64>())
-            .collect::<Result<Vec<f64>, _>>()
-        {
-            Ok(v) if !v.is_empty() => factors = v,
-            _ => {
-                eprintln!("bad --factors value: {spec}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let opts = match Options::parse(raw) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let probs = [0.0, 0.01, 0.02, 0.05, 0.1, 0.2];
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        for &factor in &factors {
-            let out = match fault_sweep(platform, factor, &probs, &opts.cfg) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("fault sweep failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            if opts.markdown {
-                print!("{}", out.miss_rate.to_markdown());
-                print!("{}", out.energy.to_markdown());
-                print!("{}", out.recovery_energy.to_markdown());
-            } else {
-                print!("{}", out.miss_rate.to_text());
-                println!();
-                print!("{}", out.energy.to_text());
-                println!();
-                print!("{}", out.recovery_energy.to_text());
-            }
-            println!(
-                "faults injected: {}, overruns detected: {}",
-                out.injected, out.detected
-            );
-            println!();
-        }
-    }
+    pas_experiments::cli::main("fault_sweep");
 }

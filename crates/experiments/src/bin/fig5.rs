@@ -1,16 +1,6 @@
 //! Figure 5: normalized energy vs load, ATR on 6 processors
 //! (a: Transmeta, b: Intel XScale), overhead 5 µs.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::fig_energy_vs_load;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let out = fig_energy_vs_load(platform, 6, &opts.cfg);
-        opts.emit(&out);
-        println!();
-    }
-    opts.emit_reference_traces(&[Platform::Transmeta, Platform::XScale]);
+    pas_experiments::cli::main("fig5");
 }

@@ -1,16 +1,6 @@
 //! Figure 6: normalized energy vs α, synthetic application on 2 processors
 //! at load 0.5 (a: Transmeta, b: Intel XScale).
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::fig_energy_vs_alpha;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let out = fig_energy_vs_alpha(platform, &opts.cfg);
-        opts.emit(&out);
-        println!();
-    }
-    opts.emit_reference_traces(&[Platform::Transmeta, Platform::XScale]);
+    pas_experiments::cli::main("fig6");
 }

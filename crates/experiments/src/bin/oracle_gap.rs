@@ -1,19 +1,6 @@
 //! Extension E1: each scheme's mean energy relative to the clairvoyant
 //! single-speed bound of paper §3.3, vs load.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::oracle_gap_vs_load;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let t = oracle_gap_vs_load(platform, 2, &opts.cfg);
-        if opts.markdown {
-            print!("{}", t.to_markdown());
-        } else {
-            print!("{}", t.to_text());
-        }
-        println!();
-    }
+    pas_experiments::cli::main("oracle_gap");
 }

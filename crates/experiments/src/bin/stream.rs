@@ -1,19 +1,6 @@
 //! Extension E4: streaming frames with DVS state carried across frame
 //! boundaries versus the paper's independent-instances assumption.
 
-use pas_experiments::cli::Options;
-use pas_experiments::figures::stream_carryover;
-use pas_experiments::Platform;
-
 fn main() {
-    let opts = Options::from_env();
-    for platform in [Platform::Transmeta, Platform::XScale] {
-        let t = stream_carryover(platform, &opts.cfg);
-        if opts.markdown {
-            print!("{}", t.to_markdown());
-        } else {
-            print!("{}", t.to_text());
-        }
-        println!();
-    }
+    pas_experiments::cli::main("stream");
 }

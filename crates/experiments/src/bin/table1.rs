@@ -1,11 +1,5 @@
 //! Prints the paper's Table 1: the Transmeta TM5400 voltage/speed levels.
 
-use dvfs_power::ProcessorModel;
-use pas_experiments::figures::level_table;
-
 fn main() {
-    print!(
-        "{}",
-        level_table(&ProcessorModel::transmeta5400()).to_text()
-    );
+    pas_experiments::cli::main("table1");
 }

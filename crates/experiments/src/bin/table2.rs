@@ -1,8 +1,5 @@
 //! Prints the paper's Table 2: the Intel XScale voltage/speed levels.
 
-use dvfs_power::ProcessorModel;
-use pas_experiments::figures::level_table;
-
 fn main() {
-    print!("{}", level_table(&ProcessorModel::xscale()).to_text());
+    pas_experiments::cli::main("table2");
 }

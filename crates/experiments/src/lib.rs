@@ -9,8 +9,9 @@
 //! * [`figures`] — one function per paper table/figure plus the ablations
 //!   the paper lists as future work. Each returns [`pas_stats::Table`]s
 //!   ready for text/markdown/CSV rendering.
-//! * [`cli`] — a tiny argument parser shared by the `fig4`, `fig5`, `fig6`,
-//!   `table1`, `table2` and `ablation_*` binaries.
+//! * [`cli`] — the binaries' one front end: the argument parser and
+//!   [`cli::render`], which renders each of the 14 artifacts from one
+//!   definition for both its own binary and `all`.
 //!
 //! Normalization follows the paper: each scheme's mean energy is divided by
 //! the mean energy of NPM (no power management) measured on the same
