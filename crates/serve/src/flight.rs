@@ -1,22 +1,17 @@
 //! The flight recorder: a bounded black box of recent request lifecycle
 //! events, dumped as a versioned crash report when something goes wrong.
 //!
-//! Every request passing through the service leaves a short trail here —
-//! `ingest` when the line arrives, `dispatch` when a worker picks it up,
-//! `respond` when the answer leaves, plus `shed`/`timeout`/`panic` on
-//! the failure paths — in a bounded [`Window`] (the same windowing that
-//! backs [`pas_obs::RingLog`]), so memory stays O(capacity) however long
-//! the daemon runs.
-//!
-//! On a worker panic (`PAS0506`), a deadline cancellation (`PAS0505`),
-//! or — under `--debug-faults` — a shed (`PAS0504`), the recorder dumps
-//! a crash report to `--crash-dir`: the offending request and its
-//! correlation id, the last-N lifecycle events, the tail of the
-//! structured log ring, and a counter/gauge snapshot. The JSON schema is
-//! versioned ([`CRASH_SCHEMA_VERSION`]) and documented in
-//! `docs/schemas.md`; `status` reports the report count and the last
-//! path written.
+//! Every pooled request leaves a short trail here — `ingest` and
+//! `dispatch` appended by their marks as they happen, then at `finish`
+//! the failure stamp (`shed`, `timeout` or `panic`) and `respond` — in a
+//! bounded [`Window`], so memory stays O(capacity) however long the
+//! daemon runs. A panic (`PAS0506`), a deadline cancellation (`PAS0505`)
+//! or, under `--debug-faults`, a shed (`PAS0504`) dumps a crash report to
+//! `--crash-dir`: the offending request and its correlation id, the
+//! last-N events, the structured-log tail and a counter/gauge snapshot,
+//! in a versioned schema ([`CRASH_SCHEMA_VERSION`], `docs/schemas.md`).
 
+use crate::proto::object;
 use pas_obs::{log, MetricsRegistry, Window};
 use serde::Value;
 use std::path::PathBuf;
@@ -46,19 +41,17 @@ pub struct FlightEvent {
 
 impl FlightEvent {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("seq".to_string(), Value::UInt(self.seq)),
-            ("t_mono_ms".to_string(), Value::Float(self.t_mono_ms)),
-            ("kind".to_string(), Value::Str(self.kind.to_string())),
-            ("corr_id".to_string(), Value::Str(self.corr_id.clone())),
-            ("detail".to_string(), Value::Str(self.detail.clone())),
+        object(vec![
+            ("seq", Value::UInt(self.seq)),
+            ("t_mono_ms", Value::Float(self.t_mono_ms)),
+            ("kind", Value::Str(self.kind.to_string())),
+            ("corr_id", Value::Str(self.corr_id.clone())),
+            ("detail", Value::Str(self.detail.clone())),
         ])
     }
 }
 
-/// The bounded black box plus crash-report bookkeeping. Shared between
-/// the service front-end (ingest/respond/shed/timeout) and the worker
-/// pool (dispatch/panic).
+/// The bounded black box plus crash-report bookkeeping.
 #[derive(Debug)]
 pub struct FlightRecorder {
     events: Mutex<Window<FlightEvent>>,
@@ -135,52 +128,30 @@ impl FlightRecorder {
         let dir = self.crash_dir.as_ref()?;
         let events: Vec<Value> = self.recent().iter().map(FlightEvent::to_value).collect();
         let log_tail: Vec<Value> = log::recent().iter().map(log::LogRecord::to_value).collect();
-        let (counters, gauges) = {
-            let m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-            let counters: Vec<(String, Value)> = m
-                .counters()
-                .filter(|(name, _)| name.starts_with("serve."))
-                .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-                .collect();
-            let gauges: Vec<(String, Value)> = m
-                .gauges()
-                .filter(|(name, _)| name.starts_with("serve."))
-                .map(|(name, v)| (name.to_string(), Value::Float(v)))
-                .collect();
-            (counters, gauges)
-        };
+        let (counters, gauges) =
+            crate::telemetry::serve_values(&metrics.lock().unwrap_or_else(|e| e.into_inner()));
         let t_wall_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let report = Value::Object(vec![
-            (
-                "crash_schema".to_string(),
-                Value::UInt(u64::from(CRASH_SCHEMA_VERSION)),
-            ),
-            ("trigger".to_string(), Value::Str(trigger.to_string())),
-            ("corr_id".to_string(), Value::Str(corr_id.to_string())),
-            ("request".to_string(), Value::Str(raw_request.to_string())),
-            ("t_wall_ms".to_string(), Value::UInt(t_wall_ms)),
-            ("events".to_string(), Value::Array(events)),
-            ("log_tail".to_string(), Value::Array(log_tail)),
-            ("counters".to_string(), Value::Object(counters)),
-            ("gauges".to_string(), Value::Object(gauges)),
+        let report = object(vec![
+            ("crash_schema", Value::UInt(u64::from(CRASH_SCHEMA_VERSION))),
+            ("trigger", Value::Str(trigger.to_string())),
+            ("corr_id", Value::Str(corr_id.to_string())),
+            ("request", Value::Str(raw_request.to_string())),
+            ("t_wall_ms", Value::UInt(t_wall_ms)),
+            ("events", Value::Array(events)),
+            ("log_tail", Value::Array(log_tail)),
+            ("counters", counters),
+            ("gauges", gauges),
         ]);
-        let body = match serde_json::to_string(&report) {
-            Ok(b) => b,
-            Err(_) => return None,
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return None;
-        }
+        let body = serde_json::to_string(&report).ok()?;
+        std::fs::create_dir_all(dir).ok()?;
         let n = self.crashes.load(Ordering::SeqCst) + 1;
         let stem = format!("crash-{n}-{}", crate::reqtrace::sanitize_id(corr_id));
         let path = dir.join(format!("{stem}.json"));
         let tmp = dir.join(format!(".{stem}.json.tmp"));
-        if std::fs::write(&tmp, format!("{body}\n")).is_err() {
-            return None;
-        }
+        std::fs::write(&tmp, format!("{body}\n")).ok()?;
         if std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return None;

@@ -184,6 +184,9 @@ fn handle_plan(
         let _c = ctx.span(names::REQ_CACHE_LOOKUP);
         cache.get(&key)
     };
+    // Every plan body this request can return says `cached` exactly when
+    // the cache held an entry, so the record notes that now.
+    ctx.record.cached(cached.is_some());
     if let (Some(hit), false) = (&cached, req.revalidate) {
         inc(metrics, "serve.cache.hits");
         log::emit(

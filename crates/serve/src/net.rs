@@ -6,7 +6,9 @@
 //! accepting, drains in-flight work under the configured deadline and
 //! exits 0.
 
+use crate::proto::Rejection;
 use crate::service::{ServeConfig, Service};
+use pas_analyze::Code;
 use pas_obs::log;
 use serde::Value;
 use std::io::{Read, Write};
@@ -68,9 +70,23 @@ fn should_stop(svc: &Service, stopping: &AtomicBool) -> bool {
     stopping.load(Ordering::SeqCst) || term_requested() || svc.is_shutdown_requested()
 }
 
+/// The longest request line a connection buffers: 16 MiB, well above the
+/// largest inline graph served. A longer line is refused with `PAS0501`
+/// and the connection closes.
+const MAX_LINE: usize = 16 << 20;
+
+/// Writes one reply line: the reply, then its newline. `false` when the
+/// peer is gone.
+fn reply<W: Write>(stream: &mut W, resp: &str) -> bool {
+    stream.write_all(resp.as_bytes()).is_ok()
+        && stream.write_all(b"\n").is_ok()
+        && stream.flush().is_ok()
+}
+
 /// Serves one connection: newline-delimited requests in, one response
-/// line per request out. Short read timeouts keep the loop responsive
-/// to shutdown.
+/// line per request out. Each read is scanned once for newlines, and a
+/// line past [`MAX_LINE`] is refused. Short read timeouts keep the loop
+/// responsive to shutdown.
 fn serve_conn<S: Read + Write>(mut stream: S, svc: &Service, stopping: &AtomicBool) {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -81,21 +97,28 @@ fn serve_conn<S: Read + Write>(mut stream: S, svc: &Service, stopping: &AtomicBo
         match stream.read(&mut chunk) {
             Ok(0) => return, // peer closed
             Ok(n) => {
+                // Bytes before `from` hold no newline.
+                let mut from = buf.len();
                 buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                while let Some(pos) = buf.iter().position(|b| *b == b'\n') {
-                    let line: Vec<u8> = buf.drain(..=pos).collect();
+                while let Some(pos) = buf
+                    .get(from..)
+                    .and_then(|b| b.iter().position(|c| *c == b'\n'))
+                {
+                    let line: Vec<u8> = buf.drain(..=from + pos).collect();
+                    from = 0;
                     let line = String::from_utf8_lossy(&line);
                     let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let resp = svc.handle_line(line);
-                    if stream.write_all(resp.as_bytes()).is_err()
-                        || stream.write_all(b"\n").is_err()
-                        || stream.flush().is_err()
-                    {
+                    if !line.is_empty() && !reply(&mut stream, &svc.handle_line(line)) {
                         return;
                     }
+                }
+                if buf.len() > MAX_LINE {
+                    let msg = format!("request line longer than {MAX_LINE} bytes");
+                    reply(
+                        &mut stream,
+                        &svc.refuse(&Rejection::new(Code::Pas0501, msg)),
+                    );
+                    return;
                 }
             }
             Err(e)
@@ -349,6 +372,105 @@ mod tests {
         assert!(l2.contains("PAS0501"), "{l2}");
 
         stopping.store(true, Ordering::SeqCst);
+        assert_eq!(svc.shutdown(), 0);
+    }
+
+    /// An in-memory connection: reads hand out `input` in the given
+    /// pieces, then (when `endless`) `x` bytes forever; writes collect.
+    struct Mem {
+        input: Vec<Vec<u8>>,
+        endless: bool,
+        served: usize,
+        out: Vec<u8>,
+    }
+
+    impl Read for Mem {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let piece = if self.input.is_empty() {
+                if !self.endless {
+                    return Ok(0);
+                }
+                vec![b'x'; buf.len()]
+            } else {
+                self.input.remove(0)
+            };
+            buf[..piece.len()].copy_from_slice(&piece);
+            self.served += piece.len();
+            Ok(piece.len())
+        }
+    }
+
+    impl Write for Mem {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn quiet_service() -> Service {
+        Service::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+    }
+
+    #[test]
+    fn a_line_split_over_many_reads_is_answered_once() {
+        reset_term_flag();
+        let svc = quiet_service();
+        let text = b"{\"id\":\"a\",\"kind\":\"status\"}\n\n{\"id\":\"b\",\"kind\":\"status\"}\n";
+        // One byte per read, then the whole text in a single read.
+        let mut input: Vec<Vec<u8>> = text.iter().map(|b| vec![*b]).collect();
+        input.push(text.to_vec());
+        let mut mem = Mem {
+            input,
+            endless: false,
+            served: 0,
+            out: Vec::new(),
+        };
+        serve_conn(&mut mem, &svc, &AtomicBool::new(false));
+        let out = String::from_utf8(mem.out).expect("utf-8 replies");
+        let ids: Vec<&str> = out
+            .lines()
+            .map(|l| if l.contains("\"id\":\"a\"") { "a" } else { "b" })
+            .collect();
+        assert_eq!(ids, ["a", "b", "a", "b"], "{out}");
+        assert!(
+            out.lines().all(|l| l.contains("\"status\":\"ok\"")),
+            "{out}"
+        );
+        assert_eq!(svc.counter("serve.requests"), 4);
+        assert_eq!(svc.shutdown(), 0);
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_with_bounded_memory() {
+        reset_term_flag();
+        let svc = quiet_service();
+        let mut mem = Mem {
+            input: vec![b"{\"id\":\"ok\",\"kind\":\"status\"}\n{\"id\":".to_vec()],
+            endless: true,
+            served: 0,
+            out: Vec::new(),
+        };
+        serve_conn(&mut mem, &svc, &AtomicBool::new(false));
+        // The connection stopped reading one chunk past the cap.
+        assert!(mem.served <= MAX_LINE + 2 * 4096, "{}", mem.served);
+        let out = String::from_utf8(mem.out).expect("utf-8 replies");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].contains("\"status\":\"ok\""), "{out}");
+        assert!(
+            lines[1].contains("PAS0501") && lines[1].contains("auto-"),
+            "{out}"
+        );
+        // Counted like any parse rejection.
+        assert_eq!(svc.counter("serve.requests"), 2);
+        assert_eq!(svc.counter("serve.responses.error"), 1);
+        assert_eq!(svc.counter("serve.request_ids.generated"), 1);
         assert_eq!(svc.shutdown(), 0);
     }
 

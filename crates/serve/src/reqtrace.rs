@@ -1,138 +1,222 @@
-//! Per-request trace timelines.
+//! The per-request record.
 //!
-//! A [`Timeline`] collects [`SpanRecord`]s for one request's trip through
-//! the service — ingest, queue wait, validation, cache lookup, handler
-//! execution, response — using the same record type and span-name
-//! catalog as the offline profiler ([`pas_obs::profile`]). Cache-miss
-//! plan derivations additionally record the offline catalog names
-//! (`offline.build`, `artifact.serialize`, `artifact.digest`), so a
-//! per-request trace joins directly against `pas plan --profile` output.
-//!
-//! A timeline exists only when the request asked for one (`"trace":
-//! true`) or the daemon writes Chrome-trace files (`--trace-out DIR`);
-//! otherwise every span helper is a no-op on a `None`. Its spans are
-//! echoed in the response (`timeline` array) and/or rendered through
-//! [`pas_obs::profile::chrome_trace`] into one file per request.
+//! Every pooled request gets one [`Record`] at ingest, and each lifecycle
+//! point writes it once: the front end stamps ingest and enqueue, the
+//! worker dispatch and handler return, `handle_plan` the plan-cache
+//! outcome, and — when traced (`"trace": true` or `--trace-out DIR`) —
+//! the handler its spans (`req.validate`, `req.cache_lookup`, and on a
+//! cache miss the offline catalog names, so a request trace joins
+//! against `pas plan --profile`). How the request ended travels back as
+//! an [`Outcome`]. At respond, `Telemetry::finish` closes the record and
+//! derives the rest from it once, the `req.ingest|queue_wait|exec|respond`
+//! spans included; a stamp that arrives after that changes nothing.
 
-use pas_obs::profile::SpanRecord;
+use crate::proto::{error_response, ok_response, panic_response, shed_response, timeout_response};
+use crate::proto::{object, Rejection, ReqKind, Request};
+use pas_obs::profile::{names, SpanRecord};
 use serde::Value;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Span collector for one request. Threads hand spans in from both the
-/// submitter (ingest, respond) and the worker (queue wait, validation,
-/// execution), so the record list is behind a mutex.
+/// The hint sent with shed responses (ms).
+const RETRY_AFTER_MS: u64 = 50;
+
+/// A lifecycle point that stamps the record: line parsed into a pooled
+/// request, job about to be queued, picked up by a worker, handler
+/// returned (panicked or not).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    Ingest,
+    Enqueue,
+    Dispatch,
+    Return,
+}
+
+/// How a pooled request ended: the handler's body or refusal, a shed at
+/// this queue depth (`PAS0504`), an expired deadline of this many ms
+/// (`PAS0505`), or a contained panic with its message (`PAS0506`).
 #[derive(Debug)]
-pub struct Timeline {
-    epoch: Instant,
-    spans: Mutex<Vec<SpanRecord>>,
+pub enum Outcome {
+    Ok(Value),
+    Error(Rejection),
+    Shed(usize),
+    Timeout(u64),
+    Panic(String),
 }
 
-impl Default for Timeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Timeline {
-    /// A fresh timeline; the epoch (t=0 of every span) is now.
-    pub fn new() -> Self {
-        Timeline {
-            epoch: Instant::now(),
-            spans: Mutex::new(Vec::new()),
+impl Outcome {
+    /// The reply's `status`, which names its `serve.responses.*` counter.
+    pub fn status(&self) -> &'static str {
+        match self {
+            Outcome::Ok(_) => "ok",
+            Outcome::Error(_) => "error",
+            Outcome::Shed(_) => "shed",
+            Outcome::Timeout(_) => "timeout",
+            Outcome::Panic(_) => "panic",
         }
     }
 
-    /// Opens a span named `name` starting now; it is recorded when the
-    /// returned guard drops.
-    pub fn span(&self, name: &'static str) -> TimelineSpan<'_> {
-        TimelineSpan {
-            timeline: self,
+    /// The single-line reply for request `id` of `kind`.
+    pub fn render(self, id: &str, kind: ReqKind) -> String {
+        match self {
+            Outcome::Ok(body) => ok_response(id, kind, body),
+            Outcome::Error(rej) => error_response(id, &rej),
+            Outcome::Shed(depth) => shed_response(id, RETRY_AFTER_MS, depth),
+            Outcome::Timeout(ms) => timeout_response(id, ms),
+            Outcome::Panic(detail) => panic_response(id, &detail),
+        }
+    }
+}
+
+/// What the lifecycle points wrote — a stamp per [`Stage`], the
+/// plan-cache outcome (`true` on a hit) and, when traced, the handler's
+/// spans. `finish` takes it once.
+#[derive(Debug, Default)]
+pub struct Marks {
+    pub ingested: Option<Instant>,
+    pub enqueued: Option<Instant>,
+    pub dispatched: Option<Instant>,
+    pub returned: Option<Instant>,
+    pub cache_hit: Option<bool>,
+    pub spans: Vec<SpanRecord>,
+    closed: bool,
+}
+
+/// One pooled request's lifecycle, shared by the front end and the
+/// worker: its id, kind and raw line (embedded verbatim in crash reports
+/// so the offending input is reproducible), whether it echoes its
+/// timeline and whether it collects spans at all, the arrival instant
+/// (t = 0 of every span), and the marks.
+#[derive(Debug)]
+pub struct Record {
+    pub id: String,
+    pub kind: ReqKind,
+    pub raw: String,
+    pub echo: bool,
+    pub traced: bool,
+    pub arrived: Instant,
+    marks: Mutex<Marks>,
+}
+
+impl Record {
+    /// The record of `req`, whose line `raw` arrived at `arrived`.
+    pub fn new(req: &Request, raw: &str, arrived: Instant, traced: bool) -> Self {
+        Record {
+            id: req.id.clone(),
+            kind: req.kind,
+            raw: raw.to_string(),
+            echo: req.trace,
+            traced,
+            arrived,
+            marks: Mutex::new(Marks::default()),
+        }
+    }
+
+    fn marks(&self) -> MutexGuard<'_, Marks> {
+        self.marks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stamps `stage` now; `false` (and no stamp) once `close` ran.
+    pub fn stamp(&self, stage: Stage) -> bool {
+        let now = Some(Instant::now());
+        let mut m = self.marks();
+        if m.closed {
+            return false;
+        }
+        match stage {
+            Stage::Ingest => m.ingested = now,
+            Stage::Enqueue => m.enqueued = now,
+            Stage::Dispatch => m.dispatched = now,
+            Stage::Return => m.returned = now,
+        }
+        true
+    }
+
+    /// Notes the plan-cache outcome.
+    pub fn cached(&self, hit: bool) {
+        self.marks().cache_hit = Some(hit);
+    }
+
+    /// Opens a span named `name` starting now, when the request is
+    /// traced. Bind the result (`let _s = rec.span(...)`) so the guard
+    /// lives across the work.
+    pub fn span(&self, name: &'static str) -> Option<SpanGuard<'_>> {
+        self.traced.then(|| SpanGuard {
+            record: self,
             name,
             opened: Instant::now(),
+        })
+    }
+
+    /// The span `name` from `from` to `to`, on the record's clock.
+    pub fn span_between(&self, name: &'static str, from: Instant, to: Instant) -> SpanRecord {
+        SpanRecord {
+            name,
+            detail: None,
+            thread: 0,
+            depth: 0,
+            start_ms: from.saturating_duration_since(self.arrived).as_secs_f64() * 1e3,
+            dur_ms: to.saturating_duration_since(from).as_secs_f64() * 1e3,
         }
     }
 
-    /// Records a span that ran from `start` until now — for stages whose
-    /// start predates the code that can observe them (queue wait starts
-    /// at enqueue time, ingest at line arrival).
-    pub fn record_since(&self, name: &'static str, start: Instant) {
-        let now = Instant::now();
-        let start_ms = start
-            .checked_duration_since(self.epoch)
-            .map_or(0.0, |d| d.as_secs_f64() * 1e3);
-        let dur_ms = now.saturating_duration_since(start).as_secs_f64() * 1e3;
-        self.push(name, start_ms, dur_ms);
+    /// Takes the marks and refuses every later stamp.
+    pub fn close(&self) -> Marks {
+        let mut m = self.marks();
+        let marks = std::mem::take(&mut *m);
+        m.closed = true;
+        marks
     }
 
-    fn push(&self, name: &'static str, start_ms: f64, dur_ms: f64) {
-        self.spans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(SpanRecord {
-                name,
-                detail: None,
-                thread: 0,
-                depth: 0,
-                start_ms,
-                dur_ms,
-            });
-    }
-
-    /// The collected spans, ordered by start time.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut spans = self
-            .spans
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
+    /// Every span of the closed `marks`, ordered by start: the handler's,
+    /// `req.ingest`, `req.queue_wait` and `req.exec` where both ends were
+    /// stamped, and `req.respond` over `respond`.
+    pub fn timeline(&self, marks: Marks, respond: (Instant, Instant)) -> Vec<SpanRecord> {
+        let mut spans = marks.spans;
+        let lifecycle = [
+            (names::REQ_INGEST, Some(self.arrived), marks.ingested),
+            (names::REQ_QUEUE_WAIT, marks.enqueued, marks.dispatched),
+            (names::REQ_EXEC, marks.dispatched, marks.returned),
+            (names::REQ_RESPOND, Some(respond.0), Some(respond.1)),
+        ];
+        for (name, from, to) in lifecycle {
+            if let (Some(from), Some(to)) = (from, to) {
+                spans.push(self.span_between(name, from, to));
+            }
+        }
         spans.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
         spans
     }
-
-    /// The timeline as the JSON array echoed in traced responses: one
-    /// `{name, start_ms, dur_ms}` object per span, ordered by start.
-    pub fn to_value(&self) -> Value {
-        Value::Array(
-            self.spans()
-                .into_iter()
-                .map(|s| {
-                    Value::Object(vec![
-                        ("name".to_string(), Value::Str(s.name.to_string())),
-                        ("start_ms".to_string(), Value::Float(s.start_ms)),
-                        ("dur_ms".to_string(), Value::Float(s.dur_ms)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    /// The timeline rendered as a Chrome trace-event document (what
-    /// `--trace-out` writes, one file per request) — the same renderer
-    /// the offline profiler uses, so request and offline traces open
-    /// side by side.
-    pub fn chrome_trace(&self) -> String {
-        pas_obs::profile::chrome_trace(&self.spans())
-    }
 }
 
-/// RAII guard returned by [`Timeline::span`]: records the span on drop.
+/// RAII guard returned by [`Record::span`]: records the span on drop.
 #[must_use = "a span measures nothing unless the guard lives across the work"]
-pub struct TimelineSpan<'a> {
-    timeline: &'a Timeline,
+pub struct SpanGuard<'a> {
+    record: &'a Record,
     name: &'static str,
     opened: Instant,
 }
 
-impl Drop for TimelineSpan<'_> {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let start_ms = self
-            .opened
-            .checked_duration_since(self.timeline.epoch)
-            .map_or(0.0, |d| d.as_secs_f64() * 1e3);
-        let dur_ms = self.opened.elapsed().as_secs_f64() * 1e3;
-        self.timeline.push(self.name, start_ms, dur_ms);
+        let span = self
+            .record
+            .span_between(self.name, self.opened, Instant::now());
+        self.record.marks().spans.push(span);
     }
+}
+
+/// The timeline echoed in traced responses: one `{name, start_ms,
+/// dur_ms}` object per span.
+pub fn timeline_value(spans: &[SpanRecord]) -> Value {
+    let span = |s: &SpanRecord| {
+        object(vec![
+            ("name", Value::Str(s.name.to_string())),
+            ("start_ms", Value::Float(s.start_ms)),
+            ("dur_ms", Value::Float(s.dur_ms)),
+        ])
+    };
+    Value::Array(spans.iter().map(span).collect())
 }
 
 /// Reduces a request id to a filesystem-safe stem for `--trace-out` and
@@ -158,31 +242,50 @@ pub fn sanitize_id(id: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pas_obs::profile::names;
+
+    fn record(traced: bool) -> Record {
+        let req = crate::proto::parse_request(r#"{"id":"r","kind":"run"}"#).expect("parses");
+        Record::new(&req, "", Instant::now(), traced)
+    }
 
     #[test]
     fn spans_record_and_sort_by_start() {
-        let tl = Timeline::new();
-        let early = Instant::now();
+        let rec = record(true);
         {
-            let _v = tl.span(names::REQ_VALIDATE);
+            let _v = rec.span(names::REQ_VALIDATE);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        tl.record_since(names::REQ_INGEST, early);
-        let spans = tl.spans();
-        assert_eq!(spans.len(), 2);
+        rec.stamp(Stage::Ingest);
+        let now = Instant::now();
+        let spans = rec.timeline(rec.close(), (now, now));
+        assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].name, names::REQ_INGEST);
         assert_eq!(spans[1].name, names::REQ_VALIDATE);
+        assert_eq!(spans[2].name, names::REQ_RESPOND);
         assert!(spans[0].dur_ms >= spans[1].dur_ms);
+        assert!(record(false).span(names::REQ_VALIDATE).is_none());
+    }
+
+    #[test]
+    fn stamps_after_close_change_nothing() {
+        let rec = record(false);
+        assert!(rec.stamp(Stage::Dispatch));
+        rec.cached(true);
+        let marks = rec.close();
+        assert!(marks.dispatched.is_some() && marks.returned.is_none());
+        assert_eq!(marks.cache_hit, Some(true));
+        assert!(!rec.stamp(Stage::Return));
+        assert!(rec.close().returned.is_none());
     }
 
     #[test]
     fn value_and_chrome_renderings_carry_every_span() {
-        let tl = Timeline::new();
+        let rec = record(true);
         {
-            let _e = tl.span(names::REQ_EXEC);
+            let _e = rec.span(names::REQ_EXEC);
         }
-        let v = tl.to_value();
+        let spans = rec.close().spans;
+        let v = timeline_value(&spans);
         let arr = v.as_array().expect("array");
         assert_eq!(arr.len(), 1);
         assert_eq!(
@@ -190,7 +293,7 @@ mod tests {
             Some(names::REQ_EXEC)
         );
         assert!(arr[0].get("dur_ms").and_then(Value::as_f64).is_some());
-        let doc = tl.chrome_trace();
+        let doc = pas_obs::profile::chrome_trace(&spans);
         let parsed: Value = serde_json::from_str(&doc).expect("valid chrome trace");
         assert!(parsed.get("traceEvents").is_some());
     }

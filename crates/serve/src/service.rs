@@ -4,23 +4,21 @@
 //! admission (back-pressure), dispatch to the pool, deadline enforcement
 //! — and is transport-agnostic: the TCP, Unix-socket and drop-directory
 //! front-ends in [`crate::net`] all funnel through it, as do the tests.
+//! A pooled request's lifecycle lives in its record; `handle_line`
+//! marks it and hands the outcome to `Telemetry::finish`, which answers.
 
 use crate::cache::PlanCache;
 use crate::flight::FlightRecorder;
 use crate::handlers;
 use crate::pool::{Job, JobCtx, SubmitError, WorkerPool};
-use crate::proto::{
-    error_response, ok_response, parse_request, shed_response, timeout_response, Rejection, ReqKind,
-};
-use crate::reqtrace::{sanitize_id, Timeline};
-use crate::telemetry::{self, LatencyStore, SeriesKey};
+use crate::proto::{object, ok_response, parse_request, Rejection, ReqKind};
+use crate::reqtrace::{Outcome, Record, Stage};
+use crate::telemetry::{self, Telemetry};
 use pas_analyze::Code;
-use pas_obs::profile::names;
-use pas_obs::{log, MetricsRegistry};
+use pas_obs::log;
 use serde::Value;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Tunables for one service instance.
@@ -44,12 +42,8 @@ pub struct ServeConfig {
 
 /// Plans kept in the content-addressed LRU.
 const CACHE_CAP: usize = 32;
-/// The hint sent with shed responses (ms).
-const RETRY_AFTER_MS: u64 = 50;
 /// How long shutdown waits for in-flight work (ms).
 const DRAIN_MS: u64 = 5_000;
-/// Flight-recorder ring capacity (lifecycle events retained).
-const FLIGHT_CAP: usize = 64;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -64,15 +58,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// A running service: worker pool, plan cache, metrics, shutdown flag.
+/// A running service: worker pool, plan cache, telemetry, shutdown flag.
 pub struct Service {
     cfg: ServeConfig,
     pool: WorkerPool,
-    metrics: Arc<Mutex<MetricsRegistry>>,
-    latencies: Arc<LatencyStore>,
+    tel: Arc<Telemetry>,
     cache: Arc<PlanCache>,
-    flight: Arc<FlightRecorder>,
-    shutdown_requested: Arc<AtomicBool>,
+    shutdown_requested: AtomicBool,
     next_auto_id: AtomicU64,
     started: Instant,
 }
@@ -80,42 +72,21 @@ pub struct Service {
 impl Service {
     /// Spawns the worker pool and returns a ready service.
     pub fn start(cfg: ServeConfig) -> Self {
-        let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
-        {
-            // Pre-seed every lifecycle counter at zero so the health
-            // snapshot always reports the full set — an operator can
-            // tell "never shed" from "not instrumented". The catalog
-            // lives in `telemetry` so the docs-sync tests police it.
-            let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-            for name in telemetry::PRE_SEEDED_COUNTERS {
-                m.inc(name, 0);
-            }
-        }
-        let latencies = Arc::new(LatencyStore::new());
+        let tel = Arc::new(Telemetry::new(&cfg));
         let cache = Arc::new(PlanCache::new(CACHE_CAP));
-        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAP, cfg.crash_dir.clone()));
         let handler_cfg = cfg.clone();
         let handler_cache = Arc::clone(&cache);
-        let handler_metrics = Arc::clone(&metrics);
+        let handler_tel = Arc::clone(&tel);
         let handler: crate::pool::Handler = Arc::new(move |req, ctx| {
-            handlers::handle(&handler_cfg, &handler_cache, &handler_metrics, req, ctx)
+            handlers::handle(&handler_cfg, &handler_cache, &handler_tel.metrics, req, ctx)
         });
-        let pool = WorkerPool::new(
-            cfg.workers,
-            cfg.queue_cap,
-            Arc::clone(&metrics),
-            Arc::clone(&latencies),
-            Arc::clone(&flight),
-            handler,
-        );
+        let pool = WorkerPool::new(cfg.workers, cfg.queue_cap, Arc::clone(&tel), handler);
         Service {
             cfg,
             pool,
-            metrics,
-            latencies,
+            tel,
             cache,
-            flight,
-            shutdown_requested: Arc::new(AtomicBool::new(false)),
+            shutdown_requested: AtomicBool::new(false),
             next_auto_id: AtomicU64::new(0),
             started: Instant::now(),
         }
@@ -125,237 +96,91 @@ impl Service {
     /// without one, so every response and log line stays correlatable.
     fn generate_request_id(&self) -> String {
         let seq = self.next_auto_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        m.inc("serve.request_ids.generated", 1);
+        self.tel.count("serve.request_ids.generated");
         format!("auto-{seq:06}")
+    }
+
+    /// Answers a line refused before it became a request — malformed, or
+    /// (from the socket front-ends) over the line-length cap. Even such a
+    /// line gets a minted id, so the error response is correlatable in
+    /// client logs.
+    pub(crate) fn refuse(&self, rej: &Rejection) -> String {
+        self.tel.count("serve.requests");
+        let id = self.generate_request_id();
+        self.tel.refuse(&id, rej)
     }
 
     /// The full round trip for one request line: always returns exactly
     /// one single-line JSON response, whatever the input did.
     pub fn handle_line(&self, line: &str) -> String {
         let t0 = Instant::now();
-        {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.requests", 1);
-        }
         let mut req = match parse_request(line) {
             Ok(req) => req,
-            Err(rej) => {
-                // Even an unparseable line gets a minted id, so the
-                // error response is correlatable in client logs.
-                let id = self.generate_request_id();
-                log::emit(
-                    log::Level::Warn,
-                    "serve.service",
-                    "request rejected at parse",
-                    vec![
-                        ("corr_id", Value::Str(id.clone())),
-                        ("code", Value::Str(rej.code.as_str().to_string())),
-                        ("message", Value::Str(rej.message.clone())),
-                    ],
-                );
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.error", 1);
-                return error_response(&id, &rej);
-            }
+            Err(rej) => return self.refuse(&rej),
         };
+        self.tel.count("serve.requests");
         if req.id == "-" {
             req.id = self.generate_request_id();
         } else {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.request_ids.client", 1);
+            self.tel.count("serve.request_ids.client");
         }
 
         // Control-plane kinds bypass the queue: health must stay
         // observable under full load, and shutdown must always land.
-        match req.kind {
-            ReqKind::Status => {
-                let body = self.status_body();
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(&req.id, ReqKind::Status, body);
-            }
-            ReqKind::Metrics => {
-                let body = self.metrics_body();
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(&req.id, ReqKind::Metrics, body);
-            }
+        let control = match req.kind {
+            ReqKind::Status => Some(self.status_body()),
+            ReqKind::Metrics => Some(self.metrics_body()),
             ReqKind::Shutdown => {
                 self.shutdown_requested.store(true, Ordering::SeqCst);
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(
-                    &req.id,
-                    ReqKind::Shutdown,
-                    crate::proto::object(vec![("draining", Value::Bool(true))]),
-                );
+                Some(object(vec![("draining", Value::Bool(true))]))
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(body) = control {
+            self.tel.responded("ok");
+            return ok_response(&req.id, req.kind, body);
         }
 
         let timeout_ms = req.timeout_ms.unwrap_or(self.cfg.default_timeout_ms);
-        let id = req.id.clone();
-        let kind = req.kind;
-        let _corr = log::with_corr(&id);
-        let want_echo = req.trace;
-        self.flight.record("ingest", &id, kind.name());
-        // A timeline exists only when someone will read it: the client
-        // asked for the echo, or the daemon writes per-request traces.
-        let timeline = if want_echo || self.cfg.trace_dir.is_some() {
-            let tl = Arc::new(Timeline::new());
-            tl.record_since(names::REQ_INGEST, t0);
-            Some(tl)
-        } else {
-            None
-        };
+        let _corr = log::with_corr(&req.id);
+        // Spans are collected only when someone will read them: the
+        // client asked for the echo, or the daemon writes traces.
+        let traced = req.trace || self.cfg.trace_dir.is_some();
+        let rec = Arc::new(Record::new(&req, line, t0, traced));
+        self.tel.mark(&rec, Stage::Ingest);
         let cancelled = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel();
-        let job = Job {
-            req,
-            raw: line.to_string(),
-            ctx: JobCtx {
-                cancelled: Arc::clone(&cancelled),
-                timeline: timeline.clone(),
-            },
-            reply: tx,
-            enqueued: Instant::now(),
+        let ctx = JobCtx {
+            cancelled: Arc::clone(&cancelled),
+            record: Arc::clone(&rec),
         };
-        let response = match self.pool.submit(job) {
-            Err(SubmitError::QueueFull { depth }) => {
-                self.flight
-                    .record("shed", &id, &format!("queue depth {depth}"));
-                log::emit(
-                    log::Level::Warn,
-                    "serve.service",
-                    "request shed",
-                    vec![
-                        ("kind", Value::Str(kind.name().to_string())),
-                        ("depth", Value::UInt(depth as u64)),
-                    ],
-                );
-                // Sheds are load signals, not faults; they dump a black
-                // box only when the operator opted into fault debugging.
-                if self.cfg.debug_faults
-                    && self
-                        .flight
-                        .dump("PAS0504", &id, line, &self.metrics)
-                        .is_some()
-                {
-                    let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.crash_reports", 1);
-                }
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.shed", 1);
-                m.inc("serve.responses.shed", 1);
-                shed_response(&id, RETRY_AFTER_MS, depth)
-            }
-            Err(SubmitError::ShuttingDown) => {
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.error", 1);
-                error_response(
-                    &id,
-                    &Rejection::new(Code::Pas0504, "service is draining for shutdown"),
-                )
-            }
-            Ok(_) => match rx.recv_timeout(Duration::from_millis(timeout_ms)) {
-                Ok(line) => line,
-                Err(_) => {
+        self.tel.mark(&rec, Stage::Enqueue);
+        let outcome = match self.pool.submit(Job {
+            req,
+            ctx,
+            reply: tx,
+        }) {
+            Err(SubmitError::QueueFull { depth }) => Outcome::Shed(depth),
+            Err(SubmitError::ShuttingDown) => Outcome::Error(Rejection::new(
+                Code::Pas0504,
+                "service is draining for shutdown",
+            )),
+            Ok(_) => rx
+                .recv_timeout(Duration::from_millis(timeout_ms))
+                .unwrap_or_else(|_| {
                     // Deadline expired: cancel cooperatively. A worker
                     // mid-job abandons at its next check; a job still
                     // queued is skipped entirely.
                     cancelled.store(true, Ordering::SeqCst);
-                    self.flight
-                        .record("timeout", &id, &format!("{timeout_ms} ms deadline"));
-                    log::emit(
-                        log::Level::Warn,
-                        "serve.service",
-                        "request deadline expired",
-                        vec![
-                            ("kind", Value::Str(kind.name().to_string())),
-                            ("timeout_ms", Value::UInt(timeout_ms)),
-                        ],
-                    );
-                    if self
-                        .flight
-                        .dump("PAS0505", &id, line, &self.metrics)
-                        .is_some()
-                    {
-                        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                        m.inc("serve.crash_reports", 1);
-                    }
-                    let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.timeouts", 1);
-                    m.inc("serve.responses.timeout", 1);
-                    timeout_response(&id, timeout_ms)
-                }
-            },
+                    Outcome::Timeout(timeout_ms)
+                }),
         };
-        let respond_t0 = Instant::now();
-        self.flight.record("respond", &id, kind.name());
-        let response = match &timeline {
-            Some(tl) => {
-                tl.record_since(names::REQ_RESPOND, respond_t0);
-                if let Some(dir) = &self.cfg.trace_dir {
-                    self.write_trace_file(dir, &id, tl);
-                }
-                if want_echo {
-                    echo_timeline(&response, tl)
-                } else {
-                    response
-                }
-            }
-            None => response,
-        };
-        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if self
-            .latencies
-            .record(SeriesKey::new(kind.name(), "total"), elapsed_ms)
-        {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.latency.overflow", 1);
-        }
-        {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.add_gauge(&format!("serve.stage_ms.{}", kind.name()), elapsed_ms);
-            m.inc(&format!("serve.handled.{}", kind.name()), 1);
-            m.set_gauge("serve.queue_depth", self.pool.queue_depth() as f64);
-        }
-        log::emit(
-            log::Level::Debug,
-            "serve.service",
-            "request answered",
-            vec![
-                ("kind", Value::Str(kind.name().to_string())),
-                ("elapsed_ms", Value::Float(elapsed_ms)),
-            ],
-        );
-        response
-    }
-
-    /// Writes one Chrome-trace file per request under `--trace-out`; a
-    /// failed write is logged and dropped, never fatal.
-    fn write_trace_file(&self, dir: &str, id: &str, tl: &Timeline) {
-        let dir = Path::new(dir);
-        let write = std::fs::create_dir_all(dir).and_then(|()| {
-            std::fs::write(
-                dir.join(format!("{}.trace.json", sanitize_id(id))),
-                tl.chrome_trace(),
-            )
-        });
-        if let Err(e) = write {
-            log::emit(
-                log::Level::Warn,
-                "serve.service",
-                "trace file write failed",
-                vec![("error", Value::Str(e.to_string()))],
-            );
-        }
+        self.tel.finish(&rec, outcome, self.pool.queue_depth())
     }
 
     /// The `/health`-style snapshot served for `status` requests.
-    pub fn status_body(&self) -> Value {
-        let m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
+    fn status_body(&self) -> Value {
+        let m = self.tel.registry();
         let hits = m.counter("serve.cache.hits");
         let misses = m.counter("serve.cache.misses");
         let hit_rate = if hits + misses > 0 {
@@ -363,55 +188,44 @@ impl Service {
         } else {
             0.0
         };
-        let counters: Vec<(String, Value)> = m
-            .counters()
-            .filter(|(name, _)| name.starts_with("serve."))
-            .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-            .collect();
-        let gauges: Vec<(String, Value)> = m
-            .gauges()
-            .filter(|(name, _)| name.starts_with("serve."))
-            .map(|(name, v)| (name.to_string(), Value::Float(v)))
-            .collect();
-        fn opt_ms(x: Option<f64>) -> Value {
-            x.map(Value::Float).unwrap_or(Value::Null)
-        }
-        let latency: Vec<(String, Value)> = self
+        let (counters, gauges) = telemetry::serve_values(&m);
+        let ms = |x: Option<f64>| x.map_or(Value::Null, Value::Float);
+        let latency = self
+            .tel
             .latencies
             .snapshot()
             .into_iter()
             .map(|(key, snap)| {
-                (
-                    key.dotted(),
-                    crate::proto::object(vec![
-                        ("count", Value::UInt(snap.count)),
-                        ("sum_ms", Value::Float(snap.sum_ms)),
-                        ("p50_ms", opt_ms(snap.p50_ms)),
-                        ("p95_ms", opt_ms(snap.p95_ms)),
-                        ("p99_ms", opt_ms(snap.p99_ms)),
-                    ]),
-                )
-            })
-            .collect();
-        crate::proto::object(vec![
+                let series = object(vec![
+                    ("count", Value::UInt(snap.count)),
+                    ("sum_ms", Value::Float(snap.sum_ms)),
+                    ("p50_ms", ms(snap.p50_ms)),
+                    ("p95_ms", ms(snap.p95_ms)),
+                    ("p99_ms", ms(snap.p99_ms)),
+                ]);
+                (key.dotted(), series)
+            });
+        let uint = |n: usize| Value::UInt(n as u64);
+        let flight = &self.tel.flight;
+        object(vec![
             (
                 "uptime_ms",
                 Value::Float(self.started.elapsed().as_secs_f64() * 1e3),
             ),
             (
                 "queue",
-                crate::proto::object(vec![
-                    ("depth", Value::UInt(self.pool.queue_depth() as u64)),
-                    ("capacity", Value::UInt(self.pool.queue_capacity() as u64)),
-                    ("busy_workers", Value::UInt(self.pool.busy_workers() as u64)),
-                    ("workers", Value::UInt(self.cfg.workers as u64)),
+                object(vec![
+                    ("depth", uint(self.pool.queue_depth())),
+                    ("capacity", uint(self.pool.queue_capacity())),
+                    ("busy_workers", uint(self.pool.busy_workers())),
+                    ("workers", uint(self.cfg.workers)),
                 ]),
             ),
             (
                 "cache",
-                crate::proto::object(vec![
-                    ("size", Value::UInt(self.cache.len() as u64)),
-                    ("capacity", Value::UInt(CACHE_CAP as u64)),
+                object(vec![
+                    ("size", uint(self.cache.len())),
+                    ("capacity", uint(CACHE_CAP)),
                     ("hits", Value::UInt(hits)),
                     ("misses", Value::UInt(misses)),
                     ("hit_rate", Value::Float(hit_rate)),
@@ -419,20 +233,17 @@ impl Service {
             ),
             (
                 "crashes",
-                crate::proto::object(vec![
-                    ("count", Value::UInt(self.flight.crash_count())),
+                object(vec![
+                    ("count", Value::UInt(flight.crash_count())),
                     (
                         "last_path",
-                        self.flight
-                            .last_crash_path()
-                            .map(Value::Str)
-                            .unwrap_or(Value::Null),
+                        flight.last_crash_path().map_or(Value::Null, Value::Str),
                     ),
                 ]),
             ),
-            ("counters", Value::Object(counters)),
-            ("gauges", Value::Object(gauges)),
-            ("latency", Value::Object(latency)),
+            ("counters", counters),
+            ("gauges", gauges),
+            ("latency", Value::Object(latency.collect())),
         ])
     }
 
@@ -440,16 +251,11 @@ impl Service {
     /// surface rendered in Prometheus text exposition format. The text
     /// is carried inside the usual JSON envelope (the transport is
     /// line-delimited JSON, not HTTP); a scraper unwraps `exposition`.
-    pub fn metrics_body(&self) -> Value {
-        let text = {
-            let m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            telemetry::prometheus_exposition(&m, &self.latencies)
-        };
-        crate::proto::object(vec![
-            (
-                "content_type",
-                Value::Str("text/plain; version=0.0.4".to_string()),
-            ),
+    fn metrics_body(&self) -> Value {
+        let text = telemetry::prometheus_exposition(&self.tel.registry(), &self.tel.latencies);
+        let content_type = Value::Str("text/plain; version=0.0.4".to_string());
+        object(vec![
+            ("content_type", content_type),
             ("exposition", Value::Str(text)),
         ])
     }
@@ -467,33 +273,13 @@ impl Service {
 
     /// A snapshot of counter `name` (test and summary helper).
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .counter(name)
-    }
-
-    /// The service configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
+        self.tel.registry().counter(name)
     }
 
     /// The flight recorder (test and summary helper).
     pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+        &self.tel.flight
     }
-}
-
-/// Appends the request's span timeline to an already-rendered response
-/// line as a top-level `timeline` array. A response that somehow isn't a
-/// JSON object (unreachable for pool responses) passes through untouched
-/// rather than being mangled.
-fn echo_timeline(response: &str, tl: &Timeline) -> String {
-    let Ok(Value::Object(mut pairs)) = serde_json::from_str::<Value>(response) else {
-        return response.to_string();
-    };
-    pairs.push(("timeline".to_string(), tl.to_value()));
-    serde_json::to_string(&Value::Object(pairs)).unwrap_or_else(|_| response.to_string())
 }
 
 #[cfg(test)]
@@ -671,6 +457,32 @@ mod tests {
         let resp = svc.handle_line(r#"{"id":"plain","kind":"run"}"#);
         let v: Value = serde_json::from_str(&resp).expect("valid JSON");
         assert!(v.get("timeline").is_none(), "{resp}");
+        assert_eq!(svc.shutdown(), 0);
+    }
+
+    /// The echo appends the `timeline` member to the rendered reply: the
+    /// rest of a traced reply is the untraced reply, byte for byte.
+    #[test]
+    fn traced_replies_are_untraced_replies_plus_a_timeline() {
+        let svc = Service::start(quick_cfg());
+        let miss = svc.handle_line(r#"{"id":"p","kind":"plan","workload":"synthetic"}"#);
+        assert!(miss.contains("\"cached\":false"), "{miss}");
+        for line in [
+            r#"{"id":"p","kind":"plan","workload":"synthetic"}"#,
+            r#"{"id":"r","kind":"run","workload":"synthetic","seed":7}"#,
+            r#"{"id":"c","kind":"check","workload":"synthetic"}"#,
+            r#"{"id":"m","kind":"montecarlo","workload":"synthetic","batch":64,"seed":3}"#,
+        ] {
+            let plain = svc.handle_line(line);
+            let head = line.strip_suffix('}').expect("an object");
+            let traced = svc.handle_line(&format!(r#"{head},"trace":true}}"#));
+            let cut = traced.find(r#","timeline":["#).expect("timeline echoed");
+            assert_eq!(format!("{}}}", &traced[..cut]), plain, "{line}");
+            assert!(traced.ends_with("]}"), "{traced}");
+        }
+        assert!(svc
+            .handle_line(r#"{"id":"p","kind":"plan","workload":"synthetic"}"#)
+            .contains("\"cached\":true"));
         assert_eq!(svc.shutdown(), 0);
     }
 

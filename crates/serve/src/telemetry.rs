@@ -1,5 +1,14 @@
-//! Request telemetry: per-kind latency histograms and the Prometheus
-//! text exposition behind the `metrics` request kind.
+//! Request telemetry: the daemon's one telemetry handle, the per-kind
+//! latency histograms and the Prometheus text exposition behind the
+//! `metrics` request kind.
+//!
+//! `Telemetry` owns the three stores a request feeds — the `serve.*`
+//! counter/gauge registry, the latency store and the flight ring — and
+//! the front end and the worker pool share it. A lifecycle mark
+//! (`Telemetry::mark`) stamps the record and, at `ingest` and `dispatch`,
+//! appends the flight event then, so a crash report holds what happened
+//! up to the crash. At respond, `Telemetry::finish` derives everything
+//! else from the record once.
 //!
 //! Latencies are recorded in three stages per request kind — `queue`
 //! (wait in the bounded queue), `exec` (handler wall time) and `total`
@@ -12,11 +21,22 @@
 //! The exposition contract is documented in `docs/observability.md` and
 //! policed by `tests/docs_sync.rs`.
 
-use pas_obs::MetricsRegistry;
+use crate::flight::FlightRecorder;
+use crate::proto::{error_response, Rejection};
+use crate::reqtrace::{sanitize_id, timeline_value, Outcome, Record, Stage};
+use crate::service::ServeConfig;
+use pas_obs::profile::SpanRecord;
+use pas_obs::{log, MetricsRegistry};
 use pas_stats::Histogram;
+use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+/// Flight-recorder ring capacity (lifecycle events retained).
+const FLIGHT_CAP: usize = 64;
 
 /// Lower edge of every latency histogram (ms).
 const LATENCY_LO_MS: f64 = 0.0;
@@ -64,7 +84,7 @@ pub const LATENCY_STAGES: &[&str] = &["queue", "exec", "total"];
 /// Identifies one latency series: request kind, pipeline stage, and the
 /// optional cache-outcome split (`plan` execution only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeriesKey {
+pub(crate) struct SeriesKey {
     /// Wire name of the request kind (`plan`, `check`, ...).
     pub kind: &'static str,
     /// One of [`LATENCY_STAGES`].
@@ -80,15 +100,6 @@ impl SeriesKey {
             kind,
             stage,
             cache: None,
-        }
-    }
-
-    /// A cache-split series (plan execution by hit/miss).
-    pub fn with_cache(kind: &'static str, stage: &'static str, cache: &'static str) -> Self {
-        SeriesKey {
-            kind,
-            stage,
-            cache: Some(cache),
         }
     }
 
@@ -120,20 +131,16 @@ impl LatencySeries {
     }
 }
 
-/// A point-in-time summary of one latency series. Quantiles are `None`
-/// while the series is empty (rendered `NaN` in the exposition, the
-/// Prometheus convention for observation-free summaries).
+/// A point-in-time summary of one latency series: observation count,
+/// exact sum and p50/p95/p99 estimates (ms). Quantiles are `None` while
+/// the series is empty (rendered `NaN` in the exposition, the Prometheus
+/// convention for observation-free summaries).
 #[derive(Debug, Clone, Copy)]
-pub struct LatencySnapshot {
-    /// Observations recorded.
+pub(crate) struct LatencySnapshot {
     pub count: u64,
-    /// Exact sum of all observations (ms).
     pub sum_ms: f64,
-    /// Median estimate (ms).
     pub p50_ms: Option<f64>,
-    /// 95th-percentile estimate (ms).
     pub p95_ms: Option<f64>,
-    /// 99th-percentile estimate (ms).
     pub p99_ms: Option<f64>,
 }
 
@@ -143,14 +150,8 @@ pub struct LatencySnapshot {
 /// plan-exec hit/miss split) is pre-seeded at construction; debug kinds
 /// create series on first observation.
 #[derive(Debug)]
-pub struct LatencyStore {
+pub(crate) struct LatencyStore {
     series: Mutex<BTreeMap<SeriesKey, LatencySeries>>,
-}
-
-impl Default for LatencyStore {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LatencyStore {
@@ -163,10 +164,11 @@ impl LatencyStore {
             }
         }
         for cache in ["hit", "miss"] {
-            series.insert(
-                SeriesKey::with_cache("plan", "exec", cache),
-                LatencySeries::empty(),
-            );
+            let key = SeriesKey {
+                cache: Some(cache),
+                ..SeriesKey::new("plan", "exec")
+            };
+            series.insert(key, LatencySeries::empty());
         }
         LatencyStore {
             series: Mutex::new(series),
@@ -206,6 +208,26 @@ impl LatencyStore {
     }
 }
 
+/// The `serve.*` counters and gauges as JSON objects (the `status`
+/// body's and crash reports' snapshot).
+pub(crate) fn serve_values(m: &MetricsRegistry) -> (Value, Value) {
+    let serve = |name: &&str| name.starts_with("serve.");
+    let counters = m.counters().filter(|(n, _)| serve(n));
+    let gauges = m.gauges().filter(|(n, _)| serve(n));
+    (
+        Value::Object(
+            counters
+                .map(|(n, v)| (n.to_string(), Value::UInt(v)))
+                .collect(),
+        ),
+        Value::Object(
+            gauges
+                .map(|(n, v)| (n.to_string(), Value::Float(v)))
+                .collect(),
+        ),
+    )
+}
+
 /// Maps a dotted metric name onto the Prometheus identifier charset:
 /// every character outside `[a-zA-Z0-9]` becomes `_`
 /// (`serve.cache.hits` → `serve_cache_hits`).
@@ -213,13 +235,6 @@ fn prom_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
-}
-
-fn fmt_opt_ms(x: Option<f64>) -> String {
-    match x {
-        Some(v) => format!("{v}"),
-        None => "NaN".to_string(),
-    }
 }
 
 /// Renders the full `serve.*` metric surface in Prometheus text
@@ -235,19 +250,19 @@ fn fmt_opt_ms(x: Option<f64>) -> String {
 ///   labelled by `kind`, `stage` and (for the plan-exec split) `cache`,
 ///   with `quantile="0.5" | "0.95" | "0.99"` sample lines plus
 ///   `serve_latency_sum` / `serve_latency_count`.
-pub fn prometheus_exposition(metrics: &MetricsRegistry, latencies: &LatencyStore) -> String {
+pub(crate) fn prometheus_exposition(metrics: &MetricsRegistry, latencies: &LatencyStore) -> String {
     let mut out = String::new();
-    for (name, v) in metrics.counters().filter(|(n, _)| n.starts_with("serve.")) {
-        let fam = prom_name(name);
-        let _ = writeln!(out, "# HELP {fam} Counter {name}.");
-        let _ = writeln!(out, "# TYPE {fam} counter");
-        let _ = writeln!(out, "{fam} {v}");
-    }
-    for (name, v) in metrics.gauges().filter(|(n, _)| n.starts_with("serve.")) {
-        let fam = prom_name(name);
-        let _ = writeln!(out, "# HELP {fam} Gauge {name}.");
-        let _ = writeln!(out, "# TYPE {fam} gauge");
-        let _ = writeln!(out, "{fam} {v}");
+    let counters = metrics
+        .counters()
+        .map(|(n, v)| (n, "Counter", v.to_string()));
+    let gauges = metrics.gauges().map(|(n, v)| (n, "Gauge", v.to_string()));
+    for (name, family, v) in counters.chain(gauges) {
+        if name.starts_with("serve.") {
+            let fam = prom_name(name);
+            let _ = writeln!(out, "# HELP {fam} {family} {name}.");
+            let _ = writeln!(out, "# TYPE {fam} {}", family.to_lowercase());
+            let _ = writeln!(out, "{fam} {v}");
+        }
     }
     let _ = writeln!(
         out,
@@ -263,13 +278,13 @@ pub fn prometheus_exposition(metrics: &MetricsRegistry, latencies: &LatencyStore
     );
     let _ = writeln!(out, "# TYPE serve_latency summary");
     for (key, snap) in latencies.snapshot() {
-        let labels = match key.cache {
-            Some(c) => format!(
-                "kind=\"{}\",stage=\"{}\",cache=\"{c}\"",
-                key.kind, key.stage
-            ),
-            None => format!("kind=\"{}\",stage=\"{}\"", key.kind, key.stage),
-        };
+        let cache = key.cache.map(|c| format!(",cache=\"{c}\""));
+        let labels = format!(
+            "kind=\"{}\",stage=\"{}\"{}",
+            key.kind,
+            key.stage,
+            cache.unwrap_or_default()
+        );
         for (q, val) in [
             ("0.5", snap.p50_ms),
             ("0.95", snap.p95_ms),
@@ -278,13 +293,252 @@ pub fn prometheus_exposition(metrics: &MetricsRegistry, latencies: &LatencyStore
             let _ = writeln!(
                 out,
                 "serve_latency{{{labels},quantile=\"{q}\"}} {}",
-                fmt_opt_ms(val)
+                val.map_or("NaN".to_string(), |v| v.to_string())
             );
         }
         let _ = writeln!(out, "serve_latency_sum{{{labels}}} {}", snap.sum_ms);
         let _ = writeln!(out, "serve_latency_count{{{labels}}} {}", snap.count);
     }
     out
+}
+
+/// The daemon's one telemetry handle, shared by the front end and the
+/// worker pool.
+pub(crate) struct Telemetry {
+    /// The `serve.*` counter/gauge registry. Handlers count cache hits,
+    /// misses, I/O retries and stale serves into it; `status`, `metrics`
+    /// and crash reports snapshot it.
+    pub metrics: Mutex<MetricsRegistry>,
+    /// Per-kind latency series.
+    pub latencies: LatencyStore,
+    /// The black box that crash reports dump.
+    pub flight: FlightRecorder,
+    /// `--trace-out`: one Chrome-trace file per request.
+    trace_dir: Option<PathBuf>,
+    /// `--debug-faults`: a shed dumps a crash report too.
+    dump_sheds: bool,
+}
+
+impl Telemetry {
+    /// A handle for `cfg`, with every lifecycle counter pre-seeded at
+    /// zero so the health snapshot always reports the full set — an
+    /// operator can tell "never shed" from "not instrumented".
+    pub fn new(cfg: &ServeConfig) -> Self {
+        let mut metrics = MetricsRegistry::new();
+        for name in PRE_SEEDED_COUNTERS {
+            metrics.inc(name, 0);
+        }
+        Telemetry {
+            metrics: Mutex::new(metrics),
+            latencies: LatencyStore::new(),
+            flight: FlightRecorder::new(FLIGHT_CAP, cfg.crash_dir.clone()),
+            trace_dir: cfg.trace_dir.as_ref().map(PathBuf::from),
+            dump_sheds: cfg.debug_faults,
+        }
+    }
+
+    /// The locked registry.
+    pub fn registry(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Adds one to counter `name`.
+    pub fn count(&self, name: &str) {
+        self.registry().inc(name, 1);
+    }
+
+    /// Counts one response as `serve.responses.<status>`: the only place
+    /// that family grows, once per request line.
+    pub fn responded(&self, status: &str) {
+        self.count(&format!("serve.responses.{status}"));
+    }
+
+    /// Stamps `stage` on `rec`. `ingest` and `dispatch` append their
+    /// flight event now, so a crash dump taken later holds them.
+    pub fn mark(&self, rec: &Record, stage: Stage) {
+        let event = match stage {
+            Stage::Ingest => Some("ingest"),
+            Stage::Dispatch => Some("dispatch"),
+            Stage::Enqueue | Stage::Return => None,
+        };
+        if let (true, Some(event)) = (rec.stamp(stage), event) {
+            self.flight.record(event, &rec.id, rec.kind.name());
+        }
+    }
+
+    /// Answers a line refused before it became a request: one warn
+    /// record and one `error` reply under the minted `id`.
+    pub fn refuse(&self, id: &str, rej: &Rejection) -> String {
+        log::emit(
+            log::Level::Warn,
+            "serve.service",
+            "request rejected at parse",
+            vec![
+                ("corr_id", Value::Str(id.to_string())),
+                ("code", Value::Str(rej.code.as_str().to_string())),
+                ("message", Value::Str(rej.message.clone())),
+            ],
+        );
+        self.responded("error");
+        error_response(id, rej)
+    }
+
+    /// Closes `rec` with `outcome` and derives everything the request
+    /// leaves behind from it; returns the reply line. `queue_depth` sets
+    /// the `serve.queue_depth` gauge.
+    pub fn finish(&self, rec: &Record, outcome: Outcome, queue_depth: usize) -> String {
+        let mut marks = rec.close();
+        let kind = rec.kind.name();
+        if let Outcome::Timeout(_) = outcome {
+            // A worker still running returns after the deadline: no exec
+            // sample or span for it.
+            marks.returned = None;
+        }
+        self.fail(rec, &outcome);
+        let cache = match (&outcome, marks.cache_hit) {
+            (Outcome::Ok(_), Some(hit)) => Some(if hit { "hit" } else { "miss" }),
+            _ => None,
+        };
+        let respond_t0 = Instant::now();
+        self.responded(outcome.status());
+        let mut reply = outcome.render(&rec.id, rec.kind);
+        self.flight.record("respond", &rec.id, kind);
+        let ms = |from: Option<Instant>, to: Option<Instant>| {
+            Some(to?.saturating_duration_since(from?).as_secs_f64() * 1e3)
+        };
+        let queue_ms = ms(marks.enqueued, marks.dispatched);
+        let exec_ms = ms(marks.dispatched, marks.returned);
+        if rec.traced {
+            let spans = rec.timeline(marks, (respond_t0, Instant::now()));
+            if let Some(dir) = &self.trace_dir {
+                write_trace_file(dir, &rec.id, &spans);
+            }
+            if rec.echo {
+                reply = splice_timeline(reply, &spans);
+            }
+        }
+        let total_ms = rec.arrived.elapsed().as_secs_f64() * 1e3;
+        self.sample(SeriesKey::new(kind, "queue"), queue_ms);
+        self.sample(SeriesKey::new(kind, "exec"), exec_ms);
+        // The plan-exec hit/miss split, for ok plan replies only.
+        let split = SeriesKey {
+            cache,
+            ..SeriesKey::new(kind, "exec")
+        };
+        self.sample(split, exec_ms.filter(|_| cache.is_some()));
+        self.sample(SeriesKey::new(kind, "total"), Some(total_ms));
+        {
+            let mut m = self.registry();
+            m.add_gauge(&format!("serve.stage_ms.{kind}"), total_ms);
+            m.inc(&format!("serve.handled.{kind}"), 1);
+            m.set_gauge("serve.queue_depth", queue_depth as f64);
+        }
+        log::emit(
+            log::Level::Debug,
+            "serve.service",
+            "request answered",
+            vec![
+                ("kind", Value::Str(kind.to_string())),
+                ("elapsed_ms", Value::Float(total_ms)),
+            ],
+        );
+        reply
+    }
+
+    /// The one failure path: a shed, timeout or panic appends its flight
+    /// event, logs its line, counts its counters and, when it dumps,
+    /// writes a crash report.
+    fn fail(&self, rec: &Record, outcome: &Outcome) {
+        use log::Level::{Error, Warn};
+        let (detail, (level, target, msg), field, trigger, counters): (String, _, _, _, &[&str]) =
+            match outcome {
+                // Sheds are load signals, not faults; they dump a black
+                // box only when the operator opted into fault debugging.
+                Outcome::Shed(depth) => (
+                    format!("queue depth {depth}"),
+                    (Warn, "serve.service", "request shed"),
+                    ("depth", Value::UInt(*depth as u64)),
+                    self.dump_sheds.then_some("PAS0504"),
+                    &["serve.shed"],
+                ),
+                Outcome::Timeout(ms) => (
+                    format!("{ms} ms deadline"),
+                    (Warn, "serve.service", "request deadline expired"),
+                    ("timeout_ms", Value::UInt(*ms)),
+                    Some("PAS0505"),
+                    &["serve.timeouts"],
+                ),
+                // catch_unwind recovered the worker in place — the same
+                // accounting slot a respawn would fill.
+                Outcome::Panic(detail) => (
+                    detail.clone(),
+                    (Error, "serve.pool", "worker panic contained"),
+                    ("detail", Value::Str(detail.clone())),
+                    Some("PAS0506"),
+                    &["serve.panics", "serve.worker_recoveries"],
+                ),
+                Outcome::Ok(_) | Outcome::Error(_) => return,
+            };
+        // A panic's crash report counts the panic; a shed's or a
+        // timeout's is taken before they are counted.
+        let (before, after) = match outcome {
+            Outcome::Panic(_) => (counters, &[][..]),
+            _ => (&[][..], counters),
+        };
+        before.iter().for_each(|name| self.count(name));
+        self.flight.record(outcome.status(), &rec.id, &detail);
+        let kind = ("kind", Value::Str(rec.kind.name().to_string()));
+        log::emit(level, target, msg, vec![kind, field]);
+        if let Some(trigger) = trigger {
+            if (self.flight)
+                .dump(trigger, &rec.id, &rec.raw, &self.metrics)
+                .is_some()
+            {
+                self.count("serve.crash_reports");
+            }
+        }
+        after.iter().for_each(|name| self.count(name));
+    }
+
+    /// Records one latency sample, when there is one, tallying
+    /// `serve.latency.overflow` when it fell beyond the histogram range
+    /// (it still lands, clamped, in the top bin — but not silently).
+    fn sample(&self, key: SeriesKey, ms: Option<f64>) {
+        if ms.is_some_and(|ms| self.latencies.record(key, ms)) {
+            self.count("serve.latency.overflow");
+        }
+    }
+}
+
+/// Writes one Chrome-trace file per request under `--trace-out`; a
+/// failed write is logged and dropped, never fatal.
+fn write_trace_file(dir: &Path, id: &str, spans: &[SpanRecord]) {
+    let write = std::fs::create_dir_all(dir).and_then(|()| {
+        std::fs::write(
+            dir.join(format!("{}.trace.json", sanitize_id(id))),
+            pas_obs::profile::chrome_trace(spans),
+        )
+    });
+    if let Err(e) = write {
+        log::emit(
+            log::Level::Warn,
+            "serve.service",
+            "trace file write failed",
+            vec![("error", Value::Str(e.to_string()))],
+        );
+    }
+}
+
+/// Appends the timeline to a rendered reply as its last member; the rest
+/// of the reply keeps its bytes.
+fn splice_timeline(reply: String, spans: &[SpanRecord]) -> String {
+    match (
+        reply.strip_suffix('}'),
+        serde_json::to_string(&timeline_value(spans)),
+    ) {
+        (Some(head), Ok(timeline)) => format!("{head},\"timeline\":{timeline}}}"),
+        _ => reply,
+    }
 }
 
 #[cfg(test)]

@@ -198,3 +198,95 @@ fn back_pressure_sheds_with_retry_after_instead_of_queueing_unboundedly() {
     }
     assert_eq!(svc.shutdown(), 0);
 }
+
+/// The sum of every `serve.responses.*` counter.
+fn responses(svc: &Service) -> u64 {
+    ["ok", "error", "shed", "timeout", "panic"]
+        .iter()
+        .map(|s| svc.counter(&format!("serve.responses.{s}")))
+        .sum()
+}
+
+/// A timed-out request is one `timeout` response: the worker's later
+/// `PAS0505` return reaches nobody and counts nothing.
+#[test]
+fn timeout_counts_one_response() {
+    let svc = service(1, 8);
+    let resp =
+        svc.handle_line(r#"{"id":"t","kind":"debug-sleep","sleep_ms":60000,"timeout_ms":40}"#);
+    assert_eq!(status_of(&resp), "timeout");
+    // With one worker, the next job runs only after the sleeper returned.
+    let next = svc.handle_line(r#"{"id":"n","kind":"debug-fail"}"#);
+    assert_eq!(status_of(&next), "error");
+    assert_eq!(svc.counter("serve.responses.timeout"), 1);
+    assert_eq!(svc.counter("serve.responses.error"), 1);
+    assert_eq!(responses(&svc), svc.counter("serve.requests"));
+    assert_eq!(svc.shutdown(), 0);
+    // Nothing counts after the drain either.
+    assert_eq!(svc.counter("serve.responses.error"), 1);
+    assert_eq!(responses(&svc), 2);
+}
+
+/// Every outcome at once: each request line counts exactly one response.
+#[test]
+fn a_burst_of_every_outcome_sums_to_the_requests() {
+    let svc = Arc::new(service(1, 1));
+    let park = |id: &str, timeout_ms: u64| {
+        let svc = Arc::clone(&svc);
+        let line = format!(
+            r#"{{"id":"{id}","kind":"debug-sleep","sleep_ms":60000,"timeout_ms":{timeout_ms}}}"#
+        );
+        std::thread::spawn(move || svc.handle_line(&line))
+    };
+    // One sleeper holds the worker, a second fills the queue.
+    let running = park("running", 1500);
+    let queue_state = |svc: &Service| {
+        let v: Value =
+            serde_json::from_str(&svc.handle_line(r#"{"kind":"status"}"#)).expect("JSON");
+        let q = v.get("body").and_then(|b| b.get("queue")).expect("queue");
+        let n = |k: &str| q.get(k).and_then(Value::as_u64).unwrap_or(0);
+        (n("busy_workers"), n("depth"))
+    };
+    let wait_for = |want: (u64, u64)| {
+        let t0 = std::time::Instant::now();
+        while queue_state(&svc) != want {
+            assert!(t0.elapsed().as_secs() < 10, "queue never reached {want:?}");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+    wait_for((1, 0));
+    let queued = park("queued", 1000);
+    wait_for((1, 1));
+    let shed = svc.handle_line(r#"{"id":"shed","kind":"run","workload":"synthetic"}"#);
+    assert_eq!(status_of(&shed), "shed");
+    assert_eq!(status_of(&running.join().expect("client")), "timeout");
+    assert_eq!(status_of(&queued.join().expect("client")), "timeout");
+    // The cancelled sleeper returns and the cancelled queued job is skipped.
+    wait_for((0, 0));
+    let rest = with_quiet_panics(|| {
+        [
+            r#"{"id":"ok","kind":"run","workload":"synthetic"}"#,
+            r#"{"id":"fail","kind":"debug-fail"}"#,
+            r#"{"id":"boom","kind":"debug-panic"}"#,
+            "{not json",
+        ]
+        .map(|line| status_of(&svc.handle_line(line)))
+    });
+    assert_eq!(rest, ["ok", "error", "panic", "error"]);
+    for (status, n) in [
+        ("ok", 1),
+        ("error", 2),
+        ("shed", 1),
+        ("timeout", 2),
+        ("panic", 1),
+    ] {
+        let counted = svc.counter(&format!("serve.responses.{status}"));
+        // `ok` also counts the status probes.
+        assert!(counted >= n, "{status}: {counted}");
+        if status != "ok" {
+            assert_eq!(counted, n, "{status}");
+        }
+    }
+    assert_eq!(responses(&svc), svc.counter("serve.requests"));
+    assert_eq!(svc.shutdown(), 0);
+}
